@@ -7,26 +7,32 @@ Produces, under results/:
   sweep_roc/         P_d vs achieved P_fa per SNR at the ROC distance
   compare_baseline/  proposed detector vs static-reference RSS baseline
 
+The default of 500 trials per cell reproduces the committed results/ byte
+for byte.  Output paths are given relative to the repository root, so each
+manifest records a machine-independent `out =` line.
+
 Usage: python scripts/reproduce_figures.py [trials-per-cell]
 """
 
+import os
 import sys
 from pathlib import Path
 
 from puedet.cli import main
 
-OUT = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run() -> int:
-    trials = sys.argv[1] if len(sys.argv) > 1 else "4000"
+    trials = sys.argv[1] if len(sys.argv) > 1 else "500"
+    os.chdir(ROOT)
     for command in ("track", "sweep-distance", "sweep-roc", "compare-baseline"):
-        out = OUT / command.replace("-", "_")
+        out = f"results/{command.replace('-', '_')}"
         print(f">>> puedet {command} --out {out} --trials {trials}")
-        rc = main([command, "--out", str(out), "--trials", trials])
+        rc = main([command, "--out", out, "--trials", trials])
         if rc != 0:
             return rc
-    print(f"done; artifacts under {OUT}")
+    print(f"done; artifacts under {ROOT / 'results'}")
     return 0
 
 

@@ -23,7 +23,7 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, InvalidInputError
-from .experiments import trial_seed_sequence
+from .experiments import block_streams
 from .scenario import emit_position_measurement
 from .svgplot import line_chart
 from .tracking import initial_estimate, track
@@ -67,7 +67,8 @@ def _resolve_detector(cfg: ExperimentConfig, scenario):
 
 def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     scenario = build_scenario(cfg)
-    gen = np.random.default_rng(trial_seed_sequence(cfg.run.seed, 0))
+    # The measurements of trial 0 of the seed's Monte Carlo stream.
+    _, gen, _ = block_streams(cfg.run.seed, 0)
     n = scenario.n_steps
     times = [scenario.step_time(k) for k in range(n)]
     zs = [emit_position_measurement(scenario, k, gen) for k in range(n)]

@@ -1,13 +1,19 @@
 """Seeded Monte Carlo harness: detection / false-alarm / miss probabilities
 over sweeps of attacker distance, SNR, and threshold.
 
-Every trial owns an independent substream derived from (master_seed, trial
-index), so results do not depend on execution order, chunking, or parallelism.
-The batched engine shares the covariance/gain recursion across trials (it does
-not depend on measurement data in a linear filter) and keeps all per-trial
-state math elementwise, which makes chunked and unchunked runs bit-identical.
-:func:`reference_trial` is the plain one-trial-at-a-time statement of the same
-procedure; tests hold the two routes together.
+Trials are seeded in fixed blocks of :data:`BLOCK`: block b holds trials
+[b * BLOCK, (b + 1) * BLOCK) and owns one substream root derived from
+(master_seed, b) by :func:`block_streams`, with one generator for position
+noise and one for RSS noise.  Trial r of a block takes row r of each
+generator's trial-major draws, so results do not depend on chunking: a chunk
+continues its block's generators, and a smaller draw is a prefix of a larger
+one.  The batched engine shares the truth path, the acceleration inputs and
+the covariance/gain recursion across trials (none of them depends on
+measurement data in a linear filter), and each sweep computes them once for
+all of its cells.  All per-trial state math is elementwise, which makes
+chunked and unchunked runs bit-identical.  :func:`reference_trial` is the
+plain one-trial-at-a-time statement of the same procedure; tests hold the two
+routes together.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ from .tracking import (
 )
 
 DEFAULT_CHUNK_SIZE = 20_000
+
+# Trials per seeding block: each block of trials owns one substream root.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -115,10 +124,19 @@ def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None =
     return MetricsReport(pd, pfa, pm, n_attack, n_legit, sweep_coords)
 
 
-def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSequence:
-    """The substream root for one trial; the whole harness derives randomness
-    only through this function."""
-    return np.random.SeedSequence((master_seed, trial_index))
+def block_streams(
+    master_seed: int, block: int
+) -> tuple[np.random.SeedSequence, np.random.Generator, np.random.Generator]:
+    """The substream root of one block of trials, with the block's
+    position-noise and RSS-noise generators; the whole harness derives trial
+    randomness only through this function.
+
+    Row r of the root's ``generate_state(m, np.uint64)`` is the seed reported
+    for trial r of the block.
+    """
+    root = np.random.SeedSequence((master_seed, block))
+    pos, rss = root.spawn(2)
+    return root, np.random.default_rng(pos), np.random.default_rng(rss)
 
 
 def child_seed(master_seed: int, *path: int) -> int:
@@ -141,6 +159,37 @@ def _step_accels(scenario: Scenario, eval_step: int) -> np.ndarray:
     for k in range(1, eval_step + 1):
         acc[k] = scenario.trajectory.accel_at(scenario.step_time(k - 1))
     return acc
+
+
+class _Kinematics(NamedTuple):
+    """What every trial of a cell shares up to its evaluation step: the true
+    PU position and the acceleration input at each step, and the Kalman gain
+    of each update as 8 row-major floats (``gains[k - 1]`` is step k's).
+    None of it depends on noise, anchors or the attacker."""
+
+    truth: np.ndarray
+    accels: np.ndarray
+    gains: list[tuple[float, ...]]
+
+    def upto(self, eval_step: int) -> "_Kinematics":
+        """The same quantities for a cell evaluated at an earlier step."""
+        return _Kinematics(
+            self.truth[: eval_step + 1], self.accels[: eval_step + 1], self.gains[:eval_step]
+        )
+
+
+def _kinematics(scenario: Scenario) -> _Kinematics:
+    k_eval = scenario.evaluation_step
+    motion, meas_model = _filter_models(scenario)
+    truth = np.array([truth_at(scenario, k).position for k in range(k_eval + 1)])
+    p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
+    gains = []
+    for _ in range(k_eval):
+        # Covariance and gain are measurement-independent: one shared
+        # recursion through the exact same code path as tracking.track.
+        g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
+        gains.append(tuple(g.ravel().tolist()))
+    return _Kinematics(truth, _step_accels(scenario, k_eval), gains)
 
 
 @dataclass
@@ -184,12 +233,15 @@ def _run_cell(
     attacker_xy: np.ndarray,
     master_seed: int,
     chunk_size: int | None = None,
+    kinematics: _Kinematics | None = None,
 ) -> _CellResult:
     """Vectorized execution of one cell's trials.
 
-    The per-trial noise protocol, in substream order, is: (eval_step + 1) x 2
-    standard normals for position measurements, then one per anchor for RSS.
-    :func:`reference_trial` consumes the identical sequence.
+    Per trial, the position generator of its block yields (eval_step + 1) x 2
+    standard normals for position measurements and the RSS generator one per
+    anchor; :func:`reference_trial` consumes the identical rows.
+    `kinematics` is the scenario's :func:`_kinematics`, passed in by sweeps
+    that share it across cells and computed here otherwise.
     """
     n = len(is_pue)
     k_eval = scenario.evaluation_step
@@ -198,9 +250,7 @@ def _run_cell(
     if chunk < 1:
         raise InvalidInputError("chunk_size must be >= 1")
 
-    motion, meas_model = _filter_models(scenario)
-    truth = np.array([truth_at(scenario, k).position for k in range(k_eval + 1)])
-    accels = _step_accels(scenario, k_eval)
+    truth, accels, gains = kinematics if kinematics is not None else _kinematics(scenario)
     anchor_xy = np.array([[a.x, a.y] for a in scenario.anchors])
     link = scenario.link
     a_link = link.link_constant_db
@@ -213,51 +263,46 @@ def _run_cell(
     d_rss = np.empty((n, n_anchors))
     seeds = np.empty(n, dtype=np.uint64)
 
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        m = hi - lo
-        meas_noise = np.empty((m, k_eval + 1, 2))
-        rss_noise = np.empty((m, n_anchors))
-        for row in range(m):
-            ss = trial_seed_sequence(master_seed, lo + row)
-            gen = np.random.default_rng(ss)
-            meas_noise[row] = gen.standard_normal((k_eval + 1, 2))
-            rss_noise[row] = gen.standard_normal(n_anchors)
-            seeds[lo + row] = ss.generate_state(1, np.uint64)[0]
+    for block_lo in range(0, n, BLOCK):
+        block_hi = min(block_lo + BLOCK, n)
+        root, pos_gen, rss_gen = block_streams(master_seed, block_lo // BLOCK)
+        seeds[block_lo:block_hi] = root.generate_state(block_hi - block_lo, np.uint64)
+        for lo in range(block_lo, block_hi, chunk):
+            hi = min(lo + chunk, block_hi)
+            m = hi - lo
+            # Position measurements of every trial and step, in place.
+            z = pos_gen.standard_normal((m, k_eval + 1, 2))
+            z *= sigma_z
+            z += truth
+            rss_noise = rss_gen.standard_normal((m, n_anchors))
 
-        # Initialization from the first measurement, zero velocity.
-        x = truth[0, 0] + sigma_z * meas_noise[:, 0, 0]
-        y = truth[0, 1] + sigma_z * meas_noise[:, 0, 1]
-        vx = np.zeros(m)
-        vy = np.zeros(m)
-        p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
+            # Initialization from the first measurement, zero velocity.
+            x = z[:, 0, 0].copy()
+            y = z[:, 0, 1].copy()
+            vx = np.zeros(m)
+            vy = np.zeros(m)
+            for k in range(1, k_eval + 1):
+                ux, uy = accels[k]
+                g00, g01, g10, g11, g20, g21, g30, g31 = gains[k - 1]
+                px = x + dt * vx + half * ux
+                py = y + dt * vy + half * uy
+                ix = z[:, k, 0] - px
+                iy = z[:, k, 1] - py
+                x = px + (g00 * ix + g01 * iy)
+                y = py + (g10 * ix + g11 * iy)
+                vx = vx + dt * ux + (g20 * ix + g21 * iy)
+                vy = vy + dt * uy + (g30 * ix + g31 * iy)
 
-        for k in range(1, k_eval + 1):
-            ux, uy = accels[k]
-            px = x + dt * vx + half * ux
-            py = y + dt * vy + half * uy
-            pvx = vx + dt * ux
-            pvy = vy + dt * uy
-            # Covariance and gain are measurement-independent: one shared
-            # recursion through the exact same code path as tracking.track.
-            g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
-            ix = truth[k, 0] + sigma_z * meas_noise[:, k, 0] - px
-            iy = truth[k, 1] + sigma_z * meas_noise[:, k, 1] - py
-            x = px + g[0, 0] * ix + g[0, 1] * iy
-            y = py + g[1, 0] * ix + g[1, 1] * iy
-            vx = pvx + g[2, 0] * ix + g[2, 1] * iy
-            vy = pvy + g[3, 0] * ix + g[3, 1] * iy
-
-        tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth[k_eval])
-        for j in range(n_anchors):
-            d_kf[lo:hi, j] = np.hypot(x - anchor_xy[j, 0], y - anchor_xy[j, 1])
-            d_tx = np.hypot(tx[:, 0] - anchor_xy[j, 0], tx[:, 1] - anchor_xy[j, 1])
-            if (d_tx <= 0.0).any():
-                raise InvalidInputError(
-                    f"transmitter coincides with anchor {scenario.anchors[j].id!r}"
-                )
-            pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
-            d_rss[lo:hi, j] = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
+            tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth[k_eval])
+            for j in range(n_anchors):
+                d_kf[lo:hi, j] = np.hypot(x - anchor_xy[j, 0], y - anchor_xy[j, 1])
+                d_tx = np.hypot(tx[:, 0] - anchor_xy[j, 0], tx[:, 1] - anchor_xy[j, 1])
+                if (d_tx <= 0.0).any():
+                    raise InvalidInputError(
+                        f"transmitter coincides with anchor {scenario.anchors[j].id!r}"
+                    )
+                pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
+                d_rss[lo:hi, j] = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
 
     residuals, attacker_flag = _fuse(np.abs(d_kf - d_rss), config)
     return _CellResult(is_pue.copy(), d_kf, d_rss, residuals, attacker_flag, seeds)
@@ -307,21 +352,24 @@ def reference_trial(
     This is the readable statement of the trial procedure; the batched engine
     must agree with it, and tests enforce that.
     """
-    ss = trial_seed_sequence(master_seed, trial_index)
-    gen = np.random.default_rng(ss)
+    block, row = divmod(trial_index, BLOCK)
+    root, pos_gen, rss_gen = block_streams(master_seed, block)
     k_eval = scenario.evaluation_step
     run = with_schedule_at(scenario, k_eval, scheduled)
+    # Skip the rows of the block's earlier trials.
+    pos_gen.standard_normal((row, k_eval + 1, 2))
+    rss_gen.standard_normal((row, len(run.anchors)))
 
     times = [run.step_time(k) for k in range(k_eval + 1)]
-    zs = [emit_position_measurement(run, k, gen) for k in range(k_eval + 1)]
+    zs = [emit_position_measurement(run, k, pos_gen) for k in range(k_eval + 1)]
     motion, meas_model = _filter_models(run)
     accels = _step_accels(run, k_eval)
     init = initial_estimate(zs[0], meas_model, run.v_max)
     estimates = track(times, zs, motion, meas_model, init=init, accels=accels)
 
-    samples = [emit_rss(run, k_eval, a, gen) for a in run.anchors]
+    samples = [emit_rss(run, k_eval, a, rss_gen) for a in run.anchors]
     verdict = detect_step(estimates[k_eval], samples, run.anchors, run.link, config)
-    seed = int(ss.generate_state(1, np.uint64)[0])
+    seed = int(root.generate_state(row + 1, np.uint64)[row])
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 
 
@@ -373,6 +421,7 @@ def sweep_distance(
     k_eval = base.evaluation_step
     brg = tuple(bearings) if bearings else _default_bearings(base, k_eval)
     is_pue = _schedule_labels(n_trials, schedule_mix)
+    kinematics = _kinematics(base)
     reports = []
     for i, d in enumerate(distances):
         attacker_xy = _attacker_positions(base, k_eval, d, brg, n_trials)
@@ -380,7 +429,7 @@ def sweep_distance(
             cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
             cell = _run_cell(
                 cell_scenario, config, is_pue, attacker_xy,
-                child_seed(master_seed, 0, i, j), chunk_size,
+                child_seed(master_seed, 0, i, j), chunk_size, kinematics,
             )
             reports.append(
                 metrics(cell.outcomes(), SweepCoords(float(d), float(snr), config.tau))
@@ -418,18 +467,19 @@ def sweep_roc(
     brg = tuple(bearings) if bearings else _default_bearings(base, k_eval)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     probe = DetectorConfig(tau=0.0, fusion=fusion)
+    kinematics = _kinematics(base)
     reports = []
     for j, snr in enumerate(snr_db_list):
         cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
         cal = _run_cell(
             cell_scenario, probe,
             np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-            child_seed(master_seed, 1, j, 0), chunk_size,
+            child_seed(master_seed, 1, j, 0), chunk_size, kinematics,
         )
         attacker_xy = _attacker_positions(base, k_eval, d_pu_pue, brg, n_trials)
         eval_cell = _run_cell(
             cell_scenario, probe, is_pue, attacker_xy,
-            child_seed(master_seed, 1, j, 1), chunk_size,
+            child_seed(master_seed, 1, j, 1), chunk_size, kinematics,
         )
         for target in pfa_targets:
             cfg = calibrate_tau(cal.residuals, target, fusion)
@@ -480,15 +530,18 @@ def compare_baseline(
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = np.tile(np.asarray(base.attacker_pos, float), (n_trials, 1))
 
+    eval_steps = [_eval_step_for_distance(base, reference, d) for d in distances]
+    # One recursion up to the latest evaluation step; each cell reads a prefix.
+    kinematics = _kinematics(replace(base, eval_step=max(eval_steps)))
+
     rows = []
-    for i, d in enumerate(distances):
-        k = _eval_step_for_distance(base, reference, d)
-        pos = truth_at(base, k).position
+    for i, (d, k) in enumerate(zip(distances, eval_steps)):
+        pos = kinematics.truth[k]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         cell_scenario = replace(base, eval_step=k)
         cell = _run_cell(
             cell_scenario, config, is_pue, attacker_xy,
-            child_seed(master_seed, 2, i), chunk_size,
+            child_seed(master_seed, 2, i), chunk_size, kinematics.upto(k),
         )
         base_res, base_flag = _fuse(np.abs(d_ref[None, :] - cell.d_rss), config)
         baseline_cell = _CellResult(

@@ -48,11 +48,6 @@ class TargetState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.vx, self.vy])
 
-    @classmethod
-    def from_array(cls, v) -> "TargetState":
-        x, y, vx, vy = (float(c) for c in v)
-        return cls(x, y, vx, vy)
-
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -262,10 +257,6 @@ def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> Filter
     return _estimate(state, predict_covariance(est.covariance, model))
 
 
-def innovation_covariance(p: np.ndarray, meas_model: MeasurementModel) -> np.ndarray:
-    return p[:2, :2] + meas_model.r
-
-
 def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tuple, np.ndarray]:
     """:func:`gain_and_updated_covariance` with the gain as 8 row-major floats.
 
@@ -312,7 +303,7 @@ def gain_and_updated_covariance(
     p: np.ndarray, meas_model: MeasurementModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman gain G = P C^T S^-1 and the posterior covariance (I - G C) P,
-    with S = C P C^T + R (:func:`innovation_covariance`).
+    with innovation covariance S = C P C^T + R = P[:2, :2] + R.
 
     Expanded on the position-selector C, so no matrix is built; the
     posterior is computed on its upper triangle and mirrored, so it is

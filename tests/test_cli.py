@@ -1,6 +1,7 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from puedet.cli import main
 from puedet.config import loads_config
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 SMALL_SWEEP = """
 [scenario]
@@ -158,6 +160,20 @@ class TestManifest:
         assert cfg.run.seed == 123
         assert cfg.run.trials == 9
         assert cfg.scenario.meas_noise_std == 0.0
+
+
+class TestCommittedResults:
+    @pytest.mark.parametrize("name", ["track", "sweep_distance", "sweep_roc", "compare_baseline"])
+    def test_rerun_from_manifest_is_byte_identical(self, tmp_path, name):
+        committed = RESULTS / name
+        manifest = committed / "manifest.txt"
+        command = manifest.read_text().splitlines()[0].removeprefix("# command: ")
+        assert main([command, "--config", str(manifest), "--out", str(tmp_path)]) == 0
+        artifacts = sorted(p.name for p in committed.iterdir() if p.suffix in (".csv", ".svg"))
+        assert artifacts
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".svg")) == artifacts
+        for artifact in artifacts:
+            assert (tmp_path / artifact).read_bytes() == (committed / artifact).read_bytes(), artifact
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig
 from puedet.errors import InvalidInputError
 from puedet.experiments import (
+    BLOCK,
     MetricsReport,
     SweepCoords,
     TrialOutcome,
@@ -62,9 +64,19 @@ class TestRunTrials:
 
     def test_chunking_does_not_change_results(self):
         scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
-        whole = run_trials(scen, DetectorConfig(10.0), 50, 0.5, 5, chunk_size=50)
-        pieces = run_trials(scen, DetectorConfig(10.0), 50, 0.5, 5, chunk_size=3)
-        assert whole == pieces
+        n = BLOCK + 50  # the last chunks cross a seeding-block boundary
+        whole = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5)
+        for chunk_size in (3, 1000):  # neither divides the block
+            pieces = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5, chunk_size=chunk_size)
+            assert pieces == whole, chunk_size
+
+    def test_fewer_trials_are_a_prefix(self):
+        # With one schedule label for all, a trial's outcome depends only on
+        # its index, not on how many trials run after it.
+        scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
+        many = run_trials(scen, DetectorConfig(10.0), BLOCK + 5, 1.0, 8)
+        for n in (1, 37, BLOCK, BLOCK + 1):
+            assert run_trials(scen, DetectorConfig(10.0), n, 1.0, 8) == many[:n], n
 
     def test_noiseless_collinear_attack_always_detected(self):
         scen = collinear_scenario(attacker_offset=50.0)
@@ -94,34 +106,35 @@ class TestBatchedEngineMatchesReference:
     def test_dual_route_agreement(self):
         scen = default_scenario(n_steps=50, rss_noise=NoiseModel(2.0))
         cfg = DetectorConfig(25.0)
-        n = 30
-        batched = run_trials(scen, cfg, n, 0.5, master_seed=123)
-        n_pue = round(0.5 * n)
-        for i, out in enumerate(batched):
-            ref = reference_trial(scen, cfg, 123, i, PUE if i < n_pue else PU)
-            assert out.scheduled == ref.scheduled
-            assert out.verdict == ref.verdict
-            assert out.seed == ref.seed
-            assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+        # The first 30 trials, then both sides of the first block boundary.
+        for n, indices in ((30, range(30)), (BLOCK + 2, range(BLOCK - 2, BLOCK + 2))):
+            batched = run_trials(scen, cfg, n, 0.5, master_seed=123)
+            n_pue = round(0.5 * n)
+            for i in indices:
+                out = batched[i]
+                ref = reference_trial(scen, cfg, 123, i, PUE if i < n_pue else PU)
+                assert out.scheduled == ref.scheduled
+                assert out.verdict == ref.verdict
+                assert out.seed == ref.seed
+                assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
-    def test_dual_route_with_two_anchors_or_fusion(self):
+    def test_dual_route_multi_anchor_or_fusion(self):
         base = default_scenario(n_steps=30, rss_noise=NoiseModel(3.0))
-        scen = Scenario(
-            trajectory=base.trajectory,
-            attacker_pos=(300.0, 300.0),
-            anchors=(AnchorNode("a1", 500.0, 0.0), AnchorNode("a2", 0.0, 500.0)),
-            dt=base.dt,
-            meas_noise_std=base.meas_noise_std,
-            link=base.link,
-            rss_noise=base.rss_noise,
-            transmitter_schedule=base.transmitter_schedule,
+        square = (
+            AnchorNode("a1", 500.0, 0.0),
+            AnchorNode("a2", 0.0, 500.0),
+            AnchorNode("a3", 500.0, 500.0),
+            AnchorNode("a4", -200.0, -200.0),
         )
         cfg = DetectorConfig(25.0, fusion="or")
-        batched = run_trials(scen, cfg, 20, 0.5, master_seed=55)
-        for i, out in enumerate(batched):
-            ref = reference_trial(scen, cfg, 55, i, PUE if i < 10 else PU)
-            assert out.verdict == ref.verdict
-            assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+        for anchors in (square[:2], square):
+            scen = replace(base, attacker_pos=(300.0, 300.0), anchors=anchors)
+            batched = run_trials(scen, cfg, 20, 0.5, master_seed=55)
+            for i, out in enumerate(batched):
+                ref = reference_trial(scen, cfg, 55, i, PUE if i < 10 else PU)
+                assert out.verdict == ref.verdict
+                assert out.seed == ref.seed
+                assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
 
 class TestMetrics:
