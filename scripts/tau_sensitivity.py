@@ -11,8 +11,7 @@ import sys
 
 import numpy as np
 
-from puedet import DetectorConfig, sigma_from_snr
-from puedet.experiments import _attacker_positions, _default_bearings, _run_cell
+from puedet import DetectorConfig, attacker_positions, run_cell, sigma_from_snr
 from puedet.scenario import default_scenario
 
 SEED = 2024
@@ -25,22 +24,15 @@ def run() -> int:
     distance = float(sys.argv[2]) if len(sys.argv) > 2 else 50.0
 
     scen = default_scenario(rss_noise=sigma_from_snr(snr, CALIBRATION))
-    k_eval = scen.evaluation_step
-    attacker = _attacker_positions(scen, k_eval, distance, _default_bearings(scen, k_eval), TRIALS)
     is_pue = np.arange(TRIALS) < TRIALS // 2
     # one cell, rescored at each threshold; the trial streams are shared
-    cell = _run_cell(scen, DetectorConfig(0.0), is_pue, attacker, SEED)
-    n_attack = int(is_pue.sum())
-    n_legit = TRIALS - n_attack
+    cell = run_cell(scen, is_pue, attacker_positions(scen, distance, TRIALS), SEED)
 
     print(f"snr = {snr:g} dB, d_pu_pue = {distance:g} m, {TRIALS} trials")
     print(f"{'tau_m':>6}  {'pd':>6}  {'pfa':>6}  {'pm':>6}")
     for tau in (5.0, 10.0, 15.0, 20.0, 25.0, 35.0, 50.0, 75.0, 100.0):
-        flagged = cell.residuals >= tau
-        detections = int(np.sum(flagged & is_pue))
-        false_alarms = int(np.sum(flagged & ~is_pue))
-        pd = detections / n_attack
-        print(f"{tau:6.1f}  {pd:6.3f}  {false_alarms / n_legit:6.3f}  {1.0 - pd:6.3f}")
+        r = cell.score(DetectorConfig(tau))
+        print(f"{tau:6.1f}  {r.pd:6.3f}  {r.pfa:6.3f}  {r.pm:6.3f}")
     return 0
 
 

@@ -22,11 +22,14 @@ from .detection import (
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import (
     BaselineComparison,
+    Cell,
     MetricsReport,
     SweepCoords,
     TrialOutcome,
+    attacker_positions,
     compare_baseline,
     metrics,
+    run_cell,
     run_trials,
     sweep_distance,
     sweep_roc,

@@ -27,7 +27,6 @@ from .experiments import block_streams
 from .scenario import emit_position_measurement
 from .svgplot import line_chart
 from .tracking import initial_estimate, track
-from .experiments import _filter_models, _step_accels  # shared model construction
 
 
 def _cell(value) -> str:
@@ -72,9 +71,9 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     n = scenario.n_steps
     times = [scenario.step_time(k) for k in range(n)]
     zs = [emit_position_measurement(scenario, k, gen) for k in range(n)]
-    motion, meas_model = _filter_models(scenario)
+    motion, meas_model = scenario.filter_models()
     init = initial_estimate(zs[0], meas_model, scenario.v_max)
-    estimates = track(times, zs, motion, meas_model, init=init, accels=_step_accels(scenario, n - 1))
+    estimates = track(times, zs, motion, meas_model, init=init, accels=scenario.step_accels(n - 1))
 
     rows = []
     for k in range(n):

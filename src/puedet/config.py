@@ -15,20 +15,11 @@ from typing import Sequence
 from .detection import OR_ACROSS_ANCHORS, SINGLE_ANCHOR, DetectorConfig
 from .errors import ConfigError, InvalidInputError
 from .propagation import LinkModel, NoiseModel
-from .scenario import PU, AnchorNode, Scenario, Trajectory
-
-DEFAULT_SEGMENTS = (
-    (50.0, 0.01, 0.02),
-    (50.0, -0.02, 0.01),
-    (50.0, -0.01, -0.02),
-    (50.0, -0.03, -0.01),
-)
+from .scenario import DEFAULT_SEGMENTS, PU, AnchorNode, Scenario, Trajectory
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    field_width: float = 1000.0
-    field_height: float = 1000.0
     dt: float = 1.0
     steps: int = 200
     meas_noise_std: float = 5.0

@@ -11,9 +11,10 @@ one.  The batched engine shares the truth path, the acceleration inputs and
 the covariance/gain recursion across trials (none of them depends on
 measurement data in a linear filter), and each sweep computes them once for
 all of its cells.  All per-trial state math is elementwise, which makes
-chunked and unchunked runs bit-identical.  :func:`reference_trial` is the
-plain one-trial-at-a-time statement of the same procedure; tests hold the two
-routes together.
+chunked and unchunked runs bit-identical.  :func:`run_cell` returns a
+:class:`Cell` of per-trial arrays, which is scored at any threshold without
+re-running it.  :func:`reference_trial` is the plain one-trial-at-a-time
+statement of the same procedure; tests hold the two routes together.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .scenario import (
     with_schedule_at,
 )
 from .tracking import (
-    MeasurementModel,
-    MotionModel,
     gain_and_updated_covariance,
     initial_estimate,
     predict_covariance,
@@ -68,18 +67,6 @@ class TrialOutcome:
     verdict: str
     residual: float
     seed: int
-
-    @property
-    def is_detection(self) -> bool:
-        return self.scheduled == PUE and self.verdict == ATTACKER
-
-    @property
-    def is_miss(self) -> bool:
-        return self.scheduled == PUE and self.verdict == LEGITIMATE
-
-    @property
-    def is_false_alarm(self) -> bool:
-        return self.scheduled == PU and self.verdict == ATTACKER
 
 
 class SweepCoords(NamedTuple):
@@ -110,18 +97,26 @@ class BaselineComparison:
     baseline: MetricsReport
 
 
-def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None = None) -> MetricsReport:
-    """Count outcomes into detection / false-alarm / miss probabilities."""
-    if not outcomes:
+def _count(is_pue: np.ndarray, flags: np.ndarray, sweep_coords: SweepCoords | None) -> MetricsReport:
+    """Detection / false-alarm / miss probabilities from per-trial schedule
+    labels (True = attacker transmits) and attacker verdicts."""
+    if is_pue.size == 0:
         raise InvalidInputError("need at least one trial outcome")
-    n_attack = sum(1 for o in outcomes if o.scheduled == PUE)
-    n_legit = len(outcomes) - n_attack
-    detections = sum(1 for o in outcomes if o.is_detection)
-    false_alarms = sum(1 for o in outcomes if o.is_false_alarm)
+    n_attack = int(np.count_nonzero(is_pue))
+    n_legit = is_pue.size - n_attack
+    detections = int(np.count_nonzero(flags & is_pue))
+    false_alarms = int(np.count_nonzero(flags & ~is_pue))
     pd = detections / n_attack if n_attack else None
     pm = (n_attack - detections) / n_attack if n_attack else None
     pfa = false_alarms / n_legit if n_legit else None
     return MetricsReport(pd, pfa, pm, n_attack, n_legit, sweep_coords)
+
+
+def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None = None) -> MetricsReport:
+    """Count outcomes into detection / false-alarm / miss probabilities."""
+    is_pue = np.array([o.scheduled == PUE for o in outcomes], dtype=bool)
+    flags = np.array([o.verdict == ATTACKER for o in outcomes], dtype=bool)
+    return _count(is_pue, flags, sweep_coords)
 
 
 def block_streams(
@@ -145,22 +140,6 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _filter_models(scenario: Scenario) -> tuple[MotionModel, MeasurementModel]:
-    v = scenario.process_noise_std
-    return (
-        MotionModel(scenario.dt, v * v, v * v),
-        MeasurementModel.isotropic(scenario.meas_noise_std),
-    )
-
-
-def _step_accels(scenario: Scenario, eval_step: int) -> np.ndarray:
-    """Acceleration input for the predict into each step (row 0 unused)."""
-    acc = np.zeros((eval_step + 1, 2))
-    for k in range(1, eval_step + 1):
-        acc[k] = scenario.trajectory.accel_at(scenario.step_time(k - 1))
-    return acc
-
-
 class _Kinematics(NamedTuple):
     """What every trial of a cell shares up to its evaluation step: the true
     PU position and the acceleration input at each step, and the Kalman gain
@@ -180,7 +159,7 @@ class _Kinematics(NamedTuple):
 
 def _kinematics(scenario: Scenario) -> _Kinematics:
     k_eval = scenario.evaluation_step
-    motion, meas_model = _filter_models(scenario)
+    motion, meas_model = scenario.filter_models()
     truth = np.array([truth_at(scenario, k).position for k in range(k_eval + 1)])
     p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
     gains = []
@@ -189,61 +168,73 @@ def _kinematics(scenario: Scenario) -> _Kinematics:
         # recursion through the exact same code path as tracking.track.
         g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
         gains.append(tuple(g.ravel().tolist()))
-    return _Kinematics(truth, _step_accels(scenario, k_eval), gains)
+    return _Kinematics(truth, scenario.step_accels(k_eval), gains)
 
 
-@dataclass
-class _CellResult:
+@dataclass(frozen=True)
+class Cell:
+    """The trials of one experiment cell as arrays, ready to score at any
+    detector setting: the schedule label (True = the attacker transmits) of
+    each trial, the tracker-implied and RSS-implied distance from each trial's
+    transmitter to each anchor, shape (n_trials, n_anchors), and each trial's
+    reported seed."""
+
     is_pue: np.ndarray
     d_kf: np.ndarray
     d_rss: np.ndarray
-    residuals: np.ndarray
-    attacker_flag: np.ndarray
     seeds: np.ndarray
 
-    def outcomes(self) -> list[TrialOutcome]:
+    def residuals(self, fusion: str) -> np.ndarray:
+        """Per-trial residual |d_kf - d_rss|: the designated (first) anchor's
+        under single fusion, the largest across anchors under or-fusion."""
+        res = np.abs(self.d_kf - self.d_rss)
+        return res.max(axis=1) if fusion == OR_ACROSS_ANCHORS else res[:, 0]
+
+    def flags(self, config: DetectorConfig) -> np.ndarray:
+        """Per-trial attacker verdict: residual >= tau (a tie is an attack)."""
+        return self.residuals(config.fusion) >= config.tau
+
+    def score(self, config: DetectorConfig, coords: SweepCoords | None = None) -> MetricsReport:
+        """Detection / false-alarm / miss probabilities at `config`."""
+        return _count(self.is_pue, self.flags(config), coords)
+
+    def outcomes(self, config: DetectorConfig) -> list[TrialOutcome]:
+        """One :class:`TrialOutcome` per trial at `config`."""
         return [
-            TrialOutcome(
-                PUE if pue else PU,
-                ATTACKER if att else LEGITIMATE,
-                float(res),
-                int(seed),
-            )
-            for pue, att, res, seed in zip(
-                self.is_pue, self.attacker_flag, self.residuals, self.seeds
+            TrialOutcome(PUE if pue else PU, ATTACKER if flag else LEGITIMATE, res, seed)
+            for pue, flag, res, seed in zip(
+                self.is_pue.tolist(),
+                self.flags(config).tolist(),
+                self.residuals(config.fusion).tolist(),
+                self.seeds.tolist(),
             )
         ]
 
 
-def _fuse(residuals: np.ndarray, config: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial fused residual and attacker flag from per-anchor residuals."""
-    if config.fusion == OR_ACROSS_ANCHORS:
-        fused = residuals.max(axis=1)
-        flag = (residuals >= config.tau).any(axis=1)
-    else:
-        fused = residuals[:, 0]
-        flag = fused >= config.tau
-    return fused, flag
-
-
-def _run_cell(
+def run_cell(
     scenario: Scenario,
-    config: DetectorConfig,
     is_pue: np.ndarray,
     attacker_xy: np.ndarray,
     master_seed: int,
     chunk_size: int | None = None,
     kinematics: _Kinematics | None = None,
-) -> _CellResult:
-    """Vectorized execution of one cell's trials.
+) -> Cell:
+    """Run one cell's trials, vectorized: trial i transmits from
+    ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
+    PU's true position.
 
     Per trial, the position generator of its block yields (eval_step + 1) x 2
     standard normals for position measurements and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `kinematics` is the scenario's :func:`_kinematics`, passed in by sweeps
-    that share it across cells and computed here otherwise.
+    `kinematics` is the scenario's shared truth, accelerations and gains,
+    passed in by sweeps that share it across cells and computed here
+    otherwise.
     """
+    is_pue = np.array(is_pue, dtype=bool)
+    attacker_xy = np.asarray(attacker_xy, dtype=float)
     n = len(is_pue)
+    if n < 1 or attacker_xy.shape != (n, 2):
+        raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
     k_eval = scenario.evaluation_step
     n_anchors = len(scenario.anchors)
     chunk = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
@@ -304,8 +295,7 @@ def _run_cell(
                 pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
                 d_rss[lo:hi, j] = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
 
-    residuals, attacker_flag = _fuse(np.abs(d_kf - d_rss), config)
-    return _CellResult(is_pue.copy(), d_kf, d_rss, residuals, attacker_flag, seeds)
+    return Cell(is_pue, d_kf, d_rss, seeds)
 
 
 def _schedule_labels(n_trials: int, schedule_mix: float) -> np.ndarray:
@@ -336,8 +326,7 @@ def run_trials(
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = np.tile(np.asarray(scenario_template.attacker_pos, float), (n_trials, 1))
-    cell = _run_cell(scenario_template, config, is_pue, attacker_xy, master_seed, chunk_size)
-    return cell.outcomes()
+    return run_cell(scenario_template, is_pue, attacker_xy, master_seed, chunk_size).outcomes(config)
 
 
 def reference_trial(
@@ -362,8 +351,8 @@ def reference_trial(
 
     times = [run.step_time(k) for k in range(k_eval + 1)]
     zs = [emit_position_measurement(run, k, pos_gen) for k in range(k_eval + 1)]
-    motion, meas_model = _filter_models(run)
-    accels = _step_accels(run, k_eval)
+    motion, meas_model = run.filter_models()
+    accels = run.step_accels(k_eval)
     init = initial_estimate(zs[0], meas_model, run.v_max)
     estimates = track(times, zs, motion, meas_model, init=init, accels=accels)
 
@@ -373,29 +362,30 @@ def reference_trial(
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 
 
-def _default_bearings(scenario: Scenario, eval_step: int) -> tuple[float, float]:
-    """Collinear pair (toward / away from the designated anchor).
+def attacker_positions(
+    scenario: Scenario,
+    distance: float,
+    n_trials: int,
+    bearings: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Attacker position of each of `n_trials` trials, shape (n_trials, 2):
+    `distance` from the PU's true position at the evaluation step, at the
+    given absolute bearings (rad) in turn.
 
-    Off-axis bearings shrink the observable residual below the true
+    No bearings means the collinear pair toward / away from the designated
+    anchor.  Off-axis bearings shrink the observable residual below the true
     PU-attacker distance; the collinear default keeps the sweep axis equal to
     the detectable offset, which is the regime the comparison figures assume.
     """
-    pu = truth_at(scenario, eval_step)
-    anchor = scenario.anchors[0]
-    theta = math.atan2(anchor.y - pu.y, anchor.x - pu.x)
-    return (theta, theta + math.pi)
-
-
-def _attacker_positions(
-    scenario: Scenario,
-    eval_step: int,
-    distance: float,
-    bearings: Sequence[float],
-    n_trials: int,
-) -> np.ndarray:
+    k_eval = scenario.evaluation_step
+    if not bearings:
+        pu = truth_at(scenario, k_eval)
+        anchor = scenario.anchors[0]
+        theta = math.atan2(anchor.y - pu.y, anchor.x - pu.x)
+        bearings = (theta, theta + math.pi)
     pos = np.array(
         [
-            place_attacker_at_offset(scenario.trajectory, eval_step, distance, b, dt=scenario.dt)
+            place_attacker_at_offset(scenario.trajectory, k_eval, distance, b, dt=scenario.dt)
             for b in bearings
         ]
     )
@@ -418,22 +408,18 @@ def sweep_distance(
     if not distances or not snr_db_list:
         raise InvalidInputError("distances and snr_db_list must be non-empty")
     _validate_run_args(n_trials, schedule_mix, master_seed)
-    k_eval = base.evaluation_step
-    brg = tuple(bearings) if bearings else _default_bearings(base, k_eval)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     kinematics = _kinematics(base)
     reports = []
     for i, d in enumerate(distances):
-        attacker_xy = _attacker_positions(base, k_eval, d, brg, n_trials)
+        attacker_xy = attacker_positions(base, d, n_trials, bearings)
         for j, snr in enumerate(snr_db_list):
             cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-            cell = _run_cell(
-                cell_scenario, config, is_pue, attacker_xy,
+            cell = run_cell(
+                cell_scenario, is_pue, attacker_xy,
                 child_seed(master_seed, 0, i, j), chunk_size, kinematics,
             )
-            reports.append(
-                metrics(cell.outcomes(), SweepCoords(float(d), float(snr), config.tau))
-            )
+            reports.append(cell.score(config, SweepCoords(float(d), float(snr), config.tau)))
     return reports
 
 
@@ -463,34 +449,24 @@ def sweep_roc(
     if n_cal < 1:
         raise InvalidInputError("n_calibration must be >= 1")
 
-    k_eval = base.evaluation_step
-    brg = tuple(bearings) if bearings else _default_bearings(base, k_eval)
     is_pue = _schedule_labels(n_trials, schedule_mix)
-    probe = DetectorConfig(tau=0.0, fusion=fusion)
+    attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
     kinematics = _kinematics(base)
     reports = []
     for j, snr in enumerate(snr_db_list):
         cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-        cal = _run_cell(
-            cell_scenario, probe,
-            np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
+        cal = run_cell(
+            cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
             child_seed(master_seed, 1, j, 0), chunk_size, kinematics,
         )
-        attacker_xy = _attacker_positions(base, k_eval, d_pu_pue, brg, n_trials)
-        eval_cell = _run_cell(
-            cell_scenario, probe, is_pue, attacker_xy,
+        cal_residuals = cal.residuals(fusion)
+        eval_cell = run_cell(
+            cell_scenario, is_pue, attacker_xy,
             child_seed(master_seed, 1, j, 1), chunk_size, kinematics,
         )
         for target in pfa_targets:
-            cfg = calibrate_tau(cal.residuals, target, fusion)
-            _, flag = _fuse(np.abs(eval_cell.d_kf - eval_cell.d_rss), cfg)
-            relabeled = _CellResult(
-                eval_cell.is_pue, eval_cell.d_kf, eval_cell.d_rss,
-                eval_cell.residuals, flag, eval_cell.seeds,
-            )
-            reports.append(
-                metrics(relabeled.outcomes(), SweepCoords(float(d_pu_pue), float(snr), cfg.tau))
-            )
+            cfg = calibrate_tau(cal_residuals, target, fusion)
+            reports.append(eval_cell.score(cfg, SweepCoords(float(d_pu_pue), float(snr), cfg.tau)))
     return reports
 
 
@@ -539,22 +515,15 @@ def compare_baseline(
         pos = kinematics.truth[k]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         cell_scenario = replace(base, eval_step=k)
-        cell = _run_cell(
-            cell_scenario, config, is_pue, attacker_xy,
+        cell = run_cell(
+            cell_scenario, is_pue, attacker_xy,
             child_seed(master_seed, 2, i), chunk_size, kinematics.upto(k),
         )
-        base_res, base_flag = _fuse(np.abs(d_ref[None, :] - cell.d_rss), config)
-        baseline_cell = _CellResult(
-            cell.is_pue, np.tile(d_ref, (n_trials, 1)), cell.d_rss,
-            base_res, base_flag, cell.seeds,
-        )
+        # The baseline reads the same RSS against its fixed reference.
+        baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))
         coords = SweepCoords(float(d), None, config.tau)
         rows.append(
-            BaselineComparison(
-                float(d), actual,
-                metrics(cell.outcomes(), coords),
-                metrics(baseline_cell.outcomes(), coords),
-            )
+            BaselineComparison(float(d), actual, cell.score(config, coords), baseline.score(config, coords))
         )
     return rows
 
@@ -569,9 +538,8 @@ def calibrated_config(
 ) -> DetectorConfig:
     """Fit tau on legitimate-only trials of the given scenario."""
     _validate_run_args(n_trials, 0.0, master_seed)
-    probe = DetectorConfig(tau=0.0, fusion=fusion)
-    cal = _run_cell(
-        base, probe, np.zeros(n_trials, dtype=bool), np.zeros((n_trials, 2)),
+    cal = run_cell(
+        base, np.zeros(n_trials, dtype=bool), np.zeros((n_trials, 2)),
         child_seed(master_seed, 3), chunk_size,
     )
-    return calibrate_tau(cal.residuals, target_pfa, fusion)
+    return calibrate_tau(cal.residuals(fusion), target_pfa, fusion)

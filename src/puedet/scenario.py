@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .propagation import LinkModel, NoiseModel, RssSample, sample_rss
-from .tracking import TargetState
+from .tracking import MeasurementModel, MotionModel, TargetState
 
 PU = "PU"
 PUE = "PUE"
@@ -201,6 +201,19 @@ class Scenario:
         if not (isinstance(step, (int, np.integer)) and 0 <= step < self.n_steps):
             raise InvalidInputError(f"step {step!r} out of range [0, {self.n_steps})")
         return self.trajectory.start_time + step * self.dt
+
+    def filter_models(self) -> tuple[MotionModel, MeasurementModel]:
+        """The motion and measurement models of the tracker run in this world."""
+        v = self.process_noise_std
+        return MotionModel(self.dt, v * v, v * v), MeasurementModel.isotropic(self.meas_noise_std)
+
+    def step_accels(self, eval_step: int) -> np.ndarray:
+        """Acceleration input for the predict into each step up to `eval_step`
+        (row 0 unused)."""
+        acc = np.zeros((eval_step + 1, 2))
+        for k in range(1, eval_step + 1):
+            acc[k] = self.trajectory.accel_at(self.step_time(k - 1))
+        return acc
 
 
 def truth_at(scenario: Scenario, step: int) -> TargetState:

@@ -41,7 +41,6 @@ from puedet.tracking import (
     track,
     update,
 )
-from puedet.experiments import _filter_models, _step_accels
 
 MASTER_SEED = 20260810
 SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0)
@@ -161,8 +160,8 @@ def test_criterion_1_kf_correctness_oracle():
 def test_criterion_2_tracking_fidelity():
     start = time.perf_counter()
     scen = default_scenario(meas_noise_std=5.0)
-    motion, meas_model = _filter_models(scen)
-    accels = _step_accels(scen, scen.n_steps - 1)
+    motion, meas_model = scen.filter_models()
+    accels = scen.step_accels(scen.n_steps - 1)
     times = [scen.step_time(k) for k in range(scen.n_steps)]
     truth = np.array([truth_at(scen, k).position for k in range(scen.n_steps)])
 

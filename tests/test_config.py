@@ -12,8 +12,6 @@ from puedet.errors import ConfigError
 
 FULL_CONFIG = """
 [scenario]
-field_width = 800
-field_height = 900
 dt = 0.5
 steps = 120
 meas_noise_std = 4.0

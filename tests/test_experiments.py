@@ -11,10 +11,12 @@ from puedet.experiments import (
     MetricsReport,
     SweepCoords,
     TrialOutcome,
+    attacker_positions,
     calibrated_config,
     compare_baseline,
     metrics,
     reference_trial,
+    run_cell,
     run_trials,
     sweep_distance,
     sweep_roc,
@@ -46,6 +48,14 @@ def collinear_scenario(n_steps=40, sigma_z=0.0, sigma_db=0.0, attacker_offset=50
         rss_noise=NoiseModel(sigma_db),
         transmitter_schedule=(PU,) * n_steps,
     )
+
+
+SQUARE_ANCHORS = (
+    AnchorNode("a1", 500.0, 0.0),
+    AnchorNode("a2", 0.0, 500.0),
+    AnchorNode("a3", 500.0, 500.0),
+    AnchorNode("a4", -200.0, -200.0),
+)
 
 
 class TestRunTrials:
@@ -120,14 +130,8 @@ class TestBatchedEngineMatchesReference:
 
     def test_dual_route_multi_anchor_or_fusion(self):
         base = default_scenario(n_steps=30, rss_noise=NoiseModel(3.0))
-        square = (
-            AnchorNode("a1", 500.0, 0.0),
-            AnchorNode("a2", 0.0, 500.0),
-            AnchorNode("a3", 500.0, 500.0),
-            AnchorNode("a4", -200.0, -200.0),
-        )
         cfg = DetectorConfig(25.0, fusion="or")
-        for anchors in (square[:2], square):
+        for anchors in (SQUARE_ANCHORS[:2], SQUARE_ANCHORS):
             scen = replace(base, attacker_pos=(300.0, 300.0), anchors=anchors)
             batched = run_trials(scen, cfg, 20, 0.5, master_seed=55)
             for i, out in enumerate(batched):
@@ -181,11 +185,36 @@ class TestMetrics:
         with pytest.raises(InvalidInputError):
             metrics([])
 
-    def test_outcome_buckets_are_exclusive(self):
-        for sched in (PU, PUE):
-            for verdict in (LEGITIMATE, ATTACKER):
-                o = TrialOutcome(sched, verdict, 0.0, 0)
-                assert sum([o.is_detection, o.is_miss, o.is_false_alarm]) <= 1
+
+class TestCell:
+    @pytest.mark.parametrize("n_anchors", [1, 2, 4])
+    @pytest.mark.parametrize("fusion", ["single", "or"])
+    def test_score_matches_metrics_of_outcomes(self, n_anchors, fusion):
+        base = default_scenario(n_steps=30, rss_noise=NoiseModel(3.0))
+        scen = replace(base, anchors=SQUARE_ANCHORS[:n_anchors])
+        n = 300
+        cell = run_cell(scen, np.arange(n) < 120, attacker_positions(scen, 40.0, n), 19)
+        residuals = cell.residuals(fusion)
+        assert residuals.shape == (n,)
+        i_tie = int(np.argsort(residuals)[n // 2])
+        tie = float(residuals[i_tie])
+        coords = SweepCoords(40.0, None, tie)
+        for tau in (0.0, 10.0, 25.0, tie, float(residuals.max()) + 1.0):
+            cfg = DetectorConfig(tau, fusion)
+            report = cell.score(cfg)
+            assert report == metrics(cell.outcomes(cfg))
+            assert type(report.n_attack_trials) is int and type(report.pd) is float
+            assert cell.score(cfg, coords) == metrics(cell.outcomes(cfg), coords)
+        # A residual equal to tau is an attack; just above it, it is not.
+        assert cell.outcomes(DetectorConfig(tie, fusion))[i_tie].verdict == ATTACKER
+        assert not cell.flags(DetectorConfig(float(np.nextafter(tie, np.inf)), fusion))[i_tie]
+
+    def test_rejects_mismatched_inputs(self):
+        scen = collinear_scenario()
+        with pytest.raises(InvalidInputError):
+            run_cell(scen, np.zeros(0, dtype=bool), np.zeros((0, 2)), 1)
+        with pytest.raises(InvalidInputError):
+            run_cell(scen, np.zeros(3, dtype=bool), np.zeros((2, 2)), 1)
 
 
 class TestSweepDistance:
