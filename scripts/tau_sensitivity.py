@@ -11,19 +11,18 @@ import sys
 
 import numpy as np
 
-from puedet import DetectorConfig, attacker_positions, run_cell, sigma_from_snr
-from puedet.scenario import default_scenario
+from puedet import DetectorConfig, attacker_positions, default_scenario, run_cell, sigma_from_snr
+from puedet.config import LinkConfig
 
 SEED = 2024
 TRIALS = 8000
-CALIBRATION = 0.15
 
 
 def run() -> int:
     snr = float(sys.argv[1]) if len(sys.argv) > 1 else 0.0
     distance = float(sys.argv[2]) if len(sys.argv) > 2 else 50.0
 
-    scen = default_scenario(rss_noise=sigma_from_snr(snr, CALIBRATION))
+    scen = default_scenario(rss_noise=sigma_from_snr(snr, LinkConfig.snr_calibration))
     is_pue = np.arange(TRIALS) < TRIALS // 2
     # one cell, rescored at each threshold; the trial streams are shared
     cell = run_cell(scen, is_pue, attacker_positions(scen, distance, TRIALS), SEED)

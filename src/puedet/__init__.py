@@ -19,6 +19,7 @@ from .detection import (
     detect_step,
     rss_baseline_decide,
 )
+from .config import default_scenario
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import (
     BaselineComparison,
@@ -49,7 +50,6 @@ from .scenario import (
     AnchorNode,
     Scenario,
     Trajectory,
-    default_scenario,
     emit_position_measurement,
     emit_rss,
     place_attacker_at_offset,

@@ -21,6 +21,7 @@ from .config import (
     build_scenario,
     load_config,
     serialize_config,
+    validate_config,
 )
 from .errors import ConfigError, InvalidInputError
 from .experiments import block_streams
@@ -277,10 +278,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             run = replace(run, out=args.out)
         cfg = replace(cfg, run=run)
-        if cfg.run.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {cfg.run.seed}")
-        if cfg.run.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {cfg.run.trials}")
+        validate_config(cfg)
 
         out = Path(cfg.run.out)
         out.mkdir(parents=True, exist_ok=True)

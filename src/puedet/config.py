@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
 
 from .detection import OR_ACROSS_ANCHORS, SINGLE_ANCHOR, DetectorConfig
 from .errors import ConfigError, InvalidInputError
 from .propagation import LinkModel, NoiseModel
-from .scenario import DEFAULT_SEGMENTS, PU, AnchorNode, Scenario, Trajectory
+from .scenario import AnchorNode, Scenario, Trajectory
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,12 @@ class ScenarioConfig:
     start_y: float = 100.0
     vel_x: float = 5.0
     vel_y: float = 3.0
-    segments: tuple[tuple[float, float, float], ...] = DEFAULT_SEGMENTS
+    segments: tuple[tuple[float, float, float], ...] = (
+        (50.0, 0.01, 0.02),
+        (50.0, -0.02, 0.01),
+        (50.0, -0.01, -0.02),
+        (50.0, -0.03, -0.01),
+    )
     anchors: tuple[tuple[str, float, float], ...] = (("a1", 500.0, 0.0),)
     attacker_x: float = 100.0
     attacker_y: float = 100.0
@@ -36,17 +40,17 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrackingConfig:
-    process_noise_std: float = 0.2
-    v_max: float = 10.0
+    process_noise_std: float = Scenario.process_noise_std
+    v_max: float = Scenario.v_max
 
 
 @dataclass(frozen=True)
 class LinkConfig:
-    pt: float = 1.0
-    gt: float = 1.0
-    gr: float = 1.0
-    wavelength: float = 0.333
-    alpha: float = 2.0
+    pt: float = LinkModel.pt
+    gt: float = LinkModel.gt
+    gr: float = LinkModel.gr
+    wavelength: float = LinkModel.wavelength
+    alpha: float = LinkModel.alpha
     # Desk-scale default for the SNR -> dB-noise mapping; at the stock geometry
     # it keeps the -10..10 dB grid inside the detector's informative range.
     snr_calibration: float = 0.15
@@ -97,14 +101,6 @@ _SECTIONS = {
 }
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split())
 
@@ -151,38 +147,22 @@ _PARSERS = {
     ("sweep", "distances"): _parse_floats,
     ("sweep", "snr_db"): _parse_floats,
     ("sweep", "pfa_targets"): _parse_floats,
-    ("sweep", "bearings"): lambda t: _parse_floats(t),
-    ("run", "out"): str,
+    ("sweep", "bearings"): _parse_floats,
 }
-
-
-def _parser_for(section: str, key: str, default) -> callable:
-    special = _PARSERS.get((section, key))
-    if special is not None:
-        return special
-    if isinstance(default, bool):
-        raise AssertionError("no boolean config keys defined")
-    if isinstance(default, int):
-        return _parse_int
-    if isinstance(default, float):
-        return _parse_float
-    return str
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config file; missing keys take their defaults."""
-    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-    return _config_from_parser(parser)
+    return loads_config(text)
 
 
 def loads_config(text: str) -> ExperimentConfig:
+    """Parse and validate config text; missing keys take their defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text), source="<string>")
@@ -197,14 +177,14 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         cls = _SECTIONS[section]
-        known = {f.name: f for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         values = {}
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            default = getattr(cls(), key)
+            parse = _PARSERS.get((section, key), type(defaults[key]))
             try:
-                values[key] = _parser_for(section, key, default)(raw)
+                values[key] = parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
         groups[section] = cls(**values)
@@ -293,7 +273,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         meas_noise_std=sc.meas_noise_std,
         link=LinkModel(cfg.link.pt, cfg.link.gt, cfg.link.gr, cfg.link.wavelength, cfg.link.alpha),
         rss_noise=NoiseModel(0.0),
-        transmitter_schedule=(PU,) * sc.steps,
+        n_steps=sc.steps,
         process_noise_std=cfg.tracking.process_noise_std,
         v_max=cfg.tracking.v_max,
         eval_step=None if sc.eval_step < 0 else sc.eval_step,
@@ -302,3 +282,9 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
 
 def build_detector(cfg: ExperimentConfig) -> DetectorConfig:
     return DetectorConfig(cfg.detector.tau, cfg.detector.fusion)
+
+
+def default_scenario(**overrides) -> Scenario:
+    """The stock experiment world, ``build_scenario(ExperimentConfig())``,
+    with the given :class:`Scenario` fields replaced."""
+    return replace(build_scenario(ExperimentConfig()), **overrides)

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import SweepSettings
 from .detection import (
     ATTACKER,
     LEGITIMATE,
@@ -44,7 +45,6 @@ from .scenario import (
     emit_rss,
     place_attacker_at_offset,
     truth_at,
-    with_schedule_at,
 )
 from .tracking import (
     gain_and_updated_covariance,
@@ -339,25 +339,29 @@ def reference_trial(
     """One trial executed through the plain per-step API (no batching).
 
     This is the readable statement of the trial procedure; the batched engine
-    must agree with it, and tests enforce that.
+    must agree with it, and tests enforce that.  `scheduled` names the
+    transmitter at the evaluation step: PU at its true position, or PUE at
+    the scenario's attacker position.
     """
+    if scheduled not in (PU, PUE):
+        raise InvalidInputError(f"invalid schedule label {scheduled!r}")
     block, row = divmod(trial_index, BLOCK)
     root, pos_gen, rss_gen = block_streams(master_seed, block)
     k_eval = scenario.evaluation_step
-    run = with_schedule_at(scenario, k_eval, scheduled)
     # Skip the rows of the block's earlier trials.
     pos_gen.standard_normal((row, k_eval + 1, 2))
-    rss_gen.standard_normal((row, len(run.anchors)))
+    rss_gen.standard_normal((row, len(scenario.anchors)))
 
-    times = [run.step_time(k) for k in range(k_eval + 1)]
-    zs = [emit_position_measurement(run, k, pos_gen) for k in range(k_eval + 1)]
-    motion, meas_model = run.filter_models()
-    accels = run.step_accels(k_eval)
-    init = initial_estimate(zs[0], meas_model, run.v_max)
+    times = [scenario.step_time(k) for k in range(k_eval + 1)]
+    zs = [emit_position_measurement(scenario, k, pos_gen) for k in range(k_eval + 1)]
+    motion, meas_model = scenario.filter_models()
+    accels = scenario.step_accels(k_eval)
+    init = initial_estimate(zs[0], meas_model, scenario.v_max)
     estimates = track(times, zs, motion, meas_model, init=init, accels=accels)
 
-    samples = [emit_rss(run, k_eval, a, rss_gen) for a in run.anchors]
-    verdict = detect_step(estimates[k_eval], samples, run.anchors, run.link, config)
+    tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
+    samples = [emit_rss(scenario, tx, a, rss_gen) for a in scenario.anchors]
+    verdict = detect_step(estimates[k_eval], samples, scenario.anchors, scenario.link, config)
     seed = int(root.generate_state(row + 1, np.uint64)[row])
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 
@@ -399,9 +403,9 @@ def sweep_distance(
     config: DetectorConfig,
     n_trials: int,
     master_seed: int,
-    snr_calibration: float = 10.0,
+    snr_calibration: float,
     bearings: Sequence[float] | None = None,
-    schedule_mix: float = 0.5,
+    schedule_mix: float = SweepSettings.schedule_mix,
     chunk_size: int | None = None,
 ) -> list[MetricsReport]:
     """One MetricsReport per (attacker distance, SNR) cell, distance-major."""
@@ -430,10 +434,10 @@ def sweep_roc(
     pfa_targets: Sequence[float],
     n_trials: int,
     master_seed: int,
-    snr_calibration: float = 10.0,
+    snr_calibration: float,
     n_calibration: int | None = None,
     bearings: Sequence[float] | None = None,
-    schedule_mix: float = 0.5,
+    schedule_mix: float = SweepSettings.schedule_mix,
     fusion: str = SINGLE_ANCHOR,
     chunk_size: int | None = None,
 ) -> list[MetricsReport]:
@@ -486,8 +490,8 @@ def compare_baseline(
     config: DetectorConfig,
     n_trials: int,
     master_seed: int,
-    distances: Sequence[float] = (30.0, 50.0, 70.0, 90.0, 110.0, 130.0, 150.0),
-    schedule_mix: float = 0.5,
+    distances: Sequence[float],
+    schedule_mix: float = SweepSettings.schedule_mix,
     chunk_size: int | None = None,
 ) -> list[BaselineComparison]:
     """Paired evaluation of the tracking detector against the static-reference

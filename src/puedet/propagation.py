@@ -60,8 +60,6 @@ class RssSample:
     """One received-signal-strength reading at an anchor."""
 
     pr_db: float
-    anchor_id: str = ""
-    timestamp: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.pr_db):
@@ -80,8 +78,6 @@ def sample_rss(
     distance: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    anchor_id: str = "",
-    timestamp: float = 0.0,
 ) -> RssSample:
     """Received power with one Gaussian dB-domain noise draw from `rng`.
 
@@ -89,7 +85,7 @@ def sample_rss(
     identically regardless of the noise setting.
     """
     n = noise.sigma_db * rng.standard_normal()
-    return RssSample(received_power_db(link, distance) + n, anchor_id, timestamp)
+    return RssSample(received_power_db(link, distance) + n)
 
 
 def distance_from_rss(link: LinkModel, pr_db: float) -> float:
@@ -100,7 +96,7 @@ def distance_from_rss(link: LinkModel, pr_db: float) -> float:
     return 10.0 ** ((link.link_constant_db - pr_db) / (10.0 * link.alpha))
 
 
-def sigma_from_snr(snr_db: float, calibration: float = 10.0) -> NoiseModel:
+def sigma_from_snr(snr_db: float, calibration: float) -> NoiseModel:
     """Map an SNR setting to a dB-domain noise level: sigma = c * 10^(-snr/20).
 
     This mapping is a modeling choice of this package, not a physical law; it

@@ -8,7 +8,7 @@ scenarios and trajectories are immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -104,10 +104,6 @@ class Trajectory:
         return cls(tuple(times), tuple(positions), tuple(velocities), tuple(accels))
 
     @property
-    def waypoints(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((t, p[0], p[1]) for t, p in zip(self.times, self.positions))
-
-    @property
     def start_time(self) -> float:
         return self.times[0]
 
@@ -145,10 +141,11 @@ class Trajectory:
 class Scenario:
     """One experiment world: who moves where, who listens, and how noisy it is.
 
-    transmitter_schedule labels the active transmitter per step (PU at its true
-    position, or PUE at attacker_pos).  process_noise_std / v_max tune the
-    tracker run inside the Monte Carlo harness; eval_step is the designated
-    decision step (None = final step).
+    The PU is tracked over n_steps sampling steps; at the designated decision
+    step eval_step (None = final step) either the PU, at its true position, or
+    the attacker, at attacker_pos, transmits, as each trial decides.
+    process_noise_std / v_max tune the tracker run inside the Monte Carlo
+    harness.
     """
 
     trajectory: Trajectory
@@ -158,7 +155,7 @@ class Scenario:
     meas_noise_std: float
     link: LinkModel
     rss_noise: NoiseModel
-    transmitter_schedule: tuple[str, ...]
+    n_steps: int
     process_noise_std: float = 0.2
     v_max: float = 10.0
     eval_step: int | None = None
@@ -172,15 +169,12 @@ class Scenario:
             raise InvalidInputError("meas_noise_std must be >= 0")
         if not all(math.isfinite(c) for c in self.attacker_pos):
             raise InvalidInputError("attacker position must be finite")
-        bad = [s for s in self.transmitter_schedule if s not in (PU, PUE)]
-        if bad:
-            raise InvalidInputError(f"invalid schedule labels {sorted(set(bad))!r}")
-        if not self.transmitter_schedule:
-            raise InvalidInputError("schedule must cover at least one step")
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise InvalidInputError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         t_last = self.trajectory.start_time + (self.n_steps - 1) * self.dt
         if t_last > self.trajectory.end_time + 1e-9:
             raise InvalidInputError(
-                f"schedule spans {t_last} s but trajectory ends at {self.trajectory.end_time} s"
+                f"{self.n_steps} steps span {t_last} s but trajectory ends at {self.trajectory.end_time} s"
             )
         if self.eval_step is not None and not (0 <= self.eval_step < self.n_steps):
             raise InvalidInputError(f"eval_step {self.eval_step} out of range")
@@ -188,10 +182,6 @@ class Scenario:
             raise InvalidInputError("process_noise_std must be >= 0")
         if not (math.isfinite(self.v_max) and self.v_max > 0.0):
             raise InvalidInputError("v_max must be > 0")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.transmitter_schedule)
 
     @property
     def evaluation_step(self) -> int:
@@ -232,25 +222,14 @@ def emit_position_measurement(
     return state.position + scenario.meas_noise_std * rng.standard_normal(2)
 
 
-def transmitter_position(scenario: Scenario, step: int) -> np.ndarray:
-    """Position of whichever transmitter the schedule makes active at `step`."""
-    if scenario.transmitter_schedule[step] == PUE:
-        return np.array(scenario.attacker_pos, dtype=float)
-    return truth_at(scenario, step).position
-
-
 def emit_rss(
-    scenario: Scenario, step: int, anchor: AnchorNode, rng: np.random.Generator
+    scenario: Scenario, tx, anchor: AnchorNode, rng: np.random.Generator
 ) -> RssSample:
-    """RSS sample at `anchor` from the scheduled transmitter."""
-    tx = transmitter_position(scenario, step)
+    """RSS sample at `anchor` from a transmitter at position `tx` (m)."""
     dist = float(np.hypot(tx[0] - anchor.x, tx[1] - anchor.y))
     if dist <= 0.0:
         raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
-    return sample_rss(
-        scenario.link, dist, scenario.rss_noise, rng,
-        anchor_id=anchor.id, timestamp=scenario.step_time(step),
-    )
+    return sample_rss(scenario.link, dist, scenario.rss_noise, rng)
 
 
 def place_attacker_at_offset(
@@ -266,43 +245,3 @@ def place_attacker_at_offset(
         raise InvalidInputError(f"d_pu_pue must be >= 0, got {d_pu_pue}")
     ref = trajectory.state_at(trajectory.start_time + reference_step * dt)
     return (ref.x + d_pu_pue * math.cos(bearing), ref.y + d_pu_pue * math.sin(bearing))
-
-
-DEFAULT_SEGMENTS = (
-    (50.0, 0.01, 0.02),
-    (50.0, -0.02, 0.01),
-    (50.0, -0.01, -0.02),
-    (50.0, -0.03, -0.01),
-)
-
-
-def default_scenario(
-    n_steps: int = 200,
-    dt: float = 1.0,
-    meas_noise_std: float = 5.0,
-    link: LinkModel | None = None,
-    rss_noise: NoiseModel | None = None,
-) -> Scenario:
-    """The stock experiment world: a 1000 m x 1000 m field, PU starting at
-    (100, 100) at (5, 3) m/s with gentle turns, one anchor at (500, 0), and
-    the attacker parked at the PU's starting position."""
-    traj = Trajectory.from_segments((100.0, 100.0), (5.0, 3.0), DEFAULT_SEGMENTS)
-    return Scenario(
-        trajectory=traj,
-        attacker_pos=(100.0, 100.0),
-        anchors=(AnchorNode("a1", 500.0, 0.0),),
-        dt=dt,
-        meas_noise_std=meas_noise_std,
-        link=link if link is not None else LinkModel(),
-        rss_noise=rss_noise if rss_noise is not None else NoiseModel(0.0),
-        transmitter_schedule=(PU,) * n_steps,
-    )
-
-
-def with_schedule_at(scenario: Scenario, step: int, label: str) -> Scenario:
-    """Copy of the scenario with one step's transmitter label replaced."""
-    if not 0 <= step < scenario.n_steps:
-        raise InvalidInputError(f"step {step} out of range")
-    sched = list(scenario.transmitter_schedule)
-    sched[step] = label
-    return replace(scenario, transmitter_schedule=tuple(sched))

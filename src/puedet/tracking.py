@@ -335,7 +335,7 @@ def update(est: FilterEstimate, meas_model: MeasurementModel, z) -> FilterEstima
     return _estimate(state, p_new)
 
 
-def initial_estimate(z, meas_model: MeasurementModel, v_max: float = 10.0) -> FilterEstimate:
+def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEstimate:
     """Measurement-consistent start: position from z, zero velocity, covariance
     diag(R11, R22, v_max^2, v_max^2)."""
     zx, zy = _finite_pair(z, "measurement")
@@ -348,15 +348,14 @@ def track(
     measurements: Sequence,
     model: MotionModel,
     meas_model: MeasurementModel,
-    init: FilterEstimate | None = None,
+    init: FilterEstimate,
     accels: Sequence | None = None,
 ) -> list[FilterEstimate]:
     """Filter a timestamped measurement sequence; one estimate per measurement.
 
     The initial estimate is taken to be at the first measurement's time, so the
-    first output is `init` itself (default: :func:`initial_estimate` from the
-    first measurement).  Every later step predicts over the gap between
-    consecutive timestamps and then updates.
+    first output is `init` itself (see :func:`initial_estimate`).  Every later
+    step predicts over the gap between consecutive timestamps and then updates.
     """
     times = [float(t) for t in times]
     if len(times) == 0:
@@ -368,7 +367,7 @@ def track(
     if accels is not None and len(accels) != len(measurements):
         raise InvalidInputError("accels must have one entry per measurement")
 
-    est = init if init is not None else initial_estimate(measurements[0], meas_model)
+    est = init
     out = [est]
     for k in range(1, len(times)):
         step_model = MotionModel(times[k] - times[k - 1], model.sigma_wx2, model.sigma_wy2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from puedet.cli import main
+from puedet.config import default_scenario
 from puedet.detection import ATTACKER, DetectorConfig, decide
 from puedet.experiments import (
     compare_baseline,
@@ -22,11 +23,9 @@ from puedet.experiments import (
 )
 from puedet.propagation import LinkModel, NoiseModel, sigma_from_snr
 from puedet.scenario import (
-    PU,
     AnchorNode,
     Scenario,
     Trajectory,
-    default_scenario,
     emit_position_measurement,
     truth_at,
 )
@@ -89,7 +88,7 @@ def null_roc_reports():
 @pytest.fixture(scope="module")
 def baseline_rows():
     scen = default_scenario(rss_noise=sigma_from_snr(-10.0, CALIBRATION))
-    return compare_baseline(scen, DetectorConfig(TAU), TRIALS_PER_CELL, MASTER_SEED)
+    return compare_baseline(scen, DetectorConfig(TAU), TRIALS_PER_CELL, MASTER_SEED, DISTANCES)
 
 
 def test_criterion_1_kf_correctness_oracle():
@@ -293,7 +292,7 @@ def test_criterion_8_noiseless_end_to_end():
         meas_noise_std=0.0,
         link=LinkModel(),
         rss_noise=NoiseModel(0.0),
-        transmitter_schedule=(PU,) * n_steps,
+        n_steps=n_steps,
     )
     outs = run_trials(scen, DetectorConfig(10.0), 64, 1.0, MASTER_SEED)
     residuals = [o.residual for o in outs]

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from puedet.config import (
@@ -125,6 +128,11 @@ class TestRoundTrip:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
         assert loads_config(serialize_config(cfg)) == cfg
+
+    def test_readme_states_the_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert loads_config(re.sub(r"[ \t]*#.*", "", block)) == ExperimentConfig()
 
     def test_full_config_round_trips(self):
         cfg = loads_config(FULL_CONFIG)

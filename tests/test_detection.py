@@ -26,8 +26,8 @@ def estimate_at(x, y):
     return FilterEstimate(TargetState(x, y, 0.0, 0.0), np.eye(4))
 
 
-def rss_at_distance(link, d, anchor_id=""):
-    return RssSample(received_power_db(link, d), anchor_id)
+def rss_at_distance(link, d):
+    return RssSample(received_power_db(link, d))
 
 
 class TestAnchorDistance:
@@ -133,7 +133,7 @@ class TestDetectStep:
     def test_or_fusion_flags_superset(self):
         anchors = [AnchorNode("a", 100.0, 0.0), AnchorNode("b", 0.0, 100.0)]
         # anchor a sees a consistent distance, anchor b a wildly wrong one
-        samples = [rss_at_distance(self.link, 100.0, "a"), rss_at_distance(self.link, 400.0, "b")]
+        samples = [rss_at_distance(self.link, 100.0), rss_at_distance(self.link, 400.0)]
         single = detect_step(estimate_at(0, 0), samples, anchors, self.link, DetectorConfig(10.0))
         fused = detect_step(
             estimate_at(0, 0), samples, anchors, self.link,

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig
+from puedet.config import default_scenario
+from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, rss_baseline_decide
 from puedet.errors import InvalidInputError
 from puedet.experiments import (
     BLOCK,
@@ -12,7 +13,9 @@ from puedet.experiments import (
     SweepCoords,
     TrialOutcome,
     attacker_positions,
+    block_streams,
     calibrated_config,
+    child_seed,
     compare_baseline,
     metrics,
     reference_trial,
@@ -28,7 +31,7 @@ from puedet.scenario import (
     AnchorNode,
     Scenario,
     Trajectory,
-    default_scenario,
+    emit_rss,
     truth_at,
 )
 
@@ -46,7 +49,7 @@ def collinear_scenario(n_steps=40, sigma_z=0.0, sigma_db=0.0, attacker_offset=50
         meas_noise_std=sigma_z,
         link=LinkModel(),
         rss_noise=NoiseModel(sigma_db),
-        transmitter_schedule=(PU,) * n_steps,
+        n_steps=n_steps,
     )
 
 
@@ -110,6 +113,8 @@ class TestRunTrials:
             run_trials(scen, cfg, 10, 1.5, 1)
         with pytest.raises(InvalidInputError):
             run_trials(scen, cfg, 10, 0.5, -3)
+        with pytest.raises(InvalidInputError):
+            reference_trial(scen, cfg, 1, 0, "bogus")
 
 
 class TestBatchedEngineMatchesReference:
@@ -131,11 +136,15 @@ class TestBatchedEngineMatchesReference:
     def test_dual_route_multi_anchor_or_fusion(self):
         base = default_scenario(n_steps=30, rss_noise=NoiseModel(3.0))
         cfg = DetectorConfig(25.0, fusion="or")
-        for anchors in (SQUARE_ANCHORS[:2], SQUARE_ANCHORS):
-            scen = replace(base, attacker_pos=(300.0, 300.0), anchors=anchors)
-            batched = run_trials(scen, cfg, 20, 0.5, master_seed=55)
+        n = 20
+        fixed = np.tile((300.0, 300.0), (n, 1))
+        # The last case places each trial's attacker apart, as the sweeps do.
+        per_trial = attacker_positions(base, 40.0, n, bearings=(0.3, 2.2, 4.1))
+        for anchors, xy in ((SQUARE_ANCHORS[:2], fixed), (SQUARE_ANCHORS, fixed), (SQUARE_ANCHORS, per_trial)):
+            scen = replace(base, anchors=anchors)
+            batched = run_cell(scen, np.arange(n) < 10, xy, 55).outcomes(cfg)
             for i, out in enumerate(batched):
-                ref = reference_trial(scen, cfg, 55, i, PUE if i < 10 else PU)
+                ref = reference_trial(replace(scen, attacker_pos=tuple(xy[i])), cfg, 55, i, PUE if i < 10 else PU)
                 assert out.verdict == ref.verdict
                 assert out.seed == ref.seed
                 assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
@@ -252,7 +261,7 @@ class TestSweepDistance:
     def test_rejects_empty_axes(self):
         scen = default_scenario(n_steps=10)
         with pytest.raises(InvalidInputError):
-            sweep_distance(scen, [], [0.0], DetectorConfig(1.0), 10, 1)
+            sweep_distance(scen, [], [0.0], DetectorConfig(1.0), 10, 1, snr_calibration=10.0)
 
 
 class TestSweepRoc:
@@ -300,7 +309,7 @@ class TestSweepRoc:
     def test_rejects_bad_targets(self):
         scen = default_scenario(n_steps=10)
         with pytest.raises(InvalidInputError):
-            sweep_roc(scen, 30.0, [0.0], [1.5], 10, 1)
+            sweep_roc(scen, 30.0, [0.0], [1.5], 10, 1, snr_calibration=10.0)
 
 
 class TestCompareBaseline:
@@ -329,7 +338,7 @@ class TestCompareBaseline:
             meas_noise_std=5.0,
             link=link,
             rss_noise=NoiseModel(3.0),
-            transmitter_schedule=(PU,) * 40,
+            n_steps=40,
         )
         # equal speeds so both runs hit the 50 m bin at the same step and
         # therefore consume identical trial streams
@@ -341,6 +350,27 @@ class TestCompareBaseline:
         rows_b = compare_baseline(scen_b, DetectorConfig(25.0), 600, 13, distances=(50.0,), schedule_mix=1.0)
         assert rows_a[0].baseline == rows_b[0].baseline
         assert rows_a[0].proposed != rows_b[0].proposed
+
+    def test_baseline_matches_per_trial_reference(self):
+        # Each trial's RSS sample is rebuilt from its block stream, as
+        # reference_trial does, and decided by the per-trial baseline.
+        scen = default_scenario(n_steps=60, rss_noise=sigma_from_snr(-10.0, 0.15))
+        cfg = DetectorConfig(25.0)
+        n, seed, d = 40, 41, 50.0
+        (row,) = compare_baseline(scen, cfg, n, seed, distances=(d,), schedule_mix=0.5)
+        start = truth_at(scen, 0).position
+        k = next(k for k in range(scen.n_steps) if math.dist(truth_at(scen, k).position, start) >= d)
+        anchor = scen.anchors[0]
+        outcomes = []
+        for i in range(n):
+            block, r = divmod(i, BLOCK)
+            _, _, rss_gen = block_streams(child_seed(seed, 2, 0), block)
+            rss_gen.standard_normal((r, len(scen.anchors)))
+            scheduled = PUE if i < n // 2 else PU
+            tx = scen.attacker_pos if scheduled == PUE else truth_at(scen, k).position
+            v = rss_baseline_decide(start, anchor, emit_rss(scen, tx, anchor, rss_gen), scen.link, cfg)
+            outcomes.append(TrialOutcome(scheduled, v.label, v.residual, 0))
+        assert metrics(outcomes, row.baseline.sweep_coords) == row.baseline
 
     def test_unreachable_distance_rejected(self):
         scen = default_scenario(n_steps=10)

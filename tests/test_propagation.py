@@ -89,9 +89,8 @@ class TestSampleRss:
     def test_zero_noise_equals_noiseless_value(self):
         link = LinkModel()
         rng = np.random.default_rng(0)
-        s = sample_rss(link, 50.0, NoiseModel(0.0), rng, anchor_id="a1", timestamp=3.0)
+        s = sample_rss(link, 50.0, NoiseModel(0.0), rng)
         assert s.pr_db == received_power_db(link, 50.0)
-        assert s.anchor_id == "a1" and s.timestamp == 3.0
 
     def test_same_seed_same_sample(self):
         link = LinkModel()

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puedet.config import default_scenario
 from puedet.errors import InvalidInputError
 from puedet.propagation import LinkModel, NoiseModel, distance_from_rss, received_power_db
 from puedet.scenario import (
-    PU,
-    PUE,
     AnchorNode,
     Scenario,
     Trajectory,
-    default_scenario,
     emit_position_measurement,
     emit_rss,
     place_attacker_at_offset,
     truth_at,
-    with_schedule_at,
 )
 
 
@@ -35,7 +32,7 @@ def simple_scenario(traj, n_steps, dt=1.0, sigma_z=0.0, sigma_db=0.0, attacker=(
         meas_noise_std=sigma_z,
         link=LinkModel(),
         rss_noise=NoiseModel(sigma_db),
-        transmitter_schedule=(PU,) * n_steps,
+        n_steps=n_steps,
     )
 
 
@@ -157,29 +154,27 @@ class TestEmissions:
 
     def test_rss_from_pu_position(self):
         scen = simple_scenario(line_trajectory(0.0, 0.0), n_steps=5)
-        s = emit_rss(scen, 0, scen.anchors[0], np.random.default_rng(0))
+        s = emit_rss(scen, truth_at(scen, 0).position, scen.anchors[0], np.random.default_rng(0))
         assert s.pr_db == received_power_db(scen.link, 100.0)
-        assert s.anchor_id == "a1"
 
     def test_rss_from_attacker_position(self):
         scen = simple_scenario(line_trajectory(0.0, 0.0), n_steps=5, attacker=(50.0, 0.0))
-        scen = with_schedule_at(scen, 2, PUE)
         anchor = AnchorNode("b", 50.0, 40.0)
-        s = emit_rss(scen, 2, anchor, np.random.default_rng(0))
+        s = emit_rss(scen, scen.attacker_pos, anchor, np.random.default_rng(0))
         assert s.pr_db == received_power_db(scen.link, 40.0)
 
     def test_noiseless_rss_inverts_to_true_distance(self):
         scen = simple_scenario(line_trajectory(3.0, 1.0), n_steps=20)
         for step in (0, 7, 19):
-            s = emit_rss(scen, step, scen.anchors[0], np.random.default_rng(0))
             truth = truth_at(scen, step)
+            s = emit_rss(scen, truth.position, scen.anchors[0], np.random.default_rng(0))
             d_true = math.hypot(truth.x - 100.0, truth.y - 0.0)
             assert distance_from_rss(scen.link, s.pr_db) == pytest.approx(d_true, rel=1e-9)
 
     def test_zero_distance_rejected(self):
         scen = simple_scenario(line_trajectory(0.0, 0.0, start=(100.0, 0.0)), n_steps=5)
         with pytest.raises(InvalidInputError):
-            emit_rss(scen, 0, scen.anchors[0], np.random.default_rng(0))
+            emit_rss(scen, truth_at(scen, 0).position, scen.anchors[0], np.random.default_rng(0))
 
 
 class TestAttackerPlacement:
@@ -214,18 +209,19 @@ class TestAttackerPlacement:
 
 
 class TestScenarioValidation:
-    def test_bad_schedule_label(self):
-        with pytest.raises(InvalidInputError, match="schedule"):
-            Scenario(
-                trajectory=line_trajectory(),
-                attacker_pos=(0.0, 0.0),
-                anchors=(AnchorNode("a", 1.0, 1.0),),
-                dt=1.0,
-                meas_noise_std=0.0,
-                link=LinkModel(),
-                rss_noise=NoiseModel(0.0),
-                transmitter_schedule=("PU", "bogus"),
-            )
+    def test_bad_step_count(self):
+        for n_steps in (0, -1, 2.0):
+            with pytest.raises(InvalidInputError, match="n_steps"):
+                Scenario(
+                    trajectory=line_trajectory(),
+                    attacker_pos=(0.0, 0.0),
+                    anchors=(AnchorNode("a", 1.0, 1.0),),
+                    dt=1.0,
+                    meas_noise_std=0.0,
+                    link=LinkModel(),
+                    rss_noise=NoiseModel(0.0),
+                    n_steps=n_steps,
+                )
 
     def test_needs_anchor_and_positive_dt(self):
         kwargs = dict(
@@ -236,7 +232,7 @@ class TestScenarioValidation:
             meas_noise_std=0.0,
             link=LinkModel(),
             rss_noise=NoiseModel(0.0),
-            transmitter_schedule=(PU,) * 5,
+            n_steps=5,
         )
         with pytest.raises(InvalidInputError):
             Scenario(**{**kwargs, "anchors": ()})

@@ -239,7 +239,7 @@ class TestTrack:
             rng = np.random.default_rng(seed)
             truth = np.stack([3.0 * times, 100.0 - 2.0 * times], axis=1)
             zs = truth + 5.0 * rng.standard_normal(truth.shape)
-            out = track(times, list(zs), model, mm)
+            out = track(times, list(zs), model, mm, init=initial_estimate(zs[0], mm, 10.0))
             estpos = np.array([[e.state.x, e.state.y] for e in out])
             filt_se += np.sum((estpos - truth) ** 2)
             raw_se += np.sum((zs - truth) ** 2)
@@ -247,18 +247,13 @@ class TestTrack:
 
     def test_rejects_bad_sequences(self):
         mm = MeasurementModel.isotropic(1.0)
+        init = initial_estimate(np.zeros(2), mm, 10.0)
         with pytest.raises(InvalidInputError):
-            track([], [], MotionModel(1.0), mm)
+            track([], [], MotionModel(1.0), mm, init)
         with pytest.raises(InvalidInputError):
-            track([0.0, 0.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm)
+            track([0.0, 0.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init)
         with pytest.raises(InvalidInputError):
-            track([0.0, 1.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, accels=[(0, 0)])
-
-    def test_default_init_uses_first_measurement(self):
-        mm = MeasurementModel.isotropic(3.0)
-        out = track([0.0], [np.array([7.0, -2.0])], MotionModel(1.0), mm)
-        assert out[0].state == TargetState(7.0, -2.0, 0.0, 0.0)
-        assert np.array_equal(out[0].covariance, np.diag([9.0, 9.0, 100.0, 100.0]))
+            track([0.0, 1.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init, accels=[(0, 0)])
 
 
 def test_initial_estimate_covariance():
@@ -266,4 +261,4 @@ def test_initial_estimate_covariance():
     e = initial_estimate((1.0, 2.0), mm, v_max=4.0)
     assert np.array_equal(e.covariance, np.diag([4.0, 4.0, 16.0, 16.0]))
     with pytest.raises(InvalidInputError):
-        initial_estimate((np.inf, 0.0), mm)
+        initial_estimate((np.inf, 0.0), mm, 10.0)
