@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import experiments
 from .config import (
@@ -25,7 +24,6 @@ from .config import (
 )
 from .errors import ConfigError, InvalidInputError
 from .experiments import block_streams
-from .scenario import emit_position_measurement
 from .svgplot import line_chart
 from .tracking import initial_estimate, track
 
@@ -35,7 +33,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InvalidInputError("refusing to write a non-finite value to CSV")
         return format(value, ".9g")
     return str(value)
@@ -67,22 +65,22 @@ def _resolve_detector(cfg: ExperimentConfig, scenario):
 
 def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     scenario = build_scenario(cfg)
-    # The measurements of trial 0 of the seed's Monte Carlo stream.
-    _, gen, _ = block_streams(cfg.run.seed, 0)
     n = scenario.n_steps
     times = [scenario.step_time(k) for k in range(n)]
-    zs = [emit_position_measurement(scenario, k, gen) for k in range(n)]
+    truth = scenario.truth_path(n - 1)
+    # The measurements of trial 0 of the seed's Monte Carlo stream: draws are
+    # trial-major, so trial 0's are the first (n, 2) of the block's generator.
+    _, gen, _ = block_streams(cfg.run.seed, 0)
+    zs = (truth + scenario.meas_noise_std * gen.standard_normal((n, 2))).tolist()
     motion, meas_model = scenario.filter_models()
     init = initial_estimate(zs[0], meas_model, scenario.v_max)
     estimates = track(times, zs, motion, meas_model, init=init, accels=scenario.step_accels(n - 1))
 
     rows = []
-    for k in range(n):
-        truth = scenario.trajectory.state_at(times[k])
-        s = estimates[k].state
-        rows.append(
-            [k, times[k], truth.x, truth.y, float(zs[k][0]), float(zs[k][1]), s.x, s.y, s.vx, s.vy]
-        )
+    true_x, true_y = truth.T.tolist()
+    for k, (t, tx, ty, (zx, zy), est) in enumerate(zip(times, true_x, true_y, zs, estimates)):
+        s = est.state
+        rows.append([k, t, tx, ty, zx, zy, s.x, s.y, s.vx, s.vy])
     _write_csv(
         out / "track.csv",
         ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"],

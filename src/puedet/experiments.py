@@ -160,7 +160,7 @@ class _Kinematics(NamedTuple):
 def _kinematics(scenario: Scenario) -> _Kinematics:
     k_eval = scenario.evaluation_step
     motion, meas_model = scenario.filter_models()
-    truth = np.array([truth_at(scenario, k).position for k in range(k_eval + 1)])
+    truth = scenario.truth_path(k_eval)
     p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
     gains = []
     for _ in range(k_eval):
@@ -476,9 +476,9 @@ def sweep_roc(
 
 def _eval_step_for_distance(scenario: Scenario, reference: np.ndarray, distance: float) -> int:
     """First step at which the PU has moved at least `distance` from `reference`."""
-    for k in range(scenario.n_steps):
-        pos = truth_at(scenario, k).position
-        if math.hypot(pos[0] - reference[0], pos[1] - reference[1]) >= distance:
+    rx, ry = reference.tolist()
+    for k, (x, y) in enumerate(scenario.truth_path(scenario.n_steps - 1).tolist()):
+        if math.hypot(x - rx, y - ry) >= distance:
             return k
     raise InvalidInputError(
         f"trajectory never reaches {distance} m from the reference position"

@@ -1,8 +1,10 @@
 """World model: ground-truth trajectory, anchors, attacker placement, and the
 synthetic measurements (positions and RSS) fed to the tracker and detector.
 
-All emissions are pure functions of (scenario, step, anchor, rng stream);
-scenarios and trajectories are immutable values.
+The ground truth is evaluated one step at a time by :func:`truth_at` and for
+every step at once, as an array, by :meth:`Scenario.truth_path`; the two agree
+bit for bit.  All emissions are pure functions of (scenario, step, anchor, rng
+stream); scenarios and trajectories are immutable values.
 """
 
 from __future__ import annotations
@@ -197,12 +199,37 @@ class Scenario:
         v = self.process_noise_std
         return MotionModel(self.dt, v * v, v * v), MeasurementModel.isotropic(self.meas_noise_std)
 
+    def _step_segments(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """Times of steps 0..upto and the trajectory segment of each, found as
+        :meth:`Trajectory.state_at` finds them, in one vectorised lookup."""
+        if not (isinstance(upto, (int, np.integer)) and 0 <= upto < self.n_steps):
+            raise InvalidInputError(f"step {upto!r} out of range [0, {self.n_steps})")
+        traj = self.trajectory
+        t = traj.start_time + np.arange(upto + 1) * self.dt
+        i = np.searchsorted(np.array(traj.times), t, side="right") - 1
+        return t, np.clip(i, 0, len(traj.accels) - 1)
+
+    def truth_path(self, upto: int) -> np.ndarray:
+        """True PU position at every step 0..upto, shape (upto + 1, 2).
+
+        Closed form per segment with the operations of
+        :meth:`Trajectory.state_at` in the same order, so row k equals
+        ``truth_at(self, k).position`` bit for bit.
+        """
+        t, i = self._step_segments(upto)
+        traj = self.trajectory
+        dt = (t - np.array(traj.times)[i])[:, None]
+        p = np.array(traj.positions)[i]
+        v = np.array(traj.velocities)[i]
+        a = np.array(traj.accels)[i]
+        return p + v * dt + 0.5 * a * dt * dt
+
     def step_accels(self, eval_step: int) -> np.ndarray:
         """Acceleration input for the predict into each step up to `eval_step`
-        (row 0 unused)."""
+        (row 0 unused): the acceleration of step k - 1's segment."""
+        _, i = self._step_segments(eval_step)
         acc = np.zeros((eval_step + 1, 2))
-        for k in range(1, eval_step + 1):
-            acc[k] = self.trajectory.accel_at(self.step_time(k - 1))
+        acc[1:] = np.array(self.trajectory.accels)[i[:-1]]
         return acc
 
 

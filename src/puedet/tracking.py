@@ -211,9 +211,10 @@ def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
     InvalidInputError if the result is not finite.
     """
     a = model.transition_matrix()
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
-        a.dot(p).dot(a.T).tolist()
-    )
+    # An overflowing product is reported by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        apa = a.dot(p).dot(a.T).tolist()
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = apa
     dt = model.dt
     h = 0.5 * dt * dt
     sx, sy = model.sigma_wx2, model.sigma_wy2

@@ -26,8 +26,6 @@ from puedet.scenario import (
     AnchorNode,
     Scenario,
     Trajectory,
-    emit_position_measurement,
-    truth_at,
 )
 from puedet.tracking import (
     FilterEstimate,
@@ -162,17 +160,17 @@ def test_criterion_2_tracking_fidelity():
     motion, meas_model = scen.filter_models()
     accels = scen.step_accels(scen.n_steps - 1)
     times = [scen.step_time(k) for k in range(scen.n_steps)]
-    truth = np.array([truth_at(scen, k).position for k in range(scen.n_steps)])
+    truth = scen.truth_path(scen.n_steps - 1)
 
     filt_rmse, raw_rmse = [], []
     for run in range(120):
         rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 2, run)))
-        zs = [emit_position_measurement(scen, k, rng) for k in range(scen.n_steps)]
+        zs = truth + scen.meas_noise_std * rng.standard_normal((scen.n_steps, 2))
         init = initial_estimate(zs[0], meas_model, scen.v_max)
         ests = track(times, zs, motion, meas_model, init=init, accels=accels)
         est_pos = np.array([[e.state.x, e.state.y] for e in ests])
         filt_rmse.append(math.sqrt(np.mean(np.sum((est_pos - truth) ** 2, axis=1))))
-        raw_rmse.append(math.sqrt(np.mean(np.sum((np.array(zs) - truth) ** 2, axis=1))))
+        raw_rmse.append(math.sqrt(np.mean(np.sum((zs - truth) ** 2, axis=1))))
 
     mean_filt = float(np.mean(filt_rmse))
     mean_raw = float(np.mean(raw_rmse))

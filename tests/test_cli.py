@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from puedet.cli import main
-from puedet.config import loads_config
+from puedet.config import build_scenario, loads_config
+from puedet.experiments import block_streams
+from puedet.scenario import emit_position_measurement, truth_at
+from puedet.tracking import initial_estimate, track
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -63,6 +66,28 @@ class TestTrack:
         for row in rows:
             for cell in row:
                 assert math.isfinite(float(cell))
+
+    def test_csv_equals_per_step_route(self, tmp_path):
+        # The per-step statement of the run: trial 0's position draws of the
+        # seed's first block, taken one step at a time.
+        text = "[scenario]\nsteps = 60\n\n[run]\nseed = 11\n"
+        rc, out = run_cli(tmp_path, "track", text)
+        assert rc == 0
+        scen = build_scenario(loads_config(text))
+        _, gen, _ = block_streams(11, 0)
+        n = scen.n_steps
+        times = [scen.step_time(k) for k in range(n)]
+        zs = [emit_position_measurement(scen, k, gen) for k in range(n)]
+        motion, meas_model = scen.filter_models()
+        init = initial_estimate(zs[0], meas_model, scen.v_max)
+        ests = track(times, zs, motion, meas_model, init=init, accels=scen.step_accels(n - 1))
+        expected = []
+        for k in range(n):
+            truth, z, s = truth_at(scen, k), zs[k], ests[k].state
+            values = [times[k], truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
+            expected.append([str(k)] + [format(float(v), ".9g") for v in values])
+        _, rows = read_csv(out / "track.csv")
+        assert rows == expected
 
     def test_svg_overlay_has_three_series(self, tmp_path):
         rc, out = run_cli(tmp_path, "track", TRACK_NOISELESS)
@@ -190,6 +215,13 @@ class TestErrors:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe[run]\nseed = 1\n")
+        rc = main(["track", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("puedet: error:")
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")

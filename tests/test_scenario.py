@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puedet.config import default_scenario
+from puedet.config import ScenarioConfig, default_scenario
 from puedet.errors import InvalidInputError
 from puedet.propagation import LinkModel, NoiseModel, distance_from_rss, received_power_db
 from puedet.scenario import (
@@ -129,6 +130,70 @@ class TestTruthAt:
             truth_at(scen, 10)
         with pytest.raises(InvalidInputError):
             truth_at(scen, -1)
+
+
+def stretched_stock_scenario(scale):
+    """The stock scenario with every segment `scale` times longer and its
+    acceleration `scale` times weaker (scale 100 is the track_long
+    benchmark's path), sampled once per second up to and including the end
+    time, so steps fall exactly on every waypoint."""
+    base = default_scenario()
+    segs = [(dur * scale, ax / scale, ay / scale) for dur, ax, ay in ScenarioConfig().segments]
+    traj = Trajectory.from_segments(base.trajectory.positions[0], base.trajectory.velocities[0], segs)
+    return replace(base, trajectory=traj, dt=1.0, n_steps=int(traj.end_time) + 1)
+
+
+def per_step_accels(scen, upto):
+    """step_accels stated one step at a time."""
+    acc = np.zeros((upto + 1, 2))
+    for k in range(1, upto + 1):
+        acc[k] = scen.trajectory.accel_at(scen.step_time(k - 1))
+    return acc
+
+
+class TestTruthPath:
+    @pytest.mark.parametrize("scale", [1, 100])
+    def test_equals_truth_at_bit_for_bit(self, scale):
+        scen = stretched_stock_scenario(scale)
+        n = scen.n_steps
+        assert set(scen.trajectory.times) <= {scen.step_time(k) for k in range(n)}
+        ref = np.array([truth_at(scen, k).position for k in range(n)])
+        assert np.array_equal(scen.truth_path(n - 1), ref)
+        assert np.array_equal(scen.truth_path(0), ref[:1])
+        assert np.array_equal(scen.truth_path(137), ref[:138])
+
+    @pytest.mark.parametrize("scale", [1, 100])
+    def test_step_accels_equal_per_step_lookup(self, scale):
+        scen = stretched_stock_scenario(scale)
+        for upto in (0, 1, 137, scen.n_steps - 1):
+            assert np.array_equal(scen.step_accels(upto), per_step_accels(scen, upto))
+
+    @given(
+        segs=st.lists(
+            st.tuples(st.floats(0.5, 20), st.floats(-2, 2), st.floats(-2, 2)),
+            min_size=1,
+            max_size=5,
+        ),
+        dt=st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_trajectories_match_per_step_route(self, segs, dt):
+        traj = Trajectory.from_segments((3.0, -4.0), (1.5, 0.5), segs)
+        n = int(traj.end_time / dt) + 1
+        if traj.start_time + (n - 1) * dt > traj.end_time:
+            n -= 1
+        scen = simple_scenario(traj, n_steps=n, dt=dt)
+        ref = np.array([truth_at(scen, k).position for k in range(n)])
+        assert np.array_equal(scen.truth_path(n - 1), ref)
+        assert np.array_equal(scen.step_accels(n - 1), per_step_accels(scen, n - 1))
+
+    def test_out_of_range_upto(self):
+        scen = simple_scenario(line_trajectory(), n_steps=10)
+        for bad in (-1, 10, 2.0):
+            with pytest.raises(InvalidInputError):
+                scen.truth_path(bad)
+            with pytest.raises(InvalidInputError):
+                scen.step_accels(bad)
 
 
 class TestEmissions:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,11 +100,14 @@ class TestPredict:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             predict(est([0, 0, 0, 0], np.eye(4)), MotionModel(1.0), accel=(np.nan, 0.0))
-        # Finite inputs whose result overflows are refused, never returned as inf/NaN.
-        with pytest.raises(InvalidInputError):
-            predict(est([0, 0, 0, 0], np.eye(4)), MotionModel(1e200))
-        with pytest.raises(InvalidInputError):
-            predict(est([0, 0, 0, 0], 1e308 * np.eye(4)), MotionModel(1.0))
+        # Finite inputs whose result overflows are refused, never returned as
+        # inf/NaN, and with no numpy warning ahead of the typed error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                predict(est([0, 0, 0, 0], np.eye(4)), MotionModel(1e200))
+            with pytest.raises(InvalidInputError):
+                predict(est([0, 0, 0, 0], 1e308 * np.eye(4)), MotionModel(1.0))
         with pytest.raises(InvalidInputError):
             predict(est([0, 0, 1e300, 0], np.eye(4)), MotionModel(1e10))
         with pytest.raises(InvalidInputError):
