@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import LinkModel, RssSample, distance_from_rss
 from .scenario import AnchorNode
 from .tracking import FilterEstimate
@@ -85,10 +85,13 @@ def detect_step(
     pairs = [(anchors[0], rss_samples[0])]
     if config.fusion == OR_ACROSS_ANCHORS:
         pairs = list(zip(anchors, rss_samples))
-    verdicts = [
-        decide(anchor_distance(estimate, a), distance_from_rss(link, s.pr_db), config)
-        for a, s in pairs
-    ]
+    verdicts = []
+    for a, s in pairs:
+        try:
+            d_rss = distance_from_rss(link, s.pr_db)
+        except NumericalDegeneracyError as e:
+            raise NumericalDegeneracyError(f"anchor {a.id!r}: {e}") from None
+        verdicts.append(decide(anchor_distance(estimate, a), d_rss, config))
     best = max(verdicts, key=lambda v: v.residual)
     if any(v.is_attacker for v in verdicts):
         return Verdict(ATTACKER, best.d_kf, best.d_rss, best.residual)

@@ -7,14 +7,20 @@ Trials are seeded in fixed blocks of :data:`BLOCK`: block b holds trials
 noise and one for RSS noise.  Trial r of a block takes row r of each
 generator's trial-major draws, so results do not depend on chunking: a chunk
 continues its block's generators, and a smaller draw is a prefix of a larger
-one.  The batched engine shares the truth path, the acceleration inputs and
-the covariance/gain recursion across trials (none of them depends on
-measurement data in a linear filter), and each sweep computes them once for
-all of its cells.  All per-trial state math is elementwise, which makes
-chunked and unchunked runs bit-identical.  :func:`run_cell` returns a
-:class:`Cell` of per-trial arrays, which is scored at any threshold without
-re-running it.  :func:`reference_trial` is the plain one-trial-at-a-time
-statement of the same procedure; tests hold the two routes together.
+one.  The batched engine shares the truth path and the covariance/gain
+recursion across trials (none of it depends on measurement data in a linear
+filter), and each sweep computes them once for all of its cells, as a weight
+map: the filter's estimate at the evaluation step is a fixed linear
+combination of the trial's position-noise draws plus a fixed offset.  Each
+chunk contracts its draws with the weights in one ``np.einsum``, whose sum
+for a row runs in an order that does not depend on how many rows the chunk
+has; BLAS ``@`` is not used because its blocking does, which would let
+results differ in the last bits between chunk sizes.  Everything else per
+trial is elementwise, so chunked and unchunked runs are bit-identical.
+:func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is scored
+at any threshold without re-running it.  :func:`reference_trial` is the plain
+one-trial-at-a-time statement of the same procedure, running the filter step
+by step; tests hold the two routes together.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .detection import (
     calibrate_tau,
     detect_step,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import sigma_from_snr
 from .scenario import (
     PU,
@@ -47,6 +53,7 @@ from .scenario import (
     truth_at,
 )
 from .tracking import (
+    MEASUREMENT_MATRIX,
     gain_and_updated_covariance,
     initial_estimate,
     predict_covariance,
@@ -141,34 +148,63 @@ def child_seed(master_seed: int, *path: int) -> int:
 
 
 class _Kinematics(NamedTuple):
-    """What every trial of a cell shares up to its evaluation step: the true
-    PU position and the acceleration input at each step, and the Kalman gain
-    of each update as 8 row-major floats (``gains[k - 1]`` is step k's).
-    None of it depends on noise, anchors or the attacker."""
+    """What every trial of a cell shares, none of it dependent on noise,
+    anchors or the attacker: the PU's true position at the evaluation step
+    K, and the Kalman filter's estimate there in weight form.
+
+    The gains do not depend on the data, so the position estimate at K is
+    ``weights.T @ z + c``, where z is the measurements of steps 0..K
+    flattened to length 2(K + 1) and c comes from the acceleration inputs.
+    With z = truth + sigma_z * noise this is
+    ``sigma_z * (noise @ weights) + offset``, ``offset = weights.T @ truth + c``.
+    """
 
     truth: np.ndarray
-    accels: np.ndarray
-    gains: list[tuple[float, ...]]
+    weights: np.ndarray
+    offset: np.ndarray
 
-    def upto(self, eval_step: int) -> "_Kinematics":
-        """The same quantities for a cell evaluated at an earlier step."""
-        return _Kinematics(
-            self.truth[: eval_step + 1], self.accels[: eval_step + 1], self.gains[:eval_step]
-        )
+
+def _kinematics_at(scenario: Scenario, steps: Sequence[int]) -> dict[int, _Kinematics]:
+    """:class:`_Kinematics` for a cell evaluated at each of `steps`, from one
+    recursion up to the latest: the kinematics at step k are a snapshot taken
+    when the recursion passes k."""
+    wanted = set(steps)
+    last = max(wanted)
+    motion, meas_model = scenario.filter_models()
+    truth = scenario.truth_path(last)
+    accels = scenario.step_accels(last)
+    a = motion.transition_matrix()
+    b = motion.control_matrix()
+    p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
+    # State estimate at step k = m @ z + c.  Step 0 takes its position from
+    # z_0 and has zero velocity.  m only gains columns, so the operands of
+    # step k have the same shapes whatever step the recursion runs to.
+    m = MEASUREMENT_MATRIX.T.copy()
+    c = np.zeros(4)
+    out = {}
+    for k in range(last + 1):
+        if k:
+            # Covariance and gain are measurement-independent: one shared
+            # recursion through the exact same code path as tracking.track.
+            g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
+            # Predict then update: x <- (I - G C)(A x + B u) + G z_k.
+            i_gc = np.eye(4)
+            i_gc[:, :2] -= g
+            f = i_gc @ a
+            m = np.concatenate((f @ m, g), axis=1)
+            c = f @ c + i_gc @ (b @ accels[k])
+        if k in wanted:
+            weights = np.ascontiguousarray(m[:2].T)
+            offset = m[:2] @ truth[: k + 1].ravel() + c[:2]
+            if not (np.isfinite(weights).all() and np.isfinite(offset).all()):
+                raise InvalidInputError(f"filter weights at step {k} left the finite range")
+            out[k] = _Kinematics(truth[k], weights, offset)
+    return out
 
 
 def _kinematics(scenario: Scenario) -> _Kinematics:
     k_eval = scenario.evaluation_step
-    motion, meas_model = scenario.filter_models()
-    truth = scenario.truth_path(k_eval)
-    p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
-    gains = []
-    for _ in range(k_eval):
-        # Covariance and gain are measurement-independent: one shared
-        # recursion through the exact same code path as tracking.track.
-        g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
-        gains.append(tuple(g.ravel().tolist()))
-    return _Kinematics(truth, scenario.step_accels(k_eval), gains)
+    return _kinematics_at(scenario, (k_eval,))[k_eval]
 
 
 @dataclass(frozen=True)
@@ -226,9 +262,8 @@ def run_cell(
     Per trial, the position generator of its block yields (eval_step + 1) x 2
     standard normals for position measurements and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `kinematics` is the scenario's shared truth, accelerations and gains,
-    passed in by sweeps that share it across cells and computed here
-    otherwise.
+    `kinematics` is the scenario's shared truth and filter weights, passed
+    in by sweeps that share them across cells and computed here otherwise.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
@@ -241,14 +276,12 @@ def run_cell(
     if chunk < 1:
         raise InvalidInputError("chunk_size must be >= 1")
 
-    truth, accels, gains = kinematics if kinematics is not None else _kinematics(scenario)
+    truth, weights, offset = kinematics if kinematics is not None else _kinematics(scenario)
     anchor_xy = np.array([[a.x, a.y] for a in scenario.anchors])
     link = scenario.link
     a_link = link.link_constant_db
     sigma_z = scenario.meas_noise_std
     sigma_db = scenario.rss_noise.sigma_db
-    dt = scenario.dt
-    half = 0.5 * dt * dt
 
     d_kf = np.empty((n, n_anchors))
     d_rss = np.empty((n, n_anchors))
@@ -261,30 +294,17 @@ def run_cell(
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
             m = hi - lo
-            # Position measurements of every trial and step, in place.
-            z = pos_gen.standard_normal((m, k_eval + 1, 2))
-            z *= sigma_z
-            z += truth
+            noise = pos_gen.standard_normal((m, k_eval + 1, 2))
             rss_noise = rss_gen.standard_normal((m, n_anchors))
+            # The filter's estimate at the evaluation step, one row per trial.
+            # einsum, not BLAS `@`: its per-row sum order does not depend on
+            # the chunk's row count, which keeps chunking bit-exact.
+            est = np.einsum("mk,kj->mj", noise.reshape(m, -1), weights)
+            est *= sigma_z
+            est += offset
+            x, y = est[:, 0], est[:, 1]
 
-            # Initialization from the first measurement, zero velocity.
-            x = z[:, 0, 0].copy()
-            y = z[:, 0, 1].copy()
-            vx = np.zeros(m)
-            vy = np.zeros(m)
-            for k in range(1, k_eval + 1):
-                ux, uy = accels[k]
-                g00, g01, g10, g11, g20, g21, g30, g31 = gains[k - 1]
-                px = x + dt * vx + half * ux
-                py = y + dt * vy + half * uy
-                ix = z[:, k, 0] - px
-                iy = z[:, k, 1] - py
-                x = px + (g00 * ix + g01 * iy)
-                y = py + (g10 * ix + g11 * iy)
-                vx = vx + dt * ux + (g20 * ix + g21 * iy)
-                vy = vy + dt * uy + (g30 * ix + g31 * iy)
-
-            tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth[k_eval])
+            tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth)
             for j in range(n_anchors):
                 d_kf[lo:hi, j] = np.hypot(x - anchor_xy[j, 0], y - anchor_xy[j, 1])
                 d_tx = np.hypot(tx[:, 0] - anchor_xy[j, 0], tx[:, 1] - anchor_xy[j, 1])
@@ -293,7 +313,14 @@ def run_cell(
                         f"transmitter coincides with anchor {scenario.anchors[j].id!r}"
                     )
                 pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
-                d_rss[lo:hi, j] = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
+                # An overflowing inversion is reported by the check below.
+                with np.errstate(over="ignore"):
+                    d = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
+                if not np.isfinite(d).all():
+                    raise NumericalDegeneracyError(
+                        f"anchor {scenario.anchors[j].id!r}: RSS-implied distance left the finite range"
+                    )
+                d_rss[lo:hi, j] = d
 
     return Cell(is_pue, d_kf, d_rss, seeds)
 
@@ -511,17 +538,17 @@ def compare_baseline(
     attacker_xy = np.tile(np.asarray(base.attacker_pos, float), (n_trials, 1))
 
     eval_steps = [_eval_step_for_distance(base, reference, d) for d in distances]
-    # One recursion up to the latest evaluation step; each cell reads a prefix.
-    kinematics = _kinematics(replace(base, eval_step=max(eval_steps)))
+    # One recursion up to the latest evaluation step, snapshotted at each.
+    kinematics = _kinematics_at(base, eval_steps)
 
     rows = []
     for i, (d, k) in enumerate(zip(distances, eval_steps)):
-        pos = kinematics.truth[k]
+        pos = kinematics[k].truth
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         cell_scenario = replace(base, eval_step=k)
         cell = run_cell(
             cell_scenario, is_pue, attacker_xy,
-            child_seed(master_seed, 2, i), chunk_size, kinematics.upto(k),
+            child_seed(master_seed, 2, i), chunk_size, kinematics[k],
         )
         # The baseline reads the same RSS against its fixed reference.
         baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))

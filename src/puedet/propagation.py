@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,17 @@ def sample_rss(
 
 def distance_from_rss(link: LinkModel, pr_db: float) -> float:
     """Distance (m) that would produce the given received power; exact inverse
-    of :func:`received_power_db` in the noiseless case."""
+    of :func:`received_power_db` in the noiseless case.  Raises
+    NumericalDegeneracyError when that distance is beyond the float range."""
     if not math.isfinite(pr_db):
         raise InvalidInputError(f"pr_db must be finite, got {pr_db}")
-    return 10.0 ** ((link.link_constant_db - pr_db) / (10.0 * link.alpha))
+    try:
+        d = 10.0 ** ((link.link_constant_db - pr_db) / (10.0 * link.alpha))
+    except OverflowError:
+        d = math.inf
+    if not math.isfinite(d):
+        raise NumericalDegeneracyError(f"RSS-implied distance left the finite range (pr_db={pr_db})")
+    return d
 
 
 def sigma_from_snr(snr_db: float, calibration: float) -> NoiseModel:

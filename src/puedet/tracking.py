@@ -370,8 +370,11 @@ def track(
 
     est = init
     out = [est]
+    step_model = None
     for k in range(1, len(times)):
-        step_model = MotionModel(times[k] - times[k - 1], model.sigma_wx2, model.sigma_wy2)
+        gap = times[k] - times[k - 1]
+        if step_model is None or gap != step_model.dt:
+            step_model = MotionModel(gap, model.sigma_wx2, model.sigma_wy2)
         u = accels[k] if accels is not None else (0.0, 0.0)
         est = update(predict(est, step_model, u), meas_model, measurements[k])
         out.append(est)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, rss_baseline_decide
-from puedet.errors import InvalidInputError
+from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.experiments import (
     BLOCK,
     MetricsReport,
@@ -148,6 +149,43 @@ class TestBatchedEngineMatchesReference:
                 assert out.verdict == ref.verdict
                 assert out.seed == ref.seed
                 assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "overrides, fusion",
+        [
+            (dict(eval_step=23), "single"),
+            (dict(dt=0.5), "single"),
+            (dict(dt=2.0), "single"),
+            (dict(process_noise_std=0.0), "single"),
+            (dict(process_noise_std=1.0), "single"),
+            (dict(meas_noise_std=0.0, process_noise_std=0.5), "single"),
+            (dict(anchors=SQUARE_ANCHORS), "or"),
+        ],
+        ids=["eval_step", "dt_0.5", "dt_2", "no_process_noise", "process_noise_1",
+             "no_meas_noise", "or4"],
+    )
+    def test_dual_route_off_the_stock_path(self, overrides, fusion):
+        scen = default_scenario(n_steps=50, rss_noise=NoiseModel(2.0), **overrides)
+        cfg = DetectorConfig(25.0, fusion=fusion)
+        n = 16
+        batched = run_trials(scen, cfg, n, 0.5, master_seed=31)
+        for i, out in enumerate(batched):
+            ref = reference_trial(scen, cfg, 31, i, PUE if i < n // 2 else PU)
+            assert out.scheduled == ref.scheduled
+            assert out.verdict == ref.verdict
+            assert out.seed == ref.seed
+            assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+
+    def test_overflowing_rss_inversion_is_typed_on_both_routes(self):
+        # A tiny path-loss exponent and a wide dB spread push the inverted
+        # distance of some trials past the float range (trial 6 is one).
+        scen = default_scenario(link=LinkModel(alpha=0.01), rss_noise=NoiseModel(40.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
+                run_cell(scen, np.zeros(50, dtype=bool), np.zeros((50, 2)), 7)
+            with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
+                reference_trial(scen, DetectorConfig(25.0), 7, 6)
 
 
 class TestMetrics:
@@ -371,6 +409,24 @@ class TestCompareBaseline:
             v = rss_baseline_decide(start, anchor, emit_rss(scen, tx, anchor, rss_gen), scen.link, cfg)
             outcomes.append(TrialOutcome(scheduled, v.label, v.residual, 0))
         assert metrics(outcomes, row.baseline.sweep_coords) == row.baseline
+
+    def test_each_row_equals_a_fresh_cell_at_its_step(self):
+        # compare_baseline snapshots one filter recursion at every evaluation
+        # step; each snapshot must equal the weights a cell builds alone.
+        scen = default_scenario(n_steps=60, rss_noise=sigma_from_snr(-10.0, 0.15))
+        cfg = DetectorConfig(25.0)
+        n, seed = 300, 17
+        rows = compare_baseline(scen, cfg, n, seed, distances=(30.0, 150.0))
+        start = truth_at(scen, 0).position
+        is_pue = np.arange(n) < n // 2
+        attacker_xy = np.tile(scen.attacker_pos, (n, 1))
+        for i, row in enumerate(rows):
+            k = next(
+                k for k in range(scen.n_steps)
+                if math.dist(truth_at(scen, k).position, start) >= row.distance
+            )
+            cell = run_cell(replace(scen, eval_step=k), is_pue, attacker_xy, child_seed(seed, 2, i))
+            assert cell.score(cfg, row.proposed.sweep_coords) == row.proposed
 
     def test_unreachable_distance_rejected(self):
         scen = default_scenario(n_steps=10)
