@@ -52,7 +52,6 @@ from .scenario import (
     Trajectory,
     emit_position_measurement,
     emit_rss,
-    place_attacker_at_offset,
     truth_at,
 )
 from .tracking import (

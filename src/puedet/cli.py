@@ -25,7 +25,6 @@ from .config import (
 from .errors import ConfigError, InvalidInputError
 from .experiments import block_streams
 from .svgplot import line_chart
-from .tracking import initial_estimate, track
 
 
 def _cell(value) -> str:
@@ -72,9 +71,7 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     # trial-major, so trial 0's are the first (n, 2) of the block's generator.
     _, gen, _ = block_streams(cfg.run.seed, 0)
     zs = (truth + scenario.meas_noise_std * gen.standard_normal((n, 2))).tolist()
-    motion, meas_model = scenario.filter_models()
-    init = initial_estimate(zs[0], meas_model, scenario.v_max)
-    estimates = track(times, zs, motion, meas_model, init=init, accels=scenario.step_accels(n - 1))
+    estimates = scenario.track(zs)
 
     rows = []
     true_x, true_y = truth.T.tolist()

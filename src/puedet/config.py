@@ -199,8 +199,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         build_scenario(cfg)
     except InvalidInputError as exc:
         raise ConfigError(f"[scenario/link]: {exc}") from exc
-    if cfg.detector.tau < 0:
-        raise ConfigError(f"[detector] tau: must be >= 0, got {cfg.detector.tau}")
     if cfg.detector.target_pfa is not None and not 0.0 < cfg.detector.target_pfa < 1.0:
         raise ConfigError(
             f"[detector] target_pfa: must be in (0, 1), got {cfg.detector.target_pfa}"

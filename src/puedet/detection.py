@@ -74,24 +74,24 @@ def detect_step(
 ) -> Verdict:
     """One detection decision from the current estimate and per-anchor RSS.
 
-    Single-anchor fusion uses the first (designated) anchor; or-fusion flags
-    an attacker if any anchor does.  The returned verdict carries the largest
-    residual among the anchors considered.
+    Every anchor is ranged and decided, whatever the fusion, so an anchor
+    whose RSS cannot be inverted fails the step under either.  Single-anchor
+    fusion then keeps the first (designated) anchor's verdict; or-fusion flags
+    an attacker if any anchor does, with the largest residual among them.
     """
     if not anchors or not rss_samples:
         raise InvalidInputError("need at least one (anchor, rss) pair")
     if len(anchors) != len(rss_samples):
         raise InvalidInputError("anchors and rss_samples must be parallel sequences")
-    pairs = [(anchors[0], rss_samples[0])]
-    if config.fusion == OR_ACROSS_ANCHORS:
-        pairs = list(zip(anchors, rss_samples))
     verdicts = []
-    for a, s in pairs:
+    for a, s in zip(anchors, rss_samples):
         try:
             d_rss = distance_from_rss(link, s.pr_db)
         except NumericalDegeneracyError as e:
             raise NumericalDegeneracyError(f"anchor {a.id!r}: {e}") from None
         verdicts.append(decide(anchor_distance(estimate, a), d_rss, config))
+    if config.fusion == SINGLE_ANCHOR:
+        return verdicts[0]
     best = max(verdicts, key=lambda v: v.residual)
     if any(v.is_attacker for v in verdicts):
         return Verdict(ATTACKER, best.d_kf, best.d_rss, best.residual)

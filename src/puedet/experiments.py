@@ -49,7 +49,6 @@ from .scenario import (
     Scenario,
     emit_position_measurement,
     emit_rss,
-    place_attacker_at_offset,
     truth_at,
 )
 from .tracking import (
@@ -57,7 +56,6 @@ from .tracking import (
     gain_and_updated_covariance,
     initial_estimate,
     predict_covariance,
-    track,
 )
 
 DEFAULT_CHUNK_SIZE = 20_000
@@ -379,12 +377,8 @@ def reference_trial(
     pos_gen.standard_normal((row, k_eval + 1, 2))
     rss_gen.standard_normal((row, len(scenario.anchors)))
 
-    times = [scenario.step_time(k) for k in range(k_eval + 1)]
     zs = [emit_position_measurement(scenario, k, pos_gen) for k in range(k_eval + 1)]
-    motion, meas_model = scenario.filter_models()
-    accels = scenario.step_accels(k_eval)
-    init = initial_estimate(zs[0], meas_model, scenario.v_max)
-    estimates = track(times, zs, motion, meas_model, init=init, accels=accels)
+    estimates = scenario.track(zs)
 
     tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
     samples = [emit_rss(scenario, tx, a, rss_gen) for a in scenario.anchors]
@@ -401,25 +395,22 @@ def attacker_positions(
 ) -> np.ndarray:
     """Attacker position of each of `n_trials` trials, shape (n_trials, 2):
     `distance` from the PU's true position at the evaluation step, at the
-    given absolute bearings (rad) in turn.
+    given absolute bearings (rad) in turn.  Raises InvalidInputError unless
+    `distance` is finite and >= 0.
 
     No bearings means the collinear pair toward / away from the designated
     anchor.  Off-axis bearings shrink the observable residual below the true
     PU-attacker distance; the collinear default keeps the sweep axis equal to
     the detectable offset, which is the regime the comparison figures assume.
     """
-    k_eval = scenario.evaluation_step
+    if not (math.isfinite(distance) and distance >= 0.0):
+        raise InvalidInputError(f"attacker distance must be >= 0, got {distance}")
+    pu = truth_at(scenario, scenario.evaluation_step)
     if not bearings:
-        pu = truth_at(scenario, k_eval)
         anchor = scenario.anchors[0]
         theta = math.atan2(anchor.y - pu.y, anchor.x - pu.x)
         bearings = (theta, theta + math.pi)
-    pos = np.array(
-        [
-            place_attacker_at_offset(scenario.trajectory, k_eval, distance, b, dt=scenario.dt)
-            for b in bearings
-        ]
-    )
+    pos = np.array([(pu.x + distance * math.cos(b), pu.y + distance * math.sin(b)) for b in bearings])
     return pos[np.arange(n_trials) % len(bearings)]
 
 

@@ -1,5 +1,6 @@
-"""World model: ground-truth trajectory, anchors, attacker placement, and the
-synthetic measurements (positions and RSS) fed to the tracker and detector.
+"""World model: ground-truth trajectory, anchors, the tracker run in that
+world, and the synthetic measurements (positions and RSS) fed to the tracker
+and detector.
 
 The ground truth is evaluated one step at a time by :func:`truth_at` and for
 every step at once, as an array, by :meth:`Scenario.truth_path`; the two agree
@@ -17,7 +18,14 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .propagation import LinkModel, NoiseModel, RssSample, sample_rss
-from .tracking import MeasurementModel, MotionModel, TargetState
+from .tracking import (
+    FilterEstimate,
+    MeasurementModel,
+    MotionModel,
+    TargetState,
+    initial_estimate,
+    track,
+)
 
 PU = "PU"
 PUE = "PUE"
@@ -85,12 +93,12 @@ class Trajectory:
         start: tuple[float, float],
         velocity: tuple[float, float],
         segments: Sequence[tuple[float, float, float]],
-        t0: float = 0.0,
     ) -> "Trajectory":
-        """Build from (duration, ax, ay) segments; waypoints are derived exactly."""
+        """Build from (duration, ax, ay) segments starting at time 0; waypoints
+        are derived exactly."""
         if not segments:
             raise InvalidInputError("need at least one segment")
-        times = [t0]
+        times = [0.0]
         positions = [tuple(float(c) for c in start)]
         velocities = [tuple(float(c) for c in velocity)]
         accels = []
@@ -146,8 +154,8 @@ class Scenario:
     The PU is tracked over n_steps sampling steps; at the designated decision
     step eval_step (None = final step) either the PU, at its true position, or
     the attacker, at attacker_pos, transmits, as each trial decides.
-    process_noise_std / v_max tune the tracker run inside the Monte Carlo
-    harness.
+    process_noise_std / v_max tune the tracker of this world, which
+    :meth:`track` runs over a measurement sequence.
     """
 
     trajectory: Trajectory
@@ -198,6 +206,16 @@ class Scenario:
         """The motion and measurement models of the tracker run in this world."""
         v = self.process_noise_std
         return MotionModel(self.dt, v * v, v * v), MeasurementModel.isotropic(self.meas_noise_std)
+
+    def track(self, measurements: Sequence) -> list[FilterEstimate]:
+        """The tracker of this world run over the measurements of steps
+        0..len - 1: :meth:`filter_models`, a start at the first measurement
+        (velocity spread v_max) and each step's trajectory acceleration as the
+        known input."""
+        accels = self.step_accels(len(measurements) - 1)
+        motion, meas_model = self.filter_models()
+        init = initial_estimate(measurements[0], meas_model, self.v_max)
+        return track(measurements, motion, meas_model, init, accels)
 
     def _step_segments(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Times of steps 0..upto and the trajectory segment of each, found as
@@ -258,17 +276,3 @@ def emit_rss(
         raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
     return sample_rss(scenario.link, dist, scenario.rss_noise, rng)
 
-
-def place_attacker_at_offset(
-    trajectory: Trajectory,
-    reference_step: int,
-    d_pu_pue: float,
-    bearing: float,
-    dt: float = 1.0,
-) -> tuple[float, float]:
-    """Attacker position at distance d_pu_pue from the PU's true position at
-    `reference_step`, along the given absolute bearing (rad)."""
-    if not (math.isfinite(d_pu_pue) and d_pu_pue >= 0.0):
-        raise InvalidInputError(f"d_pu_pue must be >= 0, got {d_pu_pue}")
-    ref = trajectory.state_at(trajectory.start_time + reference_step * dt)
-    return (ref.x + d_pu_pue * math.cos(bearing), ref.y + d_pu_pue * math.sin(bearing))

@@ -345,37 +345,29 @@ def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEst
 
 
 def track(
-    times: Sequence[float],
     measurements: Sequence,
     model: MotionModel,
     meas_model: MeasurementModel,
     init: FilterEstimate,
     accels: Sequence | None = None,
 ) -> list[FilterEstimate]:
-    """Filter a timestamped measurement sequence; one estimate per measurement.
+    """Filter a measurement sequence sampled every ``model.dt``; one estimate
+    per measurement.
 
-    The initial estimate is taken to be at the first measurement's time, so the
-    first output is `init` itself (see :func:`initial_estimate`).  Every later
-    step predicts over the gap between consecutive timestamps and then updates.
+    The initial estimate is taken to be at the first measurement, so the first
+    output is `init` itself (see :func:`initial_estimate`).  Every later step
+    predicts over ``model.dt`` with that step's acceleration input
+    (``accels[k]``, zero when absent) and then updates.
     """
-    times = [float(t) for t in times]
-    if len(times) == 0:
+    if len(measurements) == 0:
         raise InvalidInputError("measurement sequence must be non-empty")
-    if len(times) != len(measurements):
-        raise InvalidInputError("times and measurements must have equal length")
-    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise InvalidInputError("timestamps must be strictly increasing")
     if accels is not None and len(accels) != len(measurements):
         raise InvalidInputError("accels must have one entry per measurement")
 
     est = init
     out = [est]
-    step_model = None
-    for k in range(1, len(times)):
-        gap = times[k] - times[k - 1]
-        if step_model is None or gap != step_model.dt:
-            step_model = MotionModel(gap, model.sigma_wx2, model.sigma_wy2)
+    for k in range(1, len(measurements)):
         u = accels[k] if accels is not None else (0.0, 0.0)
-        est = update(predict(est, step_model, u), meas_model, measurements[k])
+        est = update(predict(est, model, u), meas_model, measurements[k])
         out.append(est)
     return out

@@ -32,10 +32,8 @@ from puedet.tracking import (
     MeasurementModel,
     MotionModel,
     TargetState,
-    initial_estimate,
     predict,
     symmetrize,
-    track,
     update,
 )
 
@@ -157,17 +155,13 @@ def test_criterion_1_kf_correctness_oracle():
 def test_criterion_2_tracking_fidelity():
     start = time.perf_counter()
     scen = default_scenario(meas_noise_std=5.0)
-    motion, meas_model = scen.filter_models()
-    accels = scen.step_accels(scen.n_steps - 1)
-    times = [scen.step_time(k) for k in range(scen.n_steps)]
     truth = scen.truth_path(scen.n_steps - 1)
 
     filt_rmse, raw_rmse = [], []
     for run in range(120):
         rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 2, run)))
         zs = truth + scen.meas_noise_std * rng.standard_normal((scen.n_steps, 2))
-        init = initial_estimate(zs[0], meas_model, scen.v_max)
-        ests = track(times, zs, motion, meas_model, init=init, accels=accels)
+        ests = scen.track(zs)
         est_pos = np.array([[e.state.x, e.state.y] for e in ests])
         filt_rmse.append(math.sqrt(np.mean(np.sum((est_pos - truth) ** 2, axis=1))))
         raw_rmse.append(math.sqrt(np.mean(np.sum((zs - truth) ** 2, axis=1))))

@@ -9,7 +9,6 @@ from puedet.cli import main
 from puedet.config import build_scenario, loads_config
 from puedet.experiments import block_streams
 from puedet.scenario import emit_position_measurement, truth_at
-from puedet.tracking import initial_estimate, track
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -78,9 +77,7 @@ class TestTrack:
         n = scen.n_steps
         times = [scen.step_time(k) for k in range(n)]
         zs = [emit_position_measurement(scen, k, gen) for k in range(n)]
-        motion, meas_model = scen.filter_models()
-        init = initial_estimate(zs[0], meas_model, scen.v_max)
-        ests = track(times, zs, motion, meas_model, init=init, accels=scen.step_accels(n - 1))
+        ests = scen.track(zs)
         expected = []
         for k in range(n):
             truth, z, s = truth_at(scen, k), zs[k], ests[k].state

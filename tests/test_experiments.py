@@ -1,9 +1,12 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, rss_baseline_decide
@@ -186,6 +189,89 @@ class TestBatchedEngineMatchesReference:
                 run_cell(scen, np.zeros(50, dtype=bool), np.zeros((50, 2)), 7)
             with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
                 reference_trial(scen, DetectorConfig(25.0), 7, 6)
+            # Under single fusion the second anchor still ranges every trial
+            # on the engine, so its overflow must fail the reference too.
+            two = default_scenario(
+                n_steps=20, anchors=SQUARE_ANCHORS[:2],
+                link=LinkModel(alpha=0.01), rss_noise=NoiseModel(40.0),
+            )
+            cfg = DetectorConfig(25.0, "single")
+            with pytest.raises(NumericalDegeneracyError, match="anchor 'a2'"):
+                run_trials(two, cfg, 1, 0.0, 0)
+            with pytest.raises(NumericalDegeneracyError, match="anchor 'a2'"):
+                reference_trial(two, cfg, 0, 0)
+
+    @given(
+        n_steps=st.integers(1, 40),
+        eval_step=st.integers(0, 39),
+        dt=st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.0)),
+        n_anchors=st.integers(1, 4),
+        fusion=st.sampled_from(("single", "or")),
+        meas_noise_std=st.sampled_from((0.0, 0.5, 5.0, 10.0)),
+        process_noise_std=st.sampled_from((0.0, 0.2, 1.0)),
+        alpha=st.sampled_from((0.01, 0.5, 2.0, 4.0)),
+        sigma_db=st.sampled_from((0.0, 1.0, 10.0, 40.0)),
+        seed=st.integers(0, 2**32 - 1),
+        is_pue=st.lists(st.booleans(), min_size=12, max_size=12),
+        distance=st.floats(0.0, 200.0),
+    )
+    # A second anchor overflowing under single fusion, which the engine
+    # ranged and the reference route once skipped.
+    @example(
+        n_steps=1, eval_step=0, dt=0.1, n_anchors=2, fusion="single",
+        meas_noise_std=0.0, process_noise_std=0.0, alpha=0.01, sigma_db=40.0,
+        seed=0, is_pue=[False] * 12, distance=0.0,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_differential_engine_vs_reference(
+        self, n_steps, eval_step, dt, n_anchors, fusion, meas_noise_std,
+        process_noise_std, alpha, sigma_db, seed, is_pue, distance,
+    ):
+        # Random valid scenarios, including zero noise and link parameters
+        # that push the RSS inversion out of the float range.
+        scen = default_scenario(
+            n_steps=n_steps,
+            eval_step=eval_step % n_steps,
+            dt=dt,
+            anchors=SQUARE_ANCHORS[:n_anchors],
+            meas_noise_std=meas_noise_std,
+            process_noise_std=process_noise_std,
+            link=LinkModel(alpha=alpha),
+            rss_noise=NoiseModel(sigma_db),
+        )
+        cfg = DetectorConfig(25.0, fusion)
+        n = len(is_pue)
+        is_pue = np.array(is_pue)
+        xy = attacker_positions(scen, distance, n, bearings=(0.3, 2.2, 4.1))
+
+        def engine(m):
+            return run_cell(scen, is_pue[:m], xy[:m], seed).outcomes(cfg)
+
+        def reference(i):
+            trial = replace(scen, attacker_pos=tuple(xy[i]))
+            return reference_trial(trial, cfg, seed, i, PUE if is_pue[i] else PU)
+
+        # A trial's outcome depends only on its index, so trial i is the
+        # first to fail iff the (i + 1)-trial prefix raises and the i-trial
+        # prefix does not.
+        n_ok = n
+        for m in range(1, n + 1):
+            try:
+                engine(m)
+            except (InvalidInputError, NumericalDegeneracyError) as exc:
+                n_ok = m - 1
+                with pytest.raises(type(exc)) as ref_exc:
+                    reference(n_ok)
+                named = re.match(r"anchor '[^']*'", str(exc))
+                if named:
+                    assert str(ref_exc.value).startswith(named.group())
+                break
+        for i, out in enumerate(engine(n_ok) if n_ok else []):
+            ref = reference(i)
+            assert out.scheduled == ref.scheduled
+            assert out.verdict == ref.verdict
+            assert out.seed == ref.seed
+            assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
 
 class TestMetrics:

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from puedet.config import ScenarioConfig, default_scenario
 from puedet.errors import InvalidInputError
+from puedet.experiments import attacker_positions
 from puedet.propagation import LinkModel, NoiseModel, distance_from_rss, received_power_db
+from puedet.tracking import initial_estimate, predict, update
 from puedet.scenario import (
     AnchorNode,
     Scenario,
     Trajectory,
     emit_position_measurement,
     emit_rss,
-    place_attacker_at_offset,
     truth_at,
 )
 
@@ -242,18 +243,25 @@ class TestEmissions:
             emit_rss(scen, truth_at(scen, 0).position, scen.anchors[0], np.random.default_rng(0))
 
 
+def place_attacker(traj, eval_step, d, bearing):
+    """The attacker position `attacker_positions` gives one trial whose
+    evaluation step is `eval_step`."""
+    scen = replace(simple_scenario(traj, n_steps=51), eval_step=eval_step)
+    return tuple(attacker_positions(scen, d, 1, bearings=(bearing,))[0].tolist())
+
+
 class TestAttackerPlacement:
     def test_zero_offset_coincides_with_pu(self):
         traj = line_trajectory(1.0, 0.0)
-        assert place_attacker_at_offset(traj, 5, 0.0, 1.234) == (5.0, 0.0)
+        assert place_attacker(traj, 5, 0.0, 1.234) == (5.0, 0.0)
 
     def test_offset_east(self):
         traj = line_trajectory(0.0, 0.0, start=(10.0, 10.0))
-        assert place_attacker_at_offset(traj, 0, 50.0, 0.0) == (60.0, 10.0)
+        assert place_attacker(traj, 0, 50.0, 0.0) == (60.0, 10.0)
 
     def test_offset_north(self):
         traj = line_trajectory(0.0, 0.0)
-        x, y = place_attacker_at_offset(traj, 0, 100.0, math.pi / 2)
+        x, y = place_attacker(traj, 0, 100.0, math.pi / 2)
         assert (x, y) == pytest.approx((0.0, 100.0), abs=1e-9)
 
     @given(
@@ -265,12 +273,40 @@ class TestAttackerPlacement:
     def test_offset_distance_is_exact(self, d, bearing, step):
         traj = line_trajectory(1.0, -0.5)
         ref = traj.state_at(float(step))
-        x, y = place_attacker_at_offset(traj, step, d, bearing)
+        x, y = place_attacker(traj, step, d, bearing)
         assert math.hypot(x - ref.x, y - ref.y) == pytest.approx(d, rel=1e-9, abs=1e-9)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidInputError):
-            place_attacker_at_offset(line_trajectory(), 0, -1.0, 0.0)
+            place_attacker(line_trajectory(), 0, -1.0, 0.0)
+
+
+class TestScenarioTrack:
+    def test_steps_at_the_model_dt(self):
+        # At dt = 0.1 the step times are not evenly spaced in floating point;
+        # the tracker must still predict over dt itself at every step.
+        scen = default_scenario(dt=0.1, meas_noise_std=5.0)
+        n = scen.n_steps
+        truth = scen.truth_path(n - 1)
+        zs = truth + 5.0 * np.random.default_rng(4).standard_normal((n, 2))
+        motion, meas_model = scen.filter_models()
+        acc = scen.step_accels(n - 1)
+        est = initial_estimate(zs[0], meas_model, scen.v_max)
+        expected = [est]
+        for k in range(1, n):
+            est = update(predict(est, motion, acc[k]), meas_model, zs[k])
+            expected.append(est)
+        got = scen.track(zs)
+        assert len(got) == n
+        for g, e in zip(got, expected):
+            assert g.state == e.state
+            assert np.array_equal(g.covariance, e.covariance)
+
+    def test_rejects_empty_or_overlong_sequences(self):
+        scen = default_scenario(n_steps=5)
+        for zs in ([], [(0.0, 0.0)] * 6):
+            with pytest.raises(InvalidInputError):
+                scen.track(zs)
 
 
 class TestScenarioValidation:

@@ -216,7 +216,7 @@ class TestUpdate:
 class TestTrack:
     def test_single_measurement_exact_init(self):
         init = est([4, 5, 1, 1], np.eye(4))
-        out = track([0.0], [np.array([4.0, 5.0])], MotionModel(1.0), MeasurementModel.isotropic(1.0), init=init)
+        out = track([np.array([4.0, 5.0])], MotionModel(1.0), MeasurementModel.isotropic(1.0), init=init)
         assert len(out) == 1
         assert out[0].state == init.state
 
@@ -227,7 +227,7 @@ class TestTrack:
         init = est([0, 0, 2, -1], np.diag([1, 1, 1, 1]))
         times = [float(k) for k in range(30)]
         zs = [np.array([2.0 * t, -1.0 * t]) for t in times]
-        out = track(times, zs, MotionModel(1.0), mm, init=init)
+        out = track(zs, MotionModel(1.0), mm, init=init)
         for t, e in zip(times, out):
             assert abs(e.state.x - 2.0 * t) <= 1e-9
             assert abs(e.state.y + 1.0 * t) <= 1e-9
@@ -244,7 +244,7 @@ class TestTrack:
             rng = np.random.default_rng(seed)
             truth = np.stack([3.0 * times, 100.0 - 2.0 * times], axis=1)
             zs = truth + 5.0 * rng.standard_normal(truth.shape)
-            out = track(times, list(zs), model, mm, init=initial_estimate(zs[0], mm, 10.0))
+            out = track(list(zs), model, mm, init=initial_estimate(zs[0], mm, 10.0))
             estpos = np.array([[e.state.x, e.state.y] for e in out])
             filt_se += np.sum((estpos - truth) ** 2)
             raw_se += np.sum((zs - truth) ** 2)
@@ -254,11 +254,9 @@ class TestTrack:
         mm = MeasurementModel.isotropic(1.0)
         init = initial_estimate(np.zeros(2), mm, 10.0)
         with pytest.raises(InvalidInputError):
-            track([], [], MotionModel(1.0), mm, init)
+            track([], MotionModel(1.0), mm, init)
         with pytest.raises(InvalidInputError):
-            track([0.0, 0.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init)
-        with pytest.raises(InvalidInputError):
-            track([0.0, 1.0], [np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init, accels=[(0, 0)])
+            track([np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init, accels=[(0, 0)])
 
 
 def test_initial_estimate_covariance():
