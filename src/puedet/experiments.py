@@ -11,14 +11,19 @@ one.  The batched engine shares the truth path and the covariance/gain
 recursion across trials (none of it depends on measurement data in a linear
 filter), and each sweep computes them once for all of its cells, as a weight
 map: the filter's estimate at the evaluation step is a fixed linear
-combination of the trial's position-noise draws plus a fixed offset.  Each
-chunk contracts its draws with the weights in one ``np.einsum``, whose sum
-for a row runs in an order that does not depend on how many rows the chunk
-has; BLAS ``@`` is not used because its blocking does, which would let
-results differ in the last bits between chunk sizes.  Everything else per
-trial is elementwise, so chunked and unchunked runs are bit-identical.
+combination of the trial's position-noise draws plus a fixed offset.  The
+weights are a C-contiguous (2, 2(K + 1)) block, so a chunk's (rows, 2(K + 1))
+draws and the weights are both contiguous along the summed axis, and one
+``np.einsum`` contracts them with numpy's contiguous dot loop.  That loop
+sums a row in an order that does not depend on how many rows the chunk has;
+BLAS ``@`` is not used because its blocking does, which would let results
+differ in the last bits between chunk sizes.  Everything else per trial is
+elementwise, so chunked and unchunked runs are bit-identical.
 :func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is scored
-at any threshold without re-running it.  :func:`reference_trial` is the plain
+at any threshold without re-running it.  The sweeps run their cells on one
+worker thread per CPU (numpy releases the GIL while it draws and contracts)
+and score them in cell order; a cell depends only on its own seed, so the
+results do not depend on the thread count.  :func:`reference_trial` is the plain
 one-trial-at-a-time statement of the same procedure, running the filter step
 by step; tests hold the two routes together.
 """
@@ -26,8 +31,10 @@ by step; tests hold the two routes together.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +65,10 @@ from .tracking import (
     predict_covariance,
 )
 
-DEFAULT_CHUNK_SIZE = 20_000
+# Position-noise draws per chunk by default: a chunk of a cell evaluated at
+# step K holds max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffers stay
+# small (and cache-resident) whatever K is.
+CHUNK_DRAWS = 1 << 15
 
 # Trials per seeding block: each block of trials owns one substream root.
 BLOCK = 4096
@@ -151,10 +161,11 @@ class _Kinematics(NamedTuple):
     K, and the Kalman filter's estimate there in weight form.
 
     The gains do not depend on the data, so the position estimate at K is
-    ``weights.T @ z + c``, where z is the measurements of steps 0..K
-    flattened to length 2(K + 1) and c comes from the acceleration inputs.
-    With z = truth + sigma_z * noise this is
-    ``sigma_z * (noise @ weights) + offset``, ``offset = weights.T @ truth + c``.
+    ``weights @ z + c``, where z is the measurements of steps 0..K flattened
+    to length 2(K + 1), ``weights`` is C-contiguous of shape (2, 2(K + 1))
+    and c comes from the acceleration inputs.  With
+    z = truth + sigma_z * noise this is
+    ``sigma_z * (noise @ weights.T) + offset``, ``offset = weights @ truth + c``.
     """
 
     truth: np.ndarray
@@ -192,8 +203,8 @@ def _kinematics_at(scenario: Scenario, steps: Sequence[int]) -> dict[int, _Kinem
             m = np.concatenate((f @ m, g), axis=1)
             c = f @ c + i_gc @ (b @ accels[k])
         if k in wanted:
-            weights = np.ascontiguousarray(m[:2].T)
-            offset = m[:2] @ truth[: k + 1].ravel() + c[:2]
+            weights = m[:2].copy()
+            offset = weights @ truth[: k + 1].ravel() + c[:2]
             if not (np.isfinite(weights).all() and np.isfinite(offset).all()):
                 raise InvalidInputError(f"filter weights at step {k} left the finite range")
             out[k] = _Kinematics(truth[k], weights, offset)
@@ -270,12 +281,11 @@ def run_cell(
         raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
     k_eval = scenario.evaluation_step
     n_anchors = len(scenario.anchors)
-    chunk = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
+    chunk = chunk_size if chunk_size is not None else max(1, CHUNK_DRAWS // (2 * (k_eval + 1)))
     if chunk < 1:
         raise InvalidInputError("chunk_size must be >= 1")
 
     truth, weights, offset = kinematics if kinematics is not None else _kinematics(scenario)
-    anchor_xy = np.array([[a.x, a.y] for a in scenario.anchors])
     link = scenario.link
     a_link = link.link_constant_db
     sigma_z = scenario.meas_noise_std
@@ -297,28 +307,36 @@ def run_cell(
             # The filter's estimate at the evaluation step, one row per trial.
             # einsum, not BLAS `@`: its per-row sum order does not depend on
             # the chunk's row count, which keeps chunking bit-exact.
-            est = np.einsum("mk,kj->mj", noise.reshape(m, -1), weights)
+            est = np.einsum("mk,jk->mj", noise.reshape(m, -1), weights)
             est *= sigma_z
             est += offset
             x, y = est[:, 0], est[:, 1]
 
+            # Every anchor's reading is emitted and checked before any is
+            # inverted, in the order reference_trial emits them; an
+            # overflowing reading or inversion is reported by the checks.
             tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth)
-            for j in range(n_anchors):
-                d_kf[lo:hi, j] = np.hypot(x - anchor_xy[j, 0], y - anchor_xy[j, 1])
-                d_tx = np.hypot(tx[:, 0] - anchor_xy[j, 0], tx[:, 1] - anchor_xy[j, 1])
+            pr = np.empty((m, n_anchors))
+            for j, anchor in enumerate(scenario.anchors):
+                d_kf[lo:hi, j] = np.hypot(x - anchor.x, y - anchor.y)
+                d_tx = np.hypot(tx[:, 0] - anchor.x, tx[:, 1] - anchor.y)
                 if (d_tx <= 0.0).any():
+                    raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pr[:, j] = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
+                bad = ~np.isfinite(pr[:, j])
+                if bad.any():
                     raise InvalidInputError(
-                        f"transmitter coincides with anchor {scenario.anchors[j].id!r}"
+                        f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}"
                     )
-                pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
-                # An overflowing inversion is reported by the check below.
-                with np.errstate(over="ignore"):
-                    d = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
-                if not np.isfinite(d).all():
+            with np.errstate(over="ignore"):
+                d = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
+            for j, anchor in enumerate(scenario.anchors):
+                if not np.isfinite(d[:, j]).all():
                     raise NumericalDegeneracyError(
-                        f"anchor {scenario.anchors[j].id!r}: RSS-implied distance left the finite range"
+                        f"anchor {anchor.id!r}: RSS-implied distance left the finite range"
                     )
-                d_rss[lo:hi, j] = d
+            d_rss[lo:hi] = d
 
     return Cell(is_pue, d_kf, d_rss, seeds)
 
@@ -387,6 +405,26 @@ def reference_trial(
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 
 
+def _run_cells(jobs: Sequence[tuple]) -> Iterator[Cell]:
+    """:func:`run_cell` of each job's arguments on one worker thread per CPU,
+    yielding the cells in job order.  A failed job raises its error when its
+    turn comes, so the first failing job in job order decides what a sweep
+    raises; the jobs not yet started are then cancelled, and every worker has
+    exited before the error leaves."""
+    # Imported on first use: the executor's imports (logging, queue) would
+    # add about 15 ms to the start-up of every command, sweep or not.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(len(jobs), os.cpu_count() or 1))
+    try:
+        futures = deque(pool.submit(run_cell, *job) for job in jobs)
+        while futures:
+            # Popped before it is yielded, so a cell lives only until scored.
+            yield futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def attacker_positions(
     scenario: Scenario,
     distance: float,
@@ -432,17 +470,17 @@ def sweep_distance(
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     kinematics = _kinematics(base)
-    reports = []
+    jobs, coords = [], []
     for i, d in enumerate(distances):
         attacker_xy = attacker_positions(base, d, n_trials, bearings)
         for j, snr in enumerate(snr_db_list):
             cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-            cell = run_cell(
+            jobs.append((
                 cell_scenario, is_pue, attacker_xy,
                 child_seed(master_seed, 0, i, j), chunk_size, kinematics,
-            )
-            reports.append(cell.score(config, SweepCoords(float(d), float(snr), config.tau)))
-    return reports
+            ))
+            coords.append(SweepCoords(float(d), float(snr), config.tau))
+    return [cell.score(config, c) for cell, c in zip(_run_cells(jobs), coords)]
 
 
 def sweep_roc(
@@ -474,18 +512,21 @@ def sweep_roc(
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
     kinematics = _kinematics(base)
-    reports = []
+    # Each SNR's calibration cell, then its evaluation cell.
+    jobs = []
     for j, snr in enumerate(snr_db_list):
         cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-        cal = run_cell(
-            cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-            child_seed(master_seed, 1, j, 0), chunk_size, kinematics,
-        )
+        jobs += [
+            (cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
+             child_seed(master_seed, 1, j, 0), chunk_size, kinematics),
+            (cell_scenario, is_pue, attacker_xy,
+             child_seed(master_seed, 1, j, 1), chunk_size, kinematics),
+        ]
+    cells = _run_cells(jobs)
+    reports = []
+    # zip(cells, cells) pairs each calibration cell with the evaluation cell after it.
+    for (cal, eval_cell), snr in zip(zip(cells, cells), snr_db_list):
         cal_residuals = cal.residuals(fusion)
-        eval_cell = run_cell(
-            cell_scenario, is_pue, attacker_xy,
-            child_seed(master_seed, 1, j, 1), chunk_size, kinematics,
-        )
         for target in pfa_targets:
             cfg = calibrate_tau(cal_residuals, target, fusion)
             reports.append(eval_cell.score(cfg, SweepCoords(float(d_pu_pue), float(snr), cfg.tau)))
@@ -532,15 +573,15 @@ def compare_baseline(
     # One recursion up to the latest evaluation step, snapshotted at each.
     kinematics = _kinematics_at(base, eval_steps)
 
+    jobs = [
+        (replace(base, eval_step=k), is_pue, attacker_xy,
+         child_seed(master_seed, 2, i), chunk_size, kinematics[k])
+        for i, k in enumerate(eval_steps)
+    ]
     rows = []
-    for i, (d, k) in enumerate(zip(distances, eval_steps)):
+    for cell, d, k in zip(_run_cells(jobs), distances, eval_steps):
         pos = kinematics[k].truth
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
-        cell_scenario = replace(base, eval_step=k)
-        cell = run_cell(
-            cell_scenario, is_pue, attacker_xy,
-            child_seed(master_seed, 2, i), chunk_size, kinematics[k],
-        )
         # The baseline reads the same RSS against its fixed reference.
         baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))
         coords = SweepCoords(float(d), None, config.tau)

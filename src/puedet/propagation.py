@@ -113,4 +113,10 @@ def sigma_from_snr(snr_db: float, calibration: float) -> NoiseModel:
         raise InvalidInputError(f"calibration must be > 0, got {calibration}")
     if not math.isfinite(snr_db):
         raise InvalidInputError(f"snr_db must be finite, got {snr_db}")
-    return NoiseModel(calibration * 10.0 ** (-snr_db / 20.0))
+    try:
+        sigma = calibration * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise InvalidInputError(f"snr_db = {snr_db} puts the noise level beyond the float range")
+    return NoiseModel(sigma)

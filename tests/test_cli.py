@@ -220,6 +220,14 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("puedet: error:")
 
+    def test_snr_beyond_float_range_is_an_error(self, tmp_path, capsys):
+        config = SMALL_SWEEP.replace("snr_db = -5 5", "snr_db = -5 -8000")
+        rc, _ = run_cli(tmp_path, "sweep-distance", config)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error:")
+        assert "-8000" in err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

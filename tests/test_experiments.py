@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puedet.config import default_scenario
-from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, rss_baseline_decide
+from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_tau, rss_baseline_decide
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.experiments import (
     BLOCK,
@@ -201,6 +202,18 @@ class TestBatchedEngineMatchesReference:
             with pytest.raises(NumericalDegeneracyError, match="anchor 'a2'"):
                 reference_trial(two, cfg, 0, 0)
 
+    def test_infinite_rss_reading_is_typed_on_both_routes(self):
+        # Trial 0's dB noise overflows the reading to +inf.  The engine once
+        # inverted it to d_rss = 0 and called the trial an attack.
+        scen = default_scenario(n_steps=5, rss_noise=NoiseModel(1e308))
+        cfg = DetectorConfig(25.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="pr_db must be finite, got inf"):
+                run_trials(scen, cfg, 1, 0.0, 1)
+            with pytest.raises(InvalidInputError, match="pr_db must be finite, got inf"):
+                reference_trial(scen, cfg, 1, 0)
+
     @given(
         n_steps=st.integers(1, 40),
         eval_step=st.integers(0, 39),
@@ -210,7 +223,7 @@ class TestBatchedEngineMatchesReference:
         meas_noise_std=st.sampled_from((0.0, 0.5, 5.0, 10.0)),
         process_noise_std=st.sampled_from((0.0, 0.2, 1.0)),
         alpha=st.sampled_from((0.01, 0.5, 2.0, 4.0)),
-        sigma_db=st.sampled_from((0.0, 1.0, 10.0, 40.0)),
+        sigma_db=st.sampled_from((0.0, 1.0, 10.0, 40.0, 1e308)),
         seed=st.integers(0, 2**32 - 1),
         is_pue=st.lists(st.booleans(), min_size=12, max_size=12),
         distance=st.floats(0.0, 200.0),
@@ -221,6 +234,13 @@ class TestBatchedEngineMatchesReference:
         n_steps=1, eval_step=0, dt=0.1, n_anchors=2, fusion="single",
         meas_noise_std=0.0, process_noise_std=0.0, alpha=0.01, sigma_db=40.0,
         seed=0, is_pue=[False] * 12, distance=0.0,
+    )
+    # An RSS reading that overflows to +inf, which the engine once inverted
+    # where the reference route rejected it.
+    @example(
+        n_steps=5, eval_step=4, dt=1.0, n_anchors=1, fusion="single",
+        meas_noise_std=5.0, process_noise_std=0.2, alpha=2.0, sigma_db=1e308,
+        seed=1, is_pue=[False] * 12, distance=0.0,
     )
     @settings(max_examples=80, deadline=None)
     def test_differential_engine_vs_reference(
@@ -518,6 +538,94 @@ class TestCompareBaseline:
         scen = default_scenario(n_steps=10)
         with pytest.raises(InvalidInputError, match="never reaches"):
             compare_baseline(scen, DetectorConfig(25.0), 10, 1, distances=(5000.0,))
+
+
+class TestSweepsMatchSerialCells:
+    """The sweeps run their cells on worker threads; each must equal a serial
+    loop of run_cell over the same child seeds, in cell order, and leave no
+    thread behind."""
+
+    def test_sweep_distance(self):
+        scen = default_scenario(n_steps=30)
+        cfg = DetectorConfig(25.0)
+        n, seed, cal = 300, 5, 0.15
+        distances, snrs = (20.0, 60.0), (-10.0, 0.0, 10.0)
+        threads = threading.active_count()
+        reports = sweep_distance(scen, distances, snrs, cfg, n, seed, cal, schedule_mix=0.5)
+        assert threading.active_count() == threads
+        is_pue = np.arange(n) < n // 2
+        serial = [
+            run_cell(
+                replace(scen, rss_noise=sigma_from_snr(snr, cal)), is_pue,
+                attacker_positions(scen, d, n), child_seed(seed, 0, i, j),
+            ).score(cfg, SweepCoords(d, snr, cfg.tau))
+            for i, d in enumerate(distances)
+            for j, snr in enumerate(snrs)
+        ]
+        assert reports == serial
+
+    def test_sweep_roc(self):
+        scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:2])
+        n, n_cal, seed, cal, d = 300, 200, 9, 0.15, 40.0
+        snrs, targets = (-10.0, 0.0, 10.0), (0.05, 0.2)
+        threads = threading.active_count()
+        reports = sweep_roc(
+            scen, d, snrs, targets, n, seed, cal, n_calibration=n_cal, schedule_mix=0.5, fusion="or",
+        )
+        assert threading.active_count() == threads
+        is_pue = np.arange(n) < n // 2
+        serial = []
+        for j, snr in enumerate(snrs):
+            cell_scen = replace(scen, rss_noise=sigma_from_snr(snr, cal))
+            legit = run_cell(
+                cell_scen, np.zeros(n_cal, bool), np.zeros((n_cal, 2)), child_seed(seed, 1, j, 0)
+            )
+            cell = run_cell(cell_scen, is_pue, attacker_positions(scen, d, n), child_seed(seed, 1, j, 1))
+            for target in targets:
+                tuned = calibrate_tau(legit.residuals("or"), target, "or")
+                serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
+        assert reports == serial
+
+    def test_compare_baseline(self):
+        scen = default_scenario(n_steps=60, rss_noise=sigma_from_snr(-10.0, 0.15))
+        cfg = DetectorConfig(25.0)
+        n, seed, distances = 300, 23, (20.0, 60.0, 150.0)
+        threads = threading.active_count()
+        rows = compare_baseline(scen, cfg, n, seed, distances, schedule_mix=0.5)
+        assert threading.active_count() == threads
+        start = truth_at(scen, 0).position
+        anchor = scen.anchors[0]
+        d_ref = math.dist(start, (anchor.x, anchor.y))
+        is_pue = np.arange(n) < n // 2
+        attacker_xy = np.tile(scen.attacker_pos, (n, 1))
+        for i, (d, row) in enumerate(zip(distances, rows, strict=True)):
+            k = next(k for k in range(scen.n_steps) if math.dist(truth_at(scen, k).position, start) >= d)
+            cell = run_cell(replace(scen, eval_step=k), is_pue, attacker_xy, child_seed(seed, 2, i))
+            coords = SweepCoords(d, None, cfg.tau)
+            assert row.proposed == cell.score(cfg, coords)
+            assert row.baseline == replace(cell, d_kf=np.full_like(cell.d_kf, d_ref)).score(cfg, coords)
+
+    def test_first_failing_cell_in_cell_order_decides_the_error(self):
+        # Cells run as (calibration, evaluation) per SNR.  SNR 0's evaluation
+        # cell fails only at its last trial, whose attacker sits on the anchor;
+        # both cells of SNR -40 fail at once, on an RSS inversion that
+        # overflows.  The evaluation cell of SNR 0 comes first in cell order.
+        scen = replace(collinear_scenario(n_steps=40), link=LinkModel(alpha=0.01))
+        pu = truth_at(scen, scen.evaluation_step).position
+        anchor = scen.anchors[0]
+        n = 3000
+        bearings = (math.pi,) * (n - 1) + (0.0,)
+        d = anchor.x - pu[0]
+        assert attacker_positions(scen, d, n, bearings)[-1].tolist() == [anchor.x, anchor.y]
+        kwargs = dict(n_calibration=10, bearings=bearings, schedule_mix=1.0)
+        threads = threading.active_count()
+        with pytest.raises(InvalidInputError, match="coincides with anchor 'a1'"):
+            sweep_roc(scen, d, (0.0, -40.0), (0.1,), n, 3, 1.0, **kwargs)
+        assert threading.active_count() == threads
+        # The cells of SNR -40 alone raise their own error.
+        with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
+            sweep_roc(scen, d, (-40.0,), (0.1,), n, 3, 1.0, **kwargs)
+        assert threading.active_count() == threads
 
 
 def test_calibrated_config_hits_target_roughly():

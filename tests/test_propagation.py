@@ -132,6 +132,12 @@ class TestSigmaFromSnr:
         with pytest.raises(InvalidInputError):
             sigma_from_snr(math.nan, 1.0)
 
+    def test_noise_beyond_float_range_is_typed(self):
+        # 10^(8000/20) overflows the power; 100 * 10^(6160/20) only the product.
+        for snr, c in ((-8000.0, 0.15), (-6160.0, 100.0)):
+            with pytest.raises(InvalidInputError, match=str(snr)):
+                sigma_from_snr(snr, c)
+
 
 def test_noise_model_rejects_negative_sigma():
     with pytest.raises(InvalidInputError):
