@@ -22,7 +22,7 @@ from .config import (
     serialize_config,
     validate_config,
 )
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import block_streams
 from .svgplot import line_chart
 
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out)
         _write_manifest(out, args.command, cfg)
-    except (ConfigError, InvalidInputError, OSError) as exc:
+    except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError) as exc:
         print(f"puedet: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -3,6 +3,15 @@
 State vector order is [x, y, vx, vy].  The filter is written as pure
 functions over small immutable values; nothing here holds mutable state,
 so concurrent use is safe.
+
+:func:`predict` and :func:`update` take one step.  :func:`track` runs a whole
+sequence through the same expressions.  Its covariance recursion does not
+depend on the data, so once the covariance reaches its exact floating-point
+fixed point (it returns itself bit for bit; step 132 for the stock tracker)
+the gain and covariance are reused instead of recomputed.  This is not an
+approximation: every estimate equals the per-step route's bit for bit.  A
+model with no fixed point, such as one with zero process noise, runs the
+full recursion at every step.
 """
 
 from __future__ import annotations
@@ -243,18 +252,53 @@ def _finite_pair(v, what: str) -> tuple[float, float]:
     raise InvalidInputError(f"{what} must be a finite 2-vector, got {v!r}")
 
 
-def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> FilterEstimate:
-    """Propagate the estimate through the motion model with a known acceleration input."""
-    ux, uy = _finite_pair(accel, "acceleration")
-    s = est.state
-    dt = model.dt
+def _finite_rows(values, what: str, first: int = 0) -> np.ndarray:
+    """``values`` as an (n, 2) float array with every entry finite.
+
+    One array pass on valid input.  Otherwise raises InvalidInputError naming
+    the first bad row, counted from ``first``; ragged or wrongly shaped input
+    is reported the same way, never as numpy's ValueError.
+    """
+    try:
+        a = np.asarray(values, dtype=float) if len(values) else np.empty((0, 2))
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.ndim == 2 and a.shape[1] == 2 and np.isfinite(a).all():
+        return a
+    for k, v in enumerate(values, first):
+        _finite_pair(v, f"{what} {k}")
+    raise InvalidInputError(f"{what}s must form an (n, 2) array")
+
+
+def _predicted_state(s: TargetState, dt: float, ux: float, uy: float) -> TargetState:
+    """The state carried over dt by the constant-velocity model under a known
+    acceleration (ux, uy)."""
     half = 0.5 * dt * dt
-    state = _state(
+    return _state(
         s.x + dt * s.vx + half * ux,
         s.y + dt * s.vy + half * uy,
         s.vx + dt * ux,
         s.vy + dt * uy,
     )
+
+
+def _corrected_state(s: TargetState, g: tuple, zx: float, zy: float) -> TargetState:
+    """The state moved by gain ``g`` (8 row-major floats) times the innovation
+    of the measurement (zx, zy)."""
+    g00, g01, g10, g11, g20, g21, g30, g31 = g
+    ix, iy = zx - s.x, zy - s.y
+    return _state(
+        s.x + (g00 * ix + g01 * iy),
+        s.y + (g10 * ix + g11 * iy),
+        s.vx + (g20 * ix + g21 * iy),
+        s.vy + (g30 * ix + g31 * iy),
+    )
+
+
+def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> FilterEstimate:
+    """Propagate the estimate through the motion model with a known acceleration input."""
+    ux, uy = _finite_pair(accel, "acceleration")
+    state = _predicted_state(est.state, model.dt, ux, uy)
     return _estimate(state, predict_covariance(est.covariance, model))
 
 
@@ -322,18 +366,8 @@ def gain_and_updated_covariance(
 def update(est: FilterEstimate, meas_model: MeasurementModel, z) -> FilterEstimate:
     """Correct the estimate with a position measurement z (m)."""
     zx, zy = _finite_pair(z, "measurement")
-    (g00, g01, g10, g11, g20, g21, g30, g31), p_new = _gain_and_posterior(
-        est.covariance, meas_model
-    )
-    s = est.state
-    ix, iy = zx - s.x, zy - s.y
-    state = _state(
-        s.x + (g00 * ix + g01 * iy),
-        s.y + (g10 * ix + g11 * iy),
-        s.vx + (g20 * ix + g21 * iy),
-        s.vy + (g30 * ix + g31 * iy),
-    )
-    return _estimate(state, p_new)
+    g, p_new = _gain_and_posterior(est.covariance, meas_model)
+    return _estimate(_corrected_state(est.state, g, zx, zy), p_new)
 
 
 def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEstimate:
@@ -357,17 +391,44 @@ def track(
     The initial estimate is taken to be at the first measurement, so the first
     output is `init` itself (see :func:`initial_estimate`).  Every later step
     predicts over ``model.dt`` with that step's acceleration input
-    (``accels[k]``, zero when absent) and then updates.
-    """
-    if len(measurements) == 0:
-        raise InvalidInputError("measurement sequence must be non-empty")
-    if accels is not None and len(accels) != len(measurements):
-        raise InvalidInputError("accels must have one entry per measurement")
+    (``accels[k]``, zero when absent; ``accels[0]`` is not used) and then
+    updates, exactly as ``update(predict(est, model, accels[k]), meas_model,
+    measurements[k])`` would.
 
-    est = init
-    out = [est]
-    for k in range(1, len(measurements)):
-        u = accels[k] if accels is not None else (0.0, 0.0)
-        est = update(predict(est, model, u), meas_model, measurements[k])
-        out.append(est)
+    The covariance recursion does not depend on the data.  Once a step
+    returns the covariance it was given, bit for bit, every later step would
+    return that same gain and covariance, so they are reused from then on:
+    all later estimates share that one covariance array, marked read-only.
+    A model whose recursion never repeats (zero process noise, say) runs it
+    at every step.  The inputs are validated up front, each as one (n, 2)
+    array.
+    """
+    n = len(measurements)
+    if n == 0:
+        raise InvalidInputError("measurement sequence must be non-empty")
+    if accels is not None and len(accels) != n:
+        raise InvalidInputError("accels must have one entry per measurement")
+    zs = _finite_rows(measurements, "measurement").tolist()
+    if accels is None:
+        us = [(0.0, 0.0)] * (n - 1)
+    else:
+        us = _finite_rows(accels[1:], "acceleration", first=1).tolist()
+
+    dt = model.dt
+    s, p = init.state, init.covariance
+    out = [init]
+    steady = False
+    for (ux, uy), (zx, zy) in zip(us, zs[1:]):
+        s = _predicted_state(s, dt, ux, uy)
+        if not steady:
+            g, p_new = _gain_and_posterior(predict_covariance(p, model), meas_model)
+            # Compared only between two outputs of the recursion (never with
+            # `init`, whose layout the caller chose), so both feed the same
+            # arithmetic.  Bytes, not ==, which equates -0.0 and 0.0.
+            steady = len(out) > 1 and p_new.tobytes() == p.tobytes()
+            if steady:
+                p_new.flags.writeable = False
+            p = p_new
+        s = _corrected_state(s, g, zx, zy)
+        out.append(_estimate(s, p))
     return out

@@ -3,12 +3,13 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from puedet.cli import main
 from puedet.config import build_scenario, loads_config
 from puedet.experiments import block_streams
-from puedet.scenario import emit_position_measurement, truth_at
+from puedet.scenario import Scenario, emit_position_measurement, truth_at
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -227,6 +228,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("puedet: error:")
         assert "-8000" in err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            # The RSS inversion overflows at an alpha of 0.01 and -40 dB SNR.
+            (
+                "sweep-distance",
+                "[scenario]\nsteps = 20\n[link]\nalpha = 0.01\n"
+                "[sweep]\nsnr_db = -40\n[run]\ntrials = 50\n",
+            ),
+            # With no noise at all the innovation covariance collapses to 0.
+            ("track", "[scenario]\nmeas_noise_std = 0.0\n[tracking]\nprocess_noise_std = 0.0\n"),
+        ],
+    )
+    def test_numerical_degeneracy_is_an_error(self, tmp_path, capsys, command, config):
+        rc, _ = run_cli(tmp_path, command, config)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("puedet: error:")
+
+    def test_non_finite_measurement_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # No valid config yields a non-finite measurement, so one is planted
+        # in the ground truth, past the tracker's covariance fixed point.
+        truth_path = Scenario.truth_path
+
+        def planted(self, upto):
+            truth = truth_path(self, upto)
+            truth[150] = np.nan
+            return truth
+
+        monkeypatch.setattr(Scenario, "truth_path", planted)
+        rc, _ = run_cli(tmp_path, "track", "")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error:")
+        assert "measurement 150" in err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")

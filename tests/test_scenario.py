@@ -281,26 +281,49 @@ class TestAttackerPlacement:
             place_attacker(line_trajectory(), 0, -1.0, 0.0)
 
 
+def per_step_track(scen, zs):
+    """Scenario.track stated as a plain update(predict(...)) loop."""
+    motion, meas_model = scen.filter_models()
+    acc = scen.step_accels(len(zs) - 1)
+    est = initial_estimate(zs[0], meas_model, scen.v_max)
+    out = [est]
+    for k in range(1, len(zs)):
+        est = update(predict(est, motion, acc[k]), meas_model, zs[k])
+        out.append(est)
+    return out
+
+
+def assert_tracks_equal(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.state == e.state
+        assert np.array_equal(g.covariance, e.covariance)
+
+
 class TestScenarioTrack:
     def test_steps_at_the_model_dt(self):
         # At dt = 0.1 the step times are not evenly spaced in floating point;
-        # the tracker must still predict over dt itself at every step.
-        scen = default_scenario(dt=0.1, meas_noise_std=5.0)
+        # the tracker must still predict over dt itself at every step.  2000
+        # steps run past the covariance's fixed point (step 1275 at dt = 0.1).
+        scen = default_scenario(dt=0.1, meas_noise_std=5.0, n_steps=2000)
         n = scen.n_steps
         truth = scen.truth_path(n - 1)
         zs = truth + 5.0 * np.random.default_rng(4).standard_normal((n, 2))
-        motion, meas_model = scen.filter_models()
-        acc = scen.step_accels(n - 1)
-        est = initial_estimate(zs[0], meas_model, scen.v_max)
-        expected = [est]
-        for k in range(1, n):
-            est = update(predict(est, motion, acc[k]), meas_model, zs[k])
-            expected.append(est)
+        assert_tracks_equal(scen.track(zs), per_step_track(scen, zs))
+
+    @pytest.mark.parametrize("process_noise_std", [0.2, 0.0])
+    def test_fixed_point_reuse_is_bit_exact(self, process_noise_std):
+        # The stock tracker's covariance repeats bit for bit at step 132 and
+        # is reused from there; with zero process noise it never repeats.
+        scen = default_scenario(process_noise_std=process_noise_std)
+        n = scen.n_steps
+        zs = scen.truth_path(n - 1) + 5.0 * np.random.default_rng(5).standard_normal((n, 2))
         got = scen.track(zs)
-        assert len(got) == n
-        for g, e in zip(got, expected):
-            assert g.state == e.state
-            assert np.array_equal(g.covariance, e.covariance)
+        assert_tracks_equal(got, per_step_track(scen, zs))
+        steady = process_noise_std > 0.0
+        assert got[150].covariance.flags.writeable is not steady
+        assert (got[150].covariance is got[-1].covariance) is steady
+        assert got[0].covariance.flags.writeable
 
     def test_rejects_empty_or_overlong_sequences(self):
         scen = default_scenario(n_steps=5)

@@ -250,6 +250,37 @@ class TestTrack:
             raw_se += np.sum((zs - truth) ** 2)
         assert filt_se < raw_se
 
+    @pytest.mark.parametrize(
+        "model, n, steady",
+        [
+            # Stock tracker: the covariance repeats bit for bit at step 132.
+            (MotionModel(1.0, 0.04, 0.04), 200, True),
+            # Zero process noise: P shrinks at every step and never repeats.
+            (MotionModel(1.0), 200, False),
+            (MotionModel(0.1, 0.04, 0.04), 2000, True),
+        ],
+    )
+    def test_equals_per_step_loop(self, model, n, steady):
+        rng = np.random.default_rng(11)
+        mm = MeasurementModel.isotropic(5.0)
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        init = initial_estimate(zs[0], mm, 10.0)
+        e = init
+        expected = [e]
+        for k in range(1, n):
+            e = update(predict(e, model, accels[k]), mm, zs[k])
+            expected.append(e)
+        got = track(zs, model, mm, init, accels)
+        assert len(got) == n
+        for g, e in zip(got, expected):
+            assert g.state == e.state
+            assert np.array_equal(g.covariance, e.covariance)
+        assert got[-1].covariance.flags.writeable is not steady
+        if steady:
+            assert got[-1].covariance is got[-2].covariance
+        assert init.covariance.flags.writeable
+
     def test_rejects_bad_sequences(self):
         mm = MeasurementModel.isotropic(1.0)
         init = initial_estimate(np.zeros(2), mm, 10.0)
@@ -257,6 +288,40 @@ class TestTrack:
             track([], MotionModel(1.0), mm, init)
         with pytest.raises(InvalidInputError):
             track([np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init, accels=[(0, 0)])
+        with pytest.raises(InvalidInputError, match="measurement 0"):
+            track(np.zeros((3, 3)), MotionModel(1.0), mm, init)
+
+    @pytest.mark.parametrize(
+        "what, k, bad",
+        [
+            # Past the stock model's fixed point, where no covariance is computed.
+            ("measurement", 150, (np.nan, 0.0)),
+            ("measurement", 150, (0.0, np.inf)),
+            # Ragged lists.
+            ("measurement", 7, (1.0,)),
+            ("measurement", 9, (1.0, 2.0, 3.0)),
+            ("acceleration", 1, (np.inf, 0.0)),
+            ("acceleration", 160, (0.0, np.nan)),
+        ],
+    )
+    def test_rejects_bad_entry_naming_its_step(self, what, k, bad):
+        mm = MeasurementModel.isotropic(5.0)
+        rows = {"measurement": [(float(j), 0.0) for j in range(200)], "acceleration": [(0.0, 0.0)] * 200}
+        rows[what][k] = bad
+        zs, accels = rows["measurement"], rows["acceleration"]
+        init = initial_estimate(zs[0], mm, 10.0)
+        with pytest.raises(InvalidInputError, match=f"{what} {k}"):
+            track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+
+    def test_first_acceleration_is_unused(self):
+        mm = MeasurementModel.isotropic(5.0)
+        zs = np.arange(20.0).reshape(10, 2)
+        init = initial_estimate(zs[0], mm, 10.0)
+        accels = np.ones((10, 2))
+        base = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+        accels[0] = (np.nan, np.inf)
+        out = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+        assert [e.state for e in out] == [e.state for e in base]
 
 
 def test_initial_estimate_covariance():
