@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .detection import OR_ACROSS_ANCHORS, SINGLE_ANCHOR, DetectorConfig
@@ -221,6 +222,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"[sweep] schedule_mix: must be in [0, 1], got {cfg.sweep.schedule_mix}"
         )
+    if not all(math.isfinite(b) for b in cfg.sweep.bearings):
+        raise ConfigError(f"[sweep] bearings: every bearing must be finite, got {cfg.sweep.bearings}")
     if cfg.sweep.roc_distance < 0:
         raise ConfigError(f"[sweep] roc_distance: must be >= 0, got {cfg.sweep.roc_distance}")
     if cfg.sweep.calibration_trials < 0:

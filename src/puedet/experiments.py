@@ -9,16 +9,17 @@ generator's trial-major draws, so results do not depend on chunking: a chunk
 continues its block's generators, and a smaller draw is a prefix of a larger
 one.  The batched engine shares the truth path and the covariance/gain
 recursion across trials (none of it depends on measurement data in a linear
-filter), and each sweep computes them once for all of its cells, as a weight
-map: the filter's estimate at the evaluation step is a fixed linear
-combination of the trial's position-noise draws plus a fixed offset.  The
-weights are a C-contiguous (2, 2(K + 1)) block, so a chunk's (rows, 2(K + 1))
-draws and the weights are both contiguous along the summed axis, and one
-``np.einsum`` contracts them with numpy's contiguous dot loop.  That loop
-sums a row in an order that does not depend on how many rows the chunk has;
-BLAS ``@`` is not used because its blocking does, which would let results
-differ in the last bits between chunk sizes.  Everything else per trial is
-elementwise, so chunked and unchunked runs are bit-identical.
+filter), and each sweep computes them once for all of its cells, as the
+weight map of :meth:`Scenario.estimate_weights`: the filter's estimate at the
+evaluation step is a fixed linear combination of the trial's position-noise
+draws plus a fixed offset.  The weights are a C-contiguous (2, 2(K + 1))
+block, so a chunk's (rows, 2(K + 1)) draws and the weights are both
+contiguous along the summed axis, and one ``np.einsum`` contracts them with
+numpy's contiguous dot loop.  That loop sums a row in an order that does not
+depend on how many rows the chunk has; BLAS ``@`` is not used because its
+blocking does, which would let results differ in the last bits between chunk
+sizes.  Everything else per trial is elementwise, so chunked and unchunked
+runs are bit-identical.
 :func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is scored
 at any threshold without re-running it.  The sweeps run their cells on one
 worker thread per CPU (numpy releases the GIL while it draws and contracts)
@@ -58,16 +59,10 @@ from .scenario import (
     emit_rss,
     truth_at,
 )
-from .tracking import (
-    MEASUREMENT_MATRIX,
-    gain_and_updated_covariance,
-    initial_estimate,
-    predict_covariance,
-)
 
-# Position-noise draws per chunk by default: a chunk of a cell evaluated at
-# step K holds max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffers stay
-# small (and cache-resident) whatever K is.
+# Position-noise draws per chunk: a chunk of a cell evaluated at step K holds
+# max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffers stay small (and
+# cache-resident) whatever K is.
 CHUNK_DRAWS = 1 << 15
 
 # Trials per seeding block: each block of trials owns one substream root.
@@ -155,65 +150,10 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _Kinematics(NamedTuple):
-    """What every trial of a cell shares, none of it dependent on noise,
-    anchors or the attacker: the PU's true position at the evaluation step
-    K, and the Kalman filter's estimate there in weight form.
-
-    The gains do not depend on the data, so the position estimate at K is
-    ``weights @ z + c``, where z is the measurements of steps 0..K flattened
-    to length 2(K + 1), ``weights`` is C-contiguous of shape (2, 2(K + 1))
-    and c comes from the acceleration inputs.  With
-    z = truth + sigma_z * noise this is
-    ``sigma_z * (noise @ weights.T) + offset``, ``offset = weights @ truth + c``.
-    """
-
-    truth: np.ndarray
-    weights: np.ndarray
-    offset: np.ndarray
-
-
-def _kinematics_at(scenario: Scenario, steps: Sequence[int]) -> dict[int, _Kinematics]:
-    """:class:`_Kinematics` for a cell evaluated at each of `steps`, from one
-    recursion up to the latest: the kinematics at step k are a snapshot taken
-    when the recursion passes k."""
-    wanted = set(steps)
-    last = max(wanted)
-    motion, meas_model = scenario.filter_models()
-    truth = scenario.truth_path(last)
-    accels = scenario.step_accels(last)
-    a = motion.transition_matrix()
-    b = motion.control_matrix()
-    p = initial_estimate(truth[0], meas_model, scenario.v_max).covariance
-    # State estimate at step k = m @ z + c.  Step 0 takes its position from
-    # z_0 and has zero velocity.  m only gains columns, so the operands of
-    # step k have the same shapes whatever step the recursion runs to.
-    m = MEASUREMENT_MATRIX.T.copy()
-    c = np.zeros(4)
-    out = {}
-    for k in range(last + 1):
-        if k:
-            # Covariance and gain are measurement-independent: one shared
-            # recursion through the exact same code path as tracking.track.
-            g, p = gain_and_updated_covariance(predict_covariance(p, motion), meas_model)
-            # Predict then update: x <- (I - G C)(A x + B u) + G z_k.
-            i_gc = np.eye(4)
-            i_gc[:, :2] -= g
-            f = i_gc @ a
-            m = np.concatenate((f @ m, g), axis=1)
-            c = f @ c + i_gc @ (b @ accels[k])
-        if k in wanted:
-            weights = m[:2].copy()
-            offset = weights @ truth[: k + 1].ravel() + c[:2]
-            if not (np.isfinite(weights).all() and np.isfinite(offset).all()):
-                raise InvalidInputError(f"filter weights at step {k} left the finite range")
-            out[k] = _Kinematics(truth[k], weights, offset)
-    return out
-
-
-def _kinematics(scenario: Scenario) -> _Kinematics:
+def _eval_weights(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scenario's :meth:`Scenario.estimate_weights` at its evaluation step."""
     k_eval = scenario.evaluation_step
-    return _kinematics_at(scenario, (k_eval,))[k_eval]
+    return scenario.estimate_weights((k_eval,))[k_eval]
 
 
 @dataclass(frozen=True)
@@ -261,8 +201,7 @@ def run_cell(
     is_pue: np.ndarray,
     attacker_xy: np.ndarray,
     master_seed: int,
-    chunk_size: int | None = None,
-    kinematics: _Kinematics | None = None,
+    weight_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Cell:
     """Run one cell's trials, vectorized: trial i transmits from
     ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
@@ -271,8 +210,9 @@ def run_cell(
     Per trial, the position generator of its block yields (eval_step + 1) x 2
     standard normals for position measurements and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `kinematics` is the scenario's shared truth and filter weights, passed
-    in by sweeps that share them across cells and computed here otherwise.
+    `weight_map` is the scenario's ``estimate_weights`` entry for the
+    evaluation step, passed in by sweeps that share it across cells and computed here
+    otherwise.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
@@ -281,11 +221,8 @@ def run_cell(
         raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
     k_eval = scenario.evaluation_step
     n_anchors = len(scenario.anchors)
-    chunk = chunk_size if chunk_size is not None else max(1, CHUNK_DRAWS // (2 * (k_eval + 1)))
-    if chunk < 1:
-        raise InvalidInputError("chunk_size must be >= 1")
-
-    truth, weights, offset = kinematics if kinematics is not None else _kinematics(scenario)
+    chunk = max(1, CHUNK_DRAWS // (2 * (k_eval + 1)))
+    truth, weights, offset = weight_map if weight_map is not None else _eval_weights(scenario)
     link = scenario.link
     a_link = link.link_constant_db
     sigma_z = scenario.meas_noise_std
@@ -347,8 +284,8 @@ def _schedule_labels(n_trials: int, schedule_mix: float) -> np.ndarray:
 
 
 def _validate_run_args(n_trials: int, schedule_mix: float, master_seed: int) -> None:
-    if n_trials < 1:
-        raise InvalidInputError(f"n_trials must be >= 1, got {n_trials}")
+    if not (isinstance(n_trials, (int, np.integer)) and n_trials >= 1):
+        raise InvalidInputError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     if not 0.0 <= schedule_mix <= 1.0:
         raise InvalidInputError(f"schedule_mix must be in [0, 1], got {schedule_mix}")
     if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
@@ -361,7 +298,6 @@ def run_trials(
     n_trials: int,
     schedule_mix: float,
     master_seed: int,
-    chunk_size: int | None = None,
 ) -> list[TrialOutcome]:
     """Run independent detection trials; each is a full tracking run evaluated
     at the scenario's designated step, with the trial's schedule label deciding
@@ -369,7 +305,7 @@ def run_trials(
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = np.tile(np.asarray(scenario_template.attacker_pos, float), (n_trials, 1))
-    return run_cell(scenario_template, is_pue, attacker_xy, master_seed, chunk_size).outcomes(config)
+    return run_cell(scenario_template, is_pue, attacker_xy, master_seed).outcomes(config)
 
 
 def reference_trial(
@@ -434,7 +370,7 @@ def attacker_positions(
     """Attacker position of each of `n_trials` trials, shape (n_trials, 2):
     `distance` from the PU's true position at the evaluation step, at the
     given absolute bearings (rad) in turn.  Raises InvalidInputError unless
-    `distance` is finite and >= 0.
+    `distance` is finite and >= 0 and every bearing is finite.
 
     No bearings means the collinear pair toward / away from the designated
     anchor.  Off-axis bearings shrink the observable residual below the true
@@ -443,6 +379,8 @@ def attacker_positions(
     """
     if not (math.isfinite(distance) and distance >= 0.0):
         raise InvalidInputError(f"attacker distance must be >= 0, got {distance}")
+    if bearings and not all(math.isfinite(b) for b in bearings):
+        raise InvalidInputError(f"attacker bearings must be finite, got {tuple(bearings)}")
     pu = truth_at(scenario, scenario.evaluation_step)
     if not bearings:
         anchor = scenario.anchors[0]
@@ -462,23 +400,19 @@ def sweep_distance(
     snr_calibration: float,
     bearings: Sequence[float] | None = None,
     schedule_mix: float = SweepSettings.schedule_mix,
-    chunk_size: int | None = None,
 ) -> list[MetricsReport]:
     """One MetricsReport per (attacker distance, SNR) cell, distance-major."""
     if not distances or not snr_db_list:
         raise InvalidInputError("distances and snr_db_list must be non-empty")
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
-    kinematics = _kinematics(base)
+    weight_map = _eval_weights(base)
     jobs, coords = [], []
     for i, d in enumerate(distances):
         attacker_xy = attacker_positions(base, d, n_trials, bearings)
         for j, snr in enumerate(snr_db_list):
             cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-            jobs.append((
-                cell_scenario, is_pue, attacker_xy,
-                child_seed(master_seed, 0, i, j), chunk_size, kinematics,
-            ))
+            jobs.append((cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 0, i, j), weight_map))
             coords.append(SweepCoords(float(d), float(snr), config.tau))
     return [cell.score(config, c) for cell, c in zip(_run_cells(jobs), coords)]
 
@@ -495,7 +429,6 @@ def sweep_roc(
     bearings: Sequence[float] | None = None,
     schedule_mix: float = SweepSettings.schedule_mix,
     fusion: str = SINGLE_ANCHOR,
-    chunk_size: int | None = None,
 ) -> list[MetricsReport]:
     """Calibrated-threshold operating points: per SNR, tau is fitted to each
     false-alarm target on a fresh legitimate-only calibration set and then
@@ -506,21 +439,20 @@ def sweep_roc(
         raise InvalidInputError("pfa targets must lie in (0, 1)")
     _validate_run_args(n_trials, schedule_mix, master_seed)
     n_cal = n_calibration if n_calibration is not None else n_trials
-    if n_cal < 1:
-        raise InvalidInputError("n_calibration must be >= 1")
+    if not (isinstance(n_cal, (int, np.integer)) and n_cal >= 1):
+        raise InvalidInputError(f"n_calibration must be an integer >= 1, got {n_cal!r}")
 
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
-    kinematics = _kinematics(base)
+    weight_map = _eval_weights(base)
     # Each SNR's calibration cell, then its evaluation cell.
     jobs = []
     for j, snr in enumerate(snr_db_list):
         cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
         jobs += [
             (cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-             child_seed(master_seed, 1, j, 0), chunk_size, kinematics),
-            (cell_scenario, is_pue, attacker_xy,
-             child_seed(master_seed, 1, j, 1), chunk_size, kinematics),
+             child_seed(master_seed, 1, j, 0), weight_map),
+            (cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), weight_map),
         ]
     cells = _run_cells(jobs)
     reports = []
@@ -551,7 +483,6 @@ def compare_baseline(
     master_seed: int,
     distances: Sequence[float],
     schedule_mix: float = SweepSettings.schedule_mix,
-    chunk_size: int | None = None,
 ) -> list[BaselineComparison]:
     """Paired evaluation of the tracking detector against the static-reference
     RSS baseline as the PU walks away from a fixed attacker.
@@ -571,16 +502,15 @@ def compare_baseline(
 
     eval_steps = [_eval_step_for_distance(base, reference, d) for d in distances]
     # One recursion up to the latest evaluation step, snapshotted at each.
-    kinematics = _kinematics_at(base, eval_steps)
+    weight_maps = base.estimate_weights(eval_steps)
 
     jobs = [
-        (replace(base, eval_step=k), is_pue, attacker_xy,
-         child_seed(master_seed, 2, i), chunk_size, kinematics[k])
+        (replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), weight_maps[k])
         for i, k in enumerate(eval_steps)
     ]
     rows = []
     for cell, d, k in zip(_run_cells(jobs), distances, eval_steps):
-        pos = kinematics[k].truth
+        pos = weight_maps[k][0]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.
         baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))
@@ -597,12 +527,11 @@ def calibrated_config(
     n_trials: int,
     master_seed: int,
     fusion: str = SINGLE_ANCHOR,
-    chunk_size: int | None = None,
 ) -> DetectorConfig:
     """Fit tau on legitimate-only trials of the given scenario."""
     _validate_run_args(n_trials, 0.0, master_seed)
     cal = run_cell(
         base, np.zeros(n_trials, dtype=bool), np.zeros((n_trials, 2)),
-        child_seed(master_seed, 3), chunk_size,
+        child_seed(master_seed, 3),
     )
     return calibrate_tau(cal.residuals(fusion), target_pfa, fusion)

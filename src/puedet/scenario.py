@@ -2,6 +2,9 @@
 world, and the synthetic measurements (positions and RSS) fed to the tracker
 and detector.
 
+:meth:`Scenario.track` runs the world's tracker; :meth:`Scenario.estimate_weights`
+states its estimate in the linear form that the Monte Carlo engine applies.
+
 The ground truth is evaluated one step at a time by :func:`truth_at` and for
 every step at once, as an array, by :meth:`Scenario.truth_path`; the two agree
 bit for bit.  All emissions are pure functions of (scenario, step, anchor, rng
@@ -25,6 +28,7 @@ from .tracking import (
     TargetState,
     initial_estimate,
     track,
+    track_weights,
 )
 
 PU = "PU"
@@ -177,8 +181,8 @@ class Scenario:
             raise InvalidInputError("scenario needs at least one anchor")
         if not (math.isfinite(self.meas_noise_std) and self.meas_noise_std >= 0.0):
             raise InvalidInputError("meas_noise_std must be >= 0")
-        if not all(math.isfinite(c) for c in self.attacker_pos):
-            raise InvalidInputError("attacker position must be finite")
+        if len(self.attacker_pos) != 2 or not all(math.isfinite(c) for c in self.attacker_pos):
+            raise InvalidInputError(f"attacker position must be a finite (x, y) pair, got {self.attacker_pos!r}")
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise InvalidInputError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         t_last = self.trajectory.start_time + (self.n_steps - 1) * self.dt
@@ -186,8 +190,10 @@ class Scenario:
             raise InvalidInputError(
                 f"{self.n_steps} steps span {t_last} s but trajectory ends at {self.trajectory.end_time} s"
             )
-        if self.eval_step is not None and not (0 <= self.eval_step < self.n_steps):
-            raise InvalidInputError(f"eval_step {self.eval_step} out of range")
+        if self.eval_step is not None and not (
+            isinstance(self.eval_step, (int, np.integer)) and 0 <= self.eval_step < self.n_steps
+        ):
+            raise InvalidInputError(f"eval_step must be an integer in [0, {self.n_steps}), got {self.eval_step!r}")
         if not (math.isfinite(self.process_noise_std) and self.process_noise_std >= 0.0):
             raise InvalidInputError("process_noise_std must be >= 0")
         if not (math.isfinite(self.v_max) and self.v_max > 0.0):
@@ -216,6 +222,26 @@ class Scenario:
         motion, meas_model = self.filter_models()
         init = initial_estimate(measurements[0], meas_model, self.v_max)
         return track(measurements, motion, meas_model, init, accels)
+
+    def estimate_weights(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The position estimate of :meth:`track` at each of `steps` in weight
+        form, ``{k: (truth_k, weights, offset)}``: over the measurements
+        ``truth + meas_noise_std * noise`` of steps 0..k it is
+        ``meas_noise_std * weights @ noise.ravel() + offset``, with ``weights``
+        C-contiguous of shape (2, 2(k + 1)).  ``offset`` is the noiseless
+        estimate, not yet ``truth_k`` while the filter converges."""
+        truth = self.truth_path(self.n_steps - 1)
+        motion, meas_model = self.filter_models()
+        init = initial_estimate(truth[0], meas_model, self.v_max)
+        maps = track_weights(steps, motion, meas_model, init.covariance, self.step_accels(self.n_steps - 1))
+        out = {}
+        for k, (m, c) in maps.items():
+            weights = m[:2].copy()
+            offset = weights @ truth[: k + 1].ravel() + c[:2]
+            if not (np.isfinite(weights).all() and np.isfinite(offset).all()):
+                raise InvalidInputError(f"filter weights at step {k} left the finite range")
+            out[k] = (truth[k], weights, offset)
+        return out
 
     def _step_segments(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Times of steps 0..upto and the trajectory segment of each, found as

@@ -5,13 +5,15 @@ functions over small immutable values; nothing here holds mutable state,
 so concurrent use is safe.
 
 :func:`predict` and :func:`update` take one step.  :func:`track` runs a whole
-sequence through the same expressions.  Its covariance recursion does not
-depend on the data, so once the covariance reaches its exact floating-point
-fixed point (it returns itself bit for bit; step 132 for the stock tracker)
-the gain and covariance are reused instead of recomputed.  This is not an
-approximation: every estimate equals the per-step route's bit for bit.  A
-model with no fixed point, such as one with zero process noise, runs the
-full recursion at every step.
+sequence through the same expressions, and :func:`track_weights` states the
+same filter in linear form: the estimate at step k as a fixed map of the
+measurements plus a fixed offset.  The covariance recursion does not depend
+on the data, so both consume one gain sequence, in which the gain and
+covariance are reused, not recomputed, once the covariance reaches its exact
+floating-point fixed point (it returns itself bit for bit; step 132 for the
+stock tracker).  This is not an approximation: every estimate equals the
+per-step route's bit for bit.  A model with no fixed point, such as one with
+zero process noise, runs the full recursion at every step.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from __future__ import annotations
 import math
 from math import isfinite
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalDegeneracyError
-
-# Fixed 2x4 position selector: measurements observe (x, y) only.
-MEASUREMENT_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 # Read-only template that MotionModel.transition_matrix copies.
 _IDENTITY4 = np.eye(4)
@@ -216,7 +216,8 @@ def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
     reproduce, and the product must round as the matrix definition does.
     (``ndarray.dot`` reaches the same kernel with less call overhead than
     ``@``.)  Q and the symmetrization are applied entry by entry.  Shared by
-    :func:`predict` and the batched Monte Carlo engine.  Raises
+    :func:`predict` and the gain sequence of :func:`track` and
+    :func:`track_weights`.  Raises
     InvalidInputError if the result is not finite.
     """
     a = model.transition_matrix()
@@ -303,11 +304,12 @@ def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> Filter
 
 
 def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tuple, np.ndarray]:
-    """:func:`gain_and_updated_covariance` with the gain as 8 row-major floats.
-
-    The gain itself is not checked here: :func:`update` multiplies every gain
-    entry into its checked state (inf * 0 is NaN), and
-    :func:`gain_and_updated_covariance` checks it before returning it.
+    """Kalman gain G = P C^T S^-1, as 8 row-major floats, and posterior
+    covariance (I - G C) P, with S = P[:2, :2] + R for the position selector
+    C; the posterior is computed on its upper triangle and mirrored, so it is
+    exactly symmetric.  Raises NumericalDegeneracyError when S is singular and
+    InvalidInputError when the posterior is not finite.  The gain is not
+    checked: its consumers check what it is multiplied into (inf * 0 is NaN).
     """
     (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33) = (
         p.tolist()
@@ -344,25 +346,6 @@ def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tu
     return (g00, g01, g10, g11, g20, g21, g30, g31), p_new
 
 
-def gain_and_updated_covariance(
-    p: np.ndarray, meas_model: MeasurementModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kalman gain G = P C^T S^-1 and the posterior covariance (I - G C) P,
-    with innovation covariance S = C P C^T + R = P[:2, :2] + R.
-
-    Expanded on the position-selector C, so no matrix is built; the
-    posterior is computed on its upper triangle and mirrored, so it is
-    exactly symmetric.  Shared by :func:`update` and the batched Monte Carlo
-    engine so both consume identical gain values.  Raises
-    NumericalDegeneracyError when S is singular and InvalidInputError when
-    the result is not finite.
-    """
-    g, p_new = _gain_and_posterior(p, meas_model)
-    if not all(map(isfinite, g)):
-        raise InvalidInputError("Kalman gain left the finite range")
-    return np.array(g).reshape(4, 2), p_new
-
-
 def update(est: FilterEstimate, meas_model: MeasurementModel, z) -> FilterEstimate:
     """Correct the estimate with a position measurement z (m)."""
     zx, zy = _finite_pair(z, "measurement")
@@ -395,13 +378,12 @@ def track(
     updates, exactly as ``update(predict(est, model, accels[k]), meas_model,
     measurements[k])`` would.
 
-    The covariance recursion does not depend on the data.  Once a step
-    returns the covariance it was given, bit for bit, every later step would
-    return that same gain and covariance, so they are reused from then on:
-    all later estimates share that one covariance array, marked read-only.
-    A model whose recursion never repeats (zero process noise, say) runs it
-    at every step.  The inputs are validated up front, each as one (n, 2)
-    array.
+    The covariance recursion does not depend on the data.  Once it reaches
+    its exact fixed point, its gain and covariance are reused (see
+    :func:`_gains`): all later estimates share that one covariance array,
+    marked read-only.  A model whose recursion never repeats (zero process
+    noise, say) runs it at every step.  The inputs are validated up front,
+    each as one (n, 2) array.
     """
     n = len(measurements)
     if n == 0:
@@ -415,20 +397,72 @@ def track(
         us = _finite_rows(accels[1:], "acceleration", first=1).tolist()
 
     dt = model.dt
-    s, p = init.state, init.covariance
+    s = init.state
     out = [init]
-    steady = False
-    for (ux, uy), (zx, zy) in zip(us, zs[1:]):
-        s = _predicted_state(s, dt, ux, uy)
-        if not steady:
-            g, p_new = _gain_and_posterior(predict_covariance(p, model), meas_model)
-            # Compared only between two outputs of the recursion (never with
-            # `init`, whose layout the caller chose), so both feed the same
-            # arithmetic.  Bytes, not ==, which equates -0.0 and 0.0.
-            steady = len(out) > 1 and p_new.tobytes() == p.tobytes()
-            if steady:
-                p_new.flags.writeable = False
-            p = p_new
-        s = _corrected_state(s, g, zx, zy)
+    # The gain sequence last, so that zip never asks it for a step past the end.
+    for (ux, uy), (zx, zy), (g, p) in zip(us, zs[1:], _gains(init.covariance, model, meas_model)):
+        s = _corrected_state(_predicted_state(s, dt, ux, uy), g, zx, zy)
         out.append(_estimate(s, p))
     return out
+
+
+def track_weights(
+    steps: Sequence[int],
+    model: MotionModel,
+    meas_model: MeasurementModel,
+    init_covariance: np.ndarray,
+    accels: Sequence,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """:func:`track` in linear form: ``{k: (m, c)}`` in step order, so that
+    the state estimate at step k is ``m @ z + c`` for the measurements z of
+    steps 0..k flattened to length 2(k + 1), with m of shape (4, 2(k + 1)).
+
+    The gains do not depend on the data; c comes from ``accels[1..k]``.  The
+    start is at z_0 with zero velocity and `init_covariance` (see
+    :func:`initial_estimate`).  One recursion runs to the latest step, each
+    of which must index a row of `accels`, and is snapshotted at every step.
+    """
+    wanted = set(steps)
+    n = len(accels)
+    if not wanted or not all(isinstance(k, (int, np.integer)) and 0 <= k < n for k in wanted):
+        raise InvalidInputError(f"steps must be integers in [0, {n}), got {steps!r}")
+    last = max(wanted)
+    us = _finite_rows(accels[1 : last + 1], "acceleration", first=1)
+    a = model.transition_matrix()
+    b = model.control_matrix()
+    # Step 0 takes its position from z_0 and has zero velocity.  m only gains
+    # columns, so the operands of step k have the same shapes whatever step
+    # the recursion runs to.
+    m = np.eye(4, 2)
+    c = np.zeros(4)
+    out = {0: (m, c)} if 0 in wanted else {}
+    for k, u, (g, _) in zip(range(1, last + 1), us, _gains(init_covariance, model, meas_model)):
+        # Predict then update: x <- (I - G C)(A x + B u) + G z_k.
+        g = np.array(g).reshape(4, 2)
+        i_gc = np.eye(4)
+        i_gc[:, :2] -= g
+        f = i_gc @ a
+        m = np.concatenate((f @ m, g), axis=1)
+        c = f @ c + i_gc @ (b @ u)
+        if k in wanted:
+            out[k] = (m, c)
+    return out
+
+
+def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel) -> Iterator[tuple]:
+    """The gain (8 row-major floats) and posterior covariance of each step
+    after the first, without end, from the covariance `p` of step 0.
+
+    Once a step returns the covariance it was given, bit for bit, every later
+    step would too, so that gain and covariance (marked read-only) are yielded
+    from then on.  Only two outputs of the recursion are compared, never `p`,
+    whose layout the caller chose; as bytes, since == equates -0.0 and 0.0.
+    """
+    g, p = _gain_and_posterior(predict_covariance(p, model), meas_model)
+    while True:
+        yield g, p
+        g, p_new = _gain_and_posterior(predict_covariance(p, model), meas_model)
+        if p_new.tobytes() == p.tobytes():
+            p_new.flags.writeable = False
+            yield from repeat((g, p_new))
+        p = p_new

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from puedet import experiments
 from puedet.cli import main
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, DetectorConfig, decide
@@ -306,7 +307,7 @@ def test_criterion_8_noiseless_end_to_end():
     passed(8, f"noiseless residual == d_pu_pue within 1e-9; pd flips 1 -> 0 exactly at tau = d")
 
 
-def test_criterion_9_reproducibility(tmp_path):
+def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     config_text = """
 [scenario]
 steps = 50
@@ -332,8 +333,7 @@ seed = 31
     scen = default_scenario(n_steps=50)
     kwargs = dict(snr_calibration=CALIBRATION)
     a = sweep_distance(scen, (30.0, 90.0), (-5.0, 5.0), DetectorConfig(TAU), 400, 31, **kwargs)
-    b = sweep_distance(
-        scen, (30.0, 90.0), (-5.0, 5.0), DetectorConfig(TAU), 400, 31, chunk_size=7, **kwargs
-    )
+    monkeypatch.setattr(experiments, "CHUNK_DRAWS", 7 * 2 * scen.n_steps)  # 7 trials a chunk
+    b = sweep_distance(scen, (30.0, 90.0), (-5.0, 5.0), DetectorConfig(TAU), 400, 31, **kwargs)
     assert a == b
     passed(9, "byte-identical CSV on rerun; chunked and unchunked sweeps agree exactly")

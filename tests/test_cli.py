@@ -264,6 +264,15 @@ class TestErrors:
         assert err.startswith("puedet: error:")
         assert "measurement 150" in err
 
+    @pytest.mark.parametrize("bearings", ["inf", "0.5 nan"])
+    def test_non_finite_bearing_is_a_config_error(self, tmp_path, capsys, bearings):
+        config = SMALL_SWEEP.replace("[run]", f"bearings = {bearings}\n\n[run]")
+        rc, _ = run_cli(tmp_path, "sweep-distance", config)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error:")
+        assert "[sweep] bearings" in err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

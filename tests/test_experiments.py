@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from puedet import experiments
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_tau, rss_baseline_decide
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
@@ -80,12 +81,14 @@ class TestRunTrials:
         b = run_trials(scen, DetectorConfig(10.0), 64, 0.5, master_seed=77)
         assert a == b
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
         n = BLOCK + 50  # the last chunks cross a seeding-block boundary
         whole = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5)
+        draws_per_trial = 2 * scen.n_steps
         for chunk_size in (3, 1000):  # neither divides the block
-            pieces = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5, chunk_size=chunk_size)
+            monkeypatch.setattr(experiments, "CHUNK_DRAWS", chunk_size * draws_per_trial)
+            pieces = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5)
             assert pieces == whole, chunk_size
 
     def test_fewer_trials_are_a_prefix(self):
@@ -120,6 +123,13 @@ class TestRunTrials:
             run_trials(scen, cfg, 10, 0.5, -3)
         with pytest.raises(InvalidInputError):
             reference_trial(scen, cfg, 1, 0, "bogus")
+
+    def test_trial_counts_must_be_integers(self):
+        scen = collinear_scenario()
+        with pytest.raises(InvalidInputError, match="n_trials"):
+            run_trials(scen, DetectorConfig(10.0), 2.5, 0.5, 1)
+        with pytest.raises(InvalidInputError, match="n_calibration"):
+            sweep_roc(scen, 30.0, [0.0], [0.1], 10, 1, snr_calibration=0.15, n_calibration=2.5)
 
 
 class TestBatchedEngineMatchesReference:
@@ -634,3 +644,12 @@ def test_calibrated_config_hits_target_roughly():
     outs = run_trials(scen, cfg, 4000, 0.0, master_seed=4)
     pfa = metrics(outs).pfa
     assert abs(pfa - 0.1) <= 3 * math.sqrt(0.1 * 0.9 / 4000) + 3 * math.sqrt(0.1 * 0.9 / 5000)
+
+
+@pytest.mark.parametrize("bearing", [math.inf, -math.inf, math.nan])
+def test_attacker_positions_reject_non_finite_bearings(bearing):
+    scen = collinear_scenario()
+    with pytest.raises(InvalidInputError, match="bearings must be finite"):
+        attacker_positions(scen, 30.0, 4, bearings=(0.0, bearing))
+    with pytest.raises(InvalidInputError, match="bearings must be finite"):
+        sweep_distance(scen, [30.0], [0.0], DetectorConfig(10.0), 4, 1, 0.15, bearings=(bearing,))

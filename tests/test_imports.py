@@ -47,3 +47,21 @@ def test_no_cross_module_private_import(path):
 )
 def test_guard_recognizes_private_imports(source, flagged):
     assert bool(private_imports(ast.parse(source))) == flagged
+
+
+def test_experiments_reach_the_tracker_only_through_the_scenario():
+    """The scenario owns its tracker: the Monte Carlo engine takes the filter's
+    weight map from ``Scenario.estimate_weights`` and imports nothing from
+    ``puedet.tracking`` itself."""
+    tree = ast.parse((ROOT / "src" / "puedet" / "experiments.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "tracking" for name in names):
+            found.append(f"line {node.lineno}")
+    assert found == []

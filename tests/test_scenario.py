@@ -332,7 +332,54 @@ class TestScenarioTrack:
                 scen.track(zs)
 
 
+class TestEstimateWeights:
+    @pytest.mark.parametrize("process_noise_std", [0.2, 0.0])
+    def test_weight_form_equals_track(self, process_noise_std):
+        # At steps 0, 1 and 5 the filter is still converging from its
+        # zero-velocity start, so the offset is not the truth there.
+        scen = default_scenario(process_noise_std=process_noise_std)
+        k_last = scen.n_steps - 1
+        sigma_z = scen.meas_noise_std
+        truth = scen.truth_path(k_last)
+        noise = np.random.default_rng(6).standard_normal((k_last + 1, 2))
+        estimates = scen.track(truth + sigma_z * noise)
+        maps = scen.estimate_weights((0, 1, 5, k_last))
+        assert list(maps) == [0, 1, 5, k_last]
+        for k, (truth_k, weights, offset) in maps.items():
+            assert np.array_equal(truth_k, truth[k])
+            assert weights.shape == (2, 2 * (k + 1)) and weights.flags.c_contiguous
+            got = sigma_z * weights @ noise[: k + 1].ravel() + offset
+            assert np.abs(got - estimates[k].state.position).max() <= 1e-9, k
+        assert np.abs(maps[1][2] - maps[1][0]).max() > 0.1
+
+    def test_one_recursion_equals_single_steps_bit_for_bit(self):
+        scen = default_scenario()
+        steps = (7, 0, 150, 1, 199)
+        maps = scen.estimate_weights(steps)
+        assert list(maps) == sorted(steps)
+        for k in steps:
+            (single,) = scen.estimate_weights((k,)).values()
+            for a, b in zip(maps[k], single):
+                assert a.tobytes() == b.tobytes(), k
+
+    @pytest.mark.parametrize("steps", [(), (-1,), (200,), (3.0,), (5, 2.5)])
+    def test_rejects_bad_steps(self, steps):
+        with pytest.raises(InvalidInputError, match="steps"):
+            default_scenario().estimate_weights(steps)
+
+
 class TestScenarioValidation:
+    def test_eval_step_must_be_an_integer_in_range(self):
+        for eval_step in (3.0, -1, 200):
+            with pytest.raises(InvalidInputError, match="eval_step"):
+                default_scenario(eval_step=eval_step)
+        assert default_scenario(eval_step=np.int64(3)).evaluation_step == 3
+
+    def test_attacker_position_must_be_a_finite_pair(self):
+        for pos in ((100.0, 100.0, 7.0), (100.0,), (np.nan, 0.0)):
+            with pytest.raises(InvalidInputError, match="attacker position"):
+                default_scenario(attacker_pos=pos)
+
     def test_bad_step_count(self):
         for n_steps in (0, -1, 2.0):
             with pytest.raises(InvalidInputError, match="n_steps"):

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.tracking import (
-    MEASUREMENT_MATRIX,
     FilterEstimate,
     MeasurementModel,
     MotionModel,
     TargetState,
-    gain_and_updated_covariance,
     initial_estimate,
     is_valid_covariance,
     predict,
     symmetrize,
     track,
+    track_weights,
     update,
 )
 
@@ -31,6 +30,13 @@ def est(state, cov):
 def random_psd(rng, scale=10.0):
     m = rng.standard_normal((4, 4)) * scale
     return m @ m.T + 1e-6 * np.eye(4)
+
+
+def gain(p, mm):
+    """The Kalman gain at covariance p, column by column: from a zero state,
+    update moves the state by the gain times a unit innovation."""
+    cols = [update(est([0, 0, 0, 0], p), mm, z).state.as_array() for z in ((1.0, 0.0), (0.0, 1.0))]
+    return np.stack(cols, axis=1)
 
 
 class TestModels:
@@ -49,9 +55,6 @@ class TestModels:
         m = MotionModel(0.7, 0.04, 0.09)
         b = m.control_matrix()
         assert np.allclose(m.process_noise(), b @ np.diag([0.04, 0.09]) @ b.T, atol=1e-15)
-
-    def test_measurement_matrix_is_position_selector(self):
-        assert np.array_equal(MEASUREMENT_MATRIX, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -144,8 +147,7 @@ class TestUpdate:
         out = update(start, mm, (500.0, 500.0))
         delta = np.linalg.norm(out.state.as_array() - start.state.as_array())
         assert delta <= 1e-6 * np.linalg.norm(start.state.as_array())
-        g, _ = gain_and_updated_covariance(start.covariance, mm)
-        assert np.abs(g).max() <= 1e-10
+        assert np.abs(gain(start.covariance, mm)).max() <= 1e-10
 
     def test_exact_measurement_limit(self):
         out = update(est([5, 5, 1, 1], np.eye(4)), MeasurementModel(np.zeros((2, 2))), (9.0, 2.0))
@@ -171,7 +173,7 @@ class TestUpdate:
 
     def test_trace_never_grows(self):
         rng = np.random.default_rng(7)
-        c = MEASUREMENT_MATRIX
+        c = np.eye(2, 4)
         for _ in range(50):
             p = random_psd(rng)
             mm = MeasurementModel.isotropic(rng.uniform(0.1, 10))
@@ -207,8 +209,8 @@ class TestUpdate:
     def test_gain_monotone_in_measurement_noise(self, p1, p2, r1, r2):
         lo, hi = min(r1, r2), max(r1, r2)
         p = np.diag([p1, p2, 1.0, 1.0])
-        g_lo, _ = gain_and_updated_covariance(p, MeasurementModel(np.diag([lo, lo])))
-        g_hi, _ = gain_and_updated_covariance(p, MeasurementModel(np.diag([hi, hi])))
+        g_lo = gain(p, MeasurementModel(np.diag([lo, lo])))
+        g_hi = gain(p, MeasurementModel(np.diag([hi, hi])))
         assert g_lo[0, 0] >= g_hi[0, 0] - 1e-12
         assert g_lo[1, 1] >= g_hi[1, 1] - 1e-12
 
@@ -322,6 +324,31 @@ class TestTrack:
         accels[0] = (np.nan, np.inf)
         out = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
         assert [e.state for e in out] == [e.state for e in base]
+
+    @pytest.mark.parametrize(
+        "model", [MotionModel(1.0, 0.04, 0.04), MotionModel(1.0), MotionModel(0.1, 0.04, 0.04)]
+    )
+    def test_weights_are_track_in_linear_form(self, model):
+        rng = np.random.default_rng(12)
+        mm = MeasurementModel.isotropic(5.0)
+        n = 300
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        init = initial_estimate(zs[0], mm, 10.0)
+        expected = track(zs, model, mm, init, accels)
+        maps = track_weights((n - 1, 140, 1, 0), model, mm, init.covariance, accels)
+        assert list(maps) == [0, 1, 140, n - 1]
+        for k, (m, c) in maps.items():
+            got = m @ zs[: k + 1].ravel() + c
+            assert np.abs(got - expected[k].state.as_array()).max() <= 1e-9, k
+
+    def test_weights_reject_bad_accelerations(self):
+        mm = MeasurementModel.isotropic(5.0)
+        init = initial_estimate(np.zeros(2), mm, 10.0)
+        accels = np.zeros((10, 2))
+        accels[4] = (np.nan, 0.0)
+        with pytest.raises(InvalidInputError, match="acceleration 4"):
+            track_weights((9,), MotionModel(1.0, 0.04, 0.04), mm, init.covariance, accels)
 
 
 def test_initial_estimate_covariance():
