@@ -7,11 +7,11 @@ Subcommands: track, sweep-distance, sweep-roc, compare-baseline.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments
 from .config import (
@@ -27,23 +27,27 @@ from .experiments import block_streams
 from .svgplot import line_chart
 
 
-def _cell(value) -> str:
-    """One CSV cell: floats at 9 significant digits, empty for absent."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise InvalidInputError("refusing to write a non-finite value to CSV")
-        return format(value, ".9g")
-    return str(value)
+_BLOCK_ROWS = 4096
+_SWEEP_SPECS = ["%.9g"] * 3 + ["%d"] * 2 + ["%.9g"] * 3
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows, specs: list[str]) -> None:
+    """Write `rows` (lists or a 2-D array) under `header`, each column in its
+    %-spec of `specs`, an absent (None) cell empty.  Every value is checked
+    finite before the file is opened; rows are formatted a block at a time."""
+    table = np.array(rows, dtype=float).reshape(len(rows), len(specs))  # an absent cell reads as nan
+    absent = ~np.isfinite(table)
+    if any(rows[i][j] is not None for i, j in np.argwhere(absent)):
+        raise InvalidInputError(f"refusing to write a non-finite value to {path.name}")
+    formats = [",".join(specs) + "\n"] * len(table)
+    for i in np.flatnonzero(absent.any(axis=1)):
+        # "%.0s" prints an absent cell's nan as nothing.
+        formats[i] = ",".join(np.where(absent[i], "%.0s", specs)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            fh.write("".join(map(str.__mod__, formats[block], map(tuple, table[block].tolist()))))
 
 
 def _write_manifest(out: Path, command: str, cfg: ExperimentConfig) -> None:
@@ -65,29 +69,27 @@ def _resolve_detector(cfg: ExperimentConfig, scenario):
 def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     scenario = build_scenario(cfg)
     n = scenario.n_steps
-    times = [scenario.step_time(k) for k in range(n)]
-    truth = scenario.truth_path(n - 1)
+    # Columns: step, time, truth (2), measurement (2), estimate (4).
+    table = np.empty((n, 10))
+    table[:, 0] = np.arange(n)
+    table[:, 1] = scenario.step_times(n - 1)
+    table[:, 2:4] = scenario.truth_path(n - 1)
     # The measurements of trial 0 of the seed's Monte Carlo stream: draws are
     # trial-major, so trial 0's are the first (n, 2) of the block's generator.
     _, gen, _ = block_streams(cfg.run.seed, 0)
-    zs = (truth + scenario.meas_noise_std * gen.standard_normal((n, 2))).tolist()
-    estimates = scenario.track(zs)
-
-    rows = []
-    true_x, true_y = truth.T.tolist()
-    for k, (t, tx, ty, (zx, zy), est) in enumerate(zip(times, true_x, true_y, zs, estimates)):
-        s = est.state
-        rows.append([k, t, tx, ty, zx, zy, s.x, s.y, s.vx, s.vy])
+    table[:, 4:6] = table[:, 2:4] + scenario.meas_noise_std * gen.standard_normal((n, 2))
+    table[:, 6:] = [(e.state.x, e.state.y, e.state.vx, e.state.vy) for e in scenario.track(table[:, 4:6])]
     _write_csv(
         out / "track.csv",
         ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"],
-        rows,
+        table,
+        ["%d"] + ["%.9g"] * 9,
     )
     svg = line_chart(
         [
-            ("true trajectory", [r[2] for r in rows], [r[3] for r in rows]),
-            ("measurements", [r[4] for r in rows], [r[5] for r in rows]),
-            ("filter estimate", [r[6] for r in rows], [r[7] for r in rows]),
+            ("true trajectory", table[:, 2], table[:, 3]),
+            ("measurements", table[:, 4], table[:, 5]),
+            ("filter estimate", table[:, 6], table[:, 7]),
         ],
         "Primary-user tracking", "x (m)", "y (m)",
     )
@@ -95,17 +97,8 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _report_row(report: experiments.MetricsReport) -> list:
-    c = report.sweep_coords
-    return [
-        c.d_pu_pue if c else None,
-        c.snr_db if c else None,
-        c.tau if c else None,
-        report.n_attack_trials,
-        report.n_legit_trials,
-        report.pd,
-        report.pfa,
-        report.pm,
-    ]
+    coords = report.sweep_coords or (None, None, None)
+    return [*coords, report.n_attack_trials, report.n_legit_trials, report.pd, report.pfa, report.pm]
 
 
 def _per_snr_series(reports, snr_list, x_of, y_of):
@@ -134,6 +127,7 @@ def cmd_sweep_distance(cfg: ExperimentConfig, out: Path) -> None:
         out / "sweep_distance.csv",
         ["d_pu_pue_m", "snr_db", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"],
         [_report_row(r) for r in reports],
+        _SWEEP_SPECS,
     )
     x = lambda r: r.sweep_coords.d_pu_pue
     (out / "pd_vs_distance.svg").write_text(
@@ -169,13 +163,11 @@ def cmd_sweep_roc(cfg: ExperimentConfig, out: Path) -> None:
     )
     # Reports are target-major within each SNR, matching this zip.
     targets = list(cfg.sweep.pfa_targets) * len(cfg.sweep.snr_db)
-    rows = []
-    for target, report in zip(targets, reports):
-        rows.append([report.sweep_coords.snr_db, target] + _report_row(report)[2:])
     _write_csv(
         out / "roc.csv",
         ["snr_db", "target_pfa", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"],
-        rows,
+        [[r.sweep_coords.snr_db, target] + _report_row(r)[2:] for target, r in zip(targets, reports)],
+        _SWEEP_SPECS,
     )
     (out / "roc.svg").write_text(
         line_chart(
@@ -214,6 +206,7 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out: Path) -> None:
             ]
             for r in rows
         ],
+        ["%.9g"] * 9 + ["%d"] * 2,
     )
     dist = [r.distance for r in rows]
     (out / "pd_comparison.svg").write_text(

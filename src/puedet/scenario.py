@@ -253,6 +253,10 @@ class Scenario:
         i = np.searchsorted(np.array(traj.times), t, side="right") - 1
         return t, np.clip(i, 0, len(traj.accels) - 1)
 
+    def step_times(self, upto: int) -> np.ndarray:
+        """Time of every step 0..upto; entry k equals ``step_time(k)`` bit for bit."""
+        return self._step_segments(upto)[0]
+
     def truth_path(self, upto: int) -> np.ndarray:
         """True PU position at every step 0..upto, shape (upto + 1, 2).
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -27,38 +29,45 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_chart(
-    series: list[tuple[str, list[float], list[float]]],
+    series: list[tuple[str, list[float] | np.ndarray, list[float] | np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Render (label, xs, ys) series to an SVG document string."""
+    """Render (label, xs, ys) series, lists or arrays, to an SVG document string."""
     if not series:
         raise InvalidInputError("need at least one series")
+    points = []
     for label, xs, ys in series:
-        if len(xs) != len(ys) or not xs:
+        if len(xs) != len(ys) or not len(xs):
             raise InvalidInputError(f"series {label!r} needs equal-length non-empty x/y")
-        if not all(math.isfinite(v) for v in list(xs) + list(ys)):
-            raise InvalidInputError(f"series {label!r} contains non-finite values")
+        try:
+            xy = np.array([xs, ys], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"series {label!r} is not a float series: {exc}") from None
+        if not np.isfinite(xy).all():
+            raise InvalidInputError(f"series {label!r} contains absent or non-finite values")
+        points.append(xy)
 
-    all_x = [v for _, xs, _ in series for v in xs]
-    all_y = [v for _, _, ys in series for v in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
+    x_lo, y_lo = np.min([xy.min(axis=1) for xy in points], axis=0).tolist()
+    x_hi, y_hi = np.max([xy.max(axis=1) for xy in points], axis=0).tolist()
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (0.0 < x_hi - x_lo < math.inf and 0.0 < y_hi - y_lo < math.inf):
+        raise InvalidInputError("the series' span cannot be scaled within the float range")
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
-    def sx(v: float) -> float:
+    # Scalars for the ticks, arrays for the polylines: the same floats either way.
+    def sx(v):
         return _ML + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _MT + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -98,10 +107,11 @@ def line_chart(
         f'text-anchor="middle" transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{escape(ylabel)}</text>'
     )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (xs, ys) in enumerate(points):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
+        # "%.2f" rounds exactly as _fmt does.
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
 
     lx, ly = _ML + plot_w - 170, _MT + 10
     out.append(

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from puedet import experiments
 from puedet.cli import main
 from puedet.config import build_scenario, loads_config
-from puedet.experiments import block_streams
+from puedet.experiments import MetricsReport, SweepCoords, block_streams
 from puedet.scenario import Scenario, emit_position_measurement, truth_at
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -48,6 +49,21 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def per_step_track_rows(text, seed):
+    """The data rows of track.csv stated one step at a time: trial 0's
+    position draws of the seed's first block, taken step by step."""
+    scen = build_scenario(loads_config(text))
+    _, gen, _ = block_streams(seed, 0)
+    zs = [emit_position_measurement(scen, k, gen) for k in range(scen.n_steps)]
+    ests = scen.track(zs)
+    rows = []
+    for k in range(scen.n_steps):
+        truth, z, s = truth_at(scen, k), zs[k], ests[k].state
+        values = [scen.step_time(k), truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
+        rows.append([str(k)] + [format(float(v), ".9g") for v in values])
+    return rows
+
+
 class TestTrack:
     def test_noiseless_estimate_matches_truth_in_csv(self, tmp_path):
         rc, out = run_cli(tmp_path, "track", TRACK_NOISELESS)
@@ -68,24 +84,26 @@ class TestTrack:
                 assert math.isfinite(float(cell))
 
     def test_csv_equals_per_step_route(self, tmp_path):
-        # The per-step statement of the run: trial 0's position draws of the
-        # seed's first block, taken one step at a time.
         text = "[scenario]\nsteps = 60\n\n[run]\nseed = 11\n"
         rc, out = run_cli(tmp_path, "track", text)
         assert rc == 0
-        scen = build_scenario(loads_config(text))
-        _, gen, _ = block_streams(11, 0)
-        n = scen.n_steps
-        times = [scen.step_time(k) for k in range(n)]
-        zs = [emit_position_measurement(scen, k, gen) for k in range(n)]
-        ests = scen.track(zs)
-        expected = []
-        for k in range(n):
-            truth, z, s = truth_at(scen, k), zs[k], ests[k].state
-            values = [times[k], truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
-            expected.append([str(k)] + [format(float(v), ".9g") for v in values])
         _, rows = read_csv(out / "track.csv")
-        assert rows == expected
+        assert rows == per_step_track_rows(text, 11)
+
+    def test_long_run_crosses_csv_blocks(self, tmp_path):
+        # The long benchmark schedule cut to 5000 steps: more rows than one
+        # block of the CSV writer.
+        text = (
+            "[scenario]\nsteps = 5000\nsegments = 5000.0 0.0001 0.0002; 5000.0 -0.0002 0.0001; "
+            "5000.0 -0.0001 -0.0002; 5000.0 -0.0003 -0.0001\n\n[run]\nseed = 3\n"
+        )
+        rc, out = run_cli(tmp_path, "track", text)
+        assert rc == 0
+        _, rows = read_csv(out / "track.csv")
+        assert len(rows) == 5000
+        assert rows == per_step_track_rows(text, 3)
+        polylines = ET.fromstring((out / "track.svg").read_text()).findall(f"{SVG_NS}polyline")
+        assert [len(p.get("points").split()) for p in polylines] == [5000] * 3
 
     def test_svg_overlay_has_three_series(self, tmp_path):
         rc, out = run_cli(tmp_path, "track", TRACK_NOISELESS)
@@ -123,6 +141,18 @@ class TestSweepDistance:
         for name in ("pd_vs_distance.svg", "pm_vs_distance.svg"):
             root = ET.fromstring((out / name).read_text())
             assert len(root.findall(f"{SVG_NS}polyline")) == 2  # one per SNR
+
+
+    def test_absent_rate_is_an_empty_cell(self, tmp_path):
+        # Every trial is an attack, so no cell has a false-alarm rate.
+        config = SMALL_SWEEP.replace("[run]", "schedule_mix = 1\n\n[run]")
+        rc, out = run_cli(tmp_path, "sweep-distance", config)
+        assert rc == 0
+        header, rows = read_csv(out / "sweep_distance.csv")
+        ipfa = header.index("pfa")
+        for row in rows:
+            assert row[ipfa] == ""
+            assert all(cell for i, cell in enumerate(row) if i != ipfa)
 
 
 class TestSweepRoc:
@@ -263,6 +293,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("puedet: error:")
         assert "measurement 150" in err
+
+    def test_non_finite_csv_value_is_refused_before_writing(self, tmp_path, capsys, monkeypatch):
+        # No valid config yields a non-finite rate, so a producer returns one.
+        def planted(*args, **kwargs):
+            coords = SweepCoords(30.0, 5.0, 25.0)
+            return [MetricsReport(0.5, math.inf, 0.5, 10, 10, coords)]
+
+        monkeypatch.setattr(experiments, "sweep_distance", planted)
+        config = SMALL_SWEEP.replace("distances = 30 90", "distances = 30").replace("snr_db = -5 5", "snr_db = 5")
+        rc, out = run_cli(tmp_path, "sweep-distance", config)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error:")
+        assert "sweep_distance.csv" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("bearings", ["inf", "0.5 nan"])
     def test_non_finite_bearing_is_a_config_error(self, tmp_path, capsys, bearings):

@@ -164,6 +164,13 @@ class TestTruthPath:
         assert np.array_equal(scen.truth_path(137), ref[:138])
 
     @pytest.mark.parametrize("scale", [1, 100])
+    def test_step_times_equal_step_time_bit_for_bit(self, scale):
+        scen = stretched_stock_scenario(scale)
+        ref = np.array([scen.step_time(k) for k in range(scen.n_steps)])
+        for upto in (0, 1, 137, scen.n_steps - 1):
+            assert np.array_equal(scen.step_times(upto), ref[: upto + 1])
+
+    @pytest.mark.parametrize("scale", [1, 100])
     def test_step_accels_equal_per_step_lookup(self, scale):
         scen = stretched_stock_scenario(scale)
         for upto in (0, 1, 137, scen.n_steps - 1):
@@ -187,6 +194,7 @@ class TestTruthPath:
         ref = np.array([truth_at(scen, k).position for k in range(n)])
         assert np.array_equal(scen.truth_path(n - 1), ref)
         assert np.array_equal(scen.step_accels(n - 1), per_step_accels(scen, n - 1))
+        assert np.array_equal(scen.step_times(n - 1), [scen.step_time(k) for k in range(n)])
 
     def test_out_of_range_upto(self):
         scen = simple_scenario(line_trajectory(), n_steps=10)
@@ -195,6 +203,8 @@ class TestTruthPath:
                 scen.truth_path(bad)
             with pytest.raises(InvalidInputError):
                 scen.step_accels(bad)
+            with pytest.raises(InvalidInputError):
+                scen.step_times(bad)
 
 
 class TestEmissions:

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from puedet.errors import InvalidInputError
@@ -43,3 +44,28 @@ def test_rejects_bad_series():
         line_chart([("a", [0, 1], [0.0])], "t", "x", "y")
     with pytest.raises(InvalidInputError):
         line_chart([("a", [0, 1], [0.0, float("nan")])], "t", "x", "y")
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        # The span of the y values overflows the float range.
+        [("a", [0.0, 1.0], [-1.7e308, 1.7e308])],
+        [("a", [-1.7e308, 1.7e308], [0.0, 1.0])],
+        # A constant so large that widening it by 1.0 leaves a zero span.
+        [("a", [0.0, 1.0], [1e20, 1e20])],
+        # An int beyond the float range.
+        [("a", [0, 10**400], [0.0, 1.0])],
+    ],
+)
+def test_values_beyond_the_float_range_are_typed_errors(series):
+    with pytest.raises(InvalidInputError):
+        line_chart(series, "t", "x", "y")
+
+
+def test_array_series_equal_list_series_byte_for_byte():
+    rng = np.random.default_rng(4)
+    xs, ys = rng.normal(0.0, 300.0, (2, 500))
+    as_lists = [("a", xs.tolist(), ys.tolist()), ("b", [0, 1, 2], [-0.5, 0.25, 1e-3])]
+    as_arrays = [("a", xs, ys), ("b", np.arange(3), np.array([-0.5, 0.25, 1e-3]))]
+    assert line_chart(as_arrays, "t", "x", "y") == line_chart(as_lists, "t", "x", "y")
