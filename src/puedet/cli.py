@@ -50,6 +50,20 @@ def _write_csv(path: Path, header: list[str], rows, specs: list[str]) -> None:
             fh.write("".join(map(str.__mod__, formats[block], map(tuple, table[block].tolist()))))
 
 
+def _write_chart(path: Path, series, title: str, xlabel: str, ylabel: str) -> None:
+    """Write the line chart of the (label, xs, ys) `series` at the points where
+    x and y are both present: a rate is absent (None) in a cell without trials
+    of its kind.  A series with no such point is left out, and a chart with no
+    series is not written."""
+    kept = []
+    for label, xs, ys in series:
+        points = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
+        if points:
+            kept.append((label, *zip(*points)))
+    if kept:
+        path.write_text(line_chart(kept, title, xlabel, ylabel), encoding="utf-8")
+
+
 def _write_manifest(out: Path, command: str, cfg: ExperimentConfig) -> None:
     # The manifest is itself a loadable config file; the command is a comment.
     text = f"# command: {command}\n{serialize_config(cfg)}"
@@ -130,19 +144,15 @@ def cmd_sweep_distance(cfg: ExperimentConfig, out: Path) -> None:
         _SWEEP_SPECS,
     )
     x = lambda r: r.sweep_coords.d_pu_pue
-    (out / "pd_vs_distance.svg").write_text(
-        line_chart(
-            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
-            "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
-        ),
-        encoding="utf-8",
+    _write_chart(
+        out / "pd_vs_distance.svg",
+        _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
+        "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
     )
-    (out / "pm_vs_distance.svg").write_text(
-        line_chart(
-            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
-            "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
-        ),
-        encoding="utf-8",
+    _write_chart(
+        out / "pm_vs_distance.svg",
+        _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
+        "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
     )
 
 
@@ -169,12 +179,10 @@ def cmd_sweep_roc(cfg: ExperimentConfig, out: Path) -> None:
         [[r.sweep_coords.snr_db, target] + _report_row(r)[2:] for target, r in zip(targets, reports)],
         _SWEEP_SPECS,
     )
-    (out / "roc.svg").write_text(
-        line_chart(
-            _per_snr_series(reports, cfg.sweep.snr_db, lambda r: r.pfa, lambda r: r.pd),
-            f"ROC at d_pu_pue = {cfg.sweep.roc_distance:g} m", "P_fa", "P_d",
-        ),
-        encoding="utf-8",
+    _write_chart(
+        out / "roc.svg",
+        _per_snr_series(reports, cfg.sweep.snr_db, lambda r: r.pfa, lambda r: r.pd),
+        f"ROC at d_pu_pue = {cfg.sweep.roc_distance:g} m", "P_fa", "P_d",
     )
 
 
@@ -209,25 +217,21 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out: Path) -> None:
         ["%.9g"] * 9 + ["%d"] * 2,
     )
     dist = [r.distance for r in rows]
-    (out / "pd_comparison.svg").write_text(
-        line_chart(
-            [
-                ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
-                ("RSS baseline", dist, [r.baseline.pd for r in rows]),
-            ],
-            "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
-        ),
-        encoding="utf-8",
+    _write_chart(
+        out / "pd_comparison.svg",
+        [
+            ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
+            ("RSS baseline", dist, [r.baseline.pd for r in rows]),
+        ],
+        "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
     )
-    (out / "pm_comparison.svg").write_text(
-        line_chart(
-            [
-                ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
-                ("RSS baseline", dist, [r.baseline.pm for r in rows]),
-            ],
-            "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
-        ),
-        encoding="utf-8",
+    _write_chart(
+        out / "pm_comparison.svg",
+        [
+            ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
+            ("RSS baseline", dist, [r.baseline.pm for r in rows]),
+        ],
+        "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
     )
 
 

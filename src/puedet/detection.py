@@ -117,12 +117,12 @@ def calibrate_tau(
     target_pfa: float,
     fusion: str = SINGLE_ANCHOR,
 ) -> DetectorConfig:
-    """Set tau to the empirical (1 - target_pfa) quantile (higher interpolation)
-    of legitimate residuals.
+    """Set tau to the smallest legitimate residual whose false-alarm rate on
+    the sample, the share of residuals >= tau, is at most `target_pfa`.
 
-    Because the decision rule fires on residual >= tau, ties at the quantile
-    (degenerate distributions in the extreme) can leave the empirical false
-    alarm rate above target; that case is reported as a warning.
+    When no residual gets there -- the largest is tied, or the sample has
+    fewer than 1 / target_pfa residuals -- tau is the largest residual, and a
+    warning names the cause and the rate it yields.
     """
     residuals = np.asarray(legitimate_residuals, dtype=float)
     if residuals.size == 0:
@@ -131,13 +131,18 @@ def calibrate_tau(
         raise InvalidInputError("residual sample must be finite")
     if not 0.0 < target_pfa < 1.0:
         raise InvalidInputError(f"target_pfa must be in (0, 1), got {target_pfa}")
-    tau = float(np.quantile(residuals, 1.0 - target_pfa, method="higher"))
-    achieved = float(np.mean(residuals >= tau))
-    if achieved > target_pfa:
-        warnings.warn(
-            f"calibrated tau={tau:.6g} yields false-alarm rate {achieved:.4f} on the "
-            f"calibration sample, above the target {target_pfa:.4f} (tied residuals)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return DetectorConfig(tau=tau, fusion=fusion)
+    ranked = np.sort(residuals)
+    n = ranked.size
+    # The false-alarm rate with tau at each residual: the share at or above it.
+    rates = (n - np.searchsorted(ranked, ranked, side="left")) / n
+    meets = np.flatnonzero(rates <= target_pfa)
+    if meets.size:
+        return DetectorConfig(tau=float(ranked[meets[0]]), fusion=fusion)
+    cause = f"a sample of {n} resolves no rate below 1/{n}" if n * target_pfa < 1 else "tied residuals"
+    warnings.warn(
+        f"calibrated tau={ranked[-1]:.6g} yields false-alarm rate {rates[-1]:.4f} on the "
+        f"calibration sample, above the target {target_pfa:.4f} ({cause})",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return DetectorConfig(tau=float(ranked[-1]), fusion=fusion)

@@ -465,15 +465,15 @@ def sweep_roc(
     return reports
 
 
-def _eval_step_for_distance(scenario: Scenario, reference: np.ndarray, distance: float) -> int:
-    """First step at which the PU has moved at least `distance` from `reference`."""
+def _eval_steps_for_distances(scenario: Scenario, reference: np.ndarray, distances: Sequence[float]) -> list[int]:
+    """For each of `distances`, the first step at which the PU has moved that far from `reference`."""
     rx, ry = reference.tolist()
-    for k, (x, y) in enumerate(scenario.truth_path(scenario.n_steps - 1).tolist()):
-        if math.hypot(x - rx, y - ry) >= distance:
-            return k
-    raise InvalidInputError(
-        f"trajectory never reaches {distance} m from the reference position"
-    )
+    moved = [math.hypot(x - rx, y - ry) for x, y in scenario.truth_path(scenario.n_steps - 1).tolist()]
+    reached = np.array(moved) >= np.array(distances, float)[:, None]
+    found = reached.any(axis=1)
+    if not found.all():
+        raise InvalidInputError(f"trajectory never reaches {distances[found.argmin()]} m from the reference position")
+    return reached.argmax(axis=1).tolist()
 
 
 def compare_baseline(
@@ -494,13 +494,13 @@ def compare_baseline(
     if not distances:
         raise InvalidInputError("distances must be non-empty")
     _validate_run_args(n_trials, schedule_mix, master_seed)
-    reference = np.array(base.trajectory.positions[0])
+    reference = np.array(base.trajectory.start)
     anchor_xy = np.array([[a.x, a.y] for a in base.anchors])
     d_ref = np.hypot(reference[0] - anchor_xy[:, 0], reference[1] - anchor_xy[:, 1])
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = np.tile(np.asarray(base.attacker_pos, float), (n_trials, 1))
 
-    eval_steps = [_eval_step_for_distance(base, reference, d) for d in distances]
+    eval_steps = _eval_steps_for_distances(base, reference, distances)
     # One recursion up to the latest evaluation step, snapshotted at each.
     weight_maps = base.estimate_weights(eval_steps)
 

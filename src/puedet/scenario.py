@@ -5,10 +5,10 @@ and detector.
 :meth:`Scenario.track` runs the world's tracker; :meth:`Scenario.estimate_weights`
 states its estimate in the linear form that the Monte Carlo engine applies.
 
-The ground truth is evaluated one step at a time by :func:`truth_at` and for
-every step at once, as an array, by :meth:`Scenario.truth_path`; the two agree
-bit for bit.  All emissions are pure functions of (scenario, step, anchor, rng
-stream); scenarios and trajectories are immutable values.
+A :class:`Trajectory` is its segments of constant acceleration; one step
+evaluator of :class:`Scenario` answers :func:`truth_at` and the array queries
+``truth_path``, ``step_times`` and ``step_accels``.  All emissions are pure
+functions of (scenario, step, anchor, rng stream); all values are immutable.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .tracking import (
 PU = "PU"
 PUE = "PUE"
 
-_WAYPOINT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class AnchorNode:
@@ -54,42 +52,46 @@ class AnchorNode:
         return np.array([self.x, self.y])
 
 
+def _advance(p, v, a, d):
+    """Position and velocity a time d after passing p at velocity v, under
+    constant acceleration a: the closed form of one segment."""
+    return p + v * d + 0.5 * a * d * d, v + a * d
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-constant-acceleration motion, closed form within each segment.
+    """Motion from `start` at `velocity` at time 0 through (duration, ax, ay)
+    `segments` of constant acceleration.
 
-    times[i] are waypoint times (strictly increasing); positions/velocities are
-    the exact kinematic state at each waypoint; accels[i] applies on the
-    half-open segment [times[i], times[i+1]).  Waypoint consistency with the
-    acceleration profile is validated on construction.
+    Construction derives the waypoints as read-only arrays that are not
+    fields, so equality and hashing stay on the segments: ``times``, the
+    ``positions`` and ``velocities`` at those times, and ``accels``, whose row
+    i applies on [times[i], times[i + 1]), the last row also at the end time.
     """
 
-    times: tuple[float, ...]
-    positions: tuple[tuple[float, float], ...]
-    velocities: tuple[tuple[float, float], ...]
-    accels: tuple[tuple[float, float], ...]
+    start: tuple[float, float]
+    velocity: tuple[float, float]
+    segments: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        n = len(self.times)
-        if n < 2 or len(self.positions) != n or len(self.velocities) != n:
-            raise InvalidInputError("trajectory needs >= 2 consistent waypoints")
-        if len(self.accels) != n - 1:
-            raise InvalidInputError("need one acceleration per segment")
-        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
+        if not self.segments:
+            raise InvalidInputError("need at least one segment")
+        times, states = [0.0], [(np.array(self.start), np.array(self.velocity))]
+        for dur, ax, ay in self.segments:
+            if not (math.isfinite(dur) and dur > 0.0):
+                raise InvalidInputError(f"segment duration must be > 0, got {dur}")
+            # An overflow is refused below, as a waypoint that is not finite.
+            with np.errstate(over="ignore", invalid="ignore"):
+                states.append(_advance(*states[-1], np.array([ax, ay]), dur))
+            times.append(times[-1] + dur)
+        waypoints = (np.array(times), *np.array(states).swapaxes(0, 1), np.array(self.segments)[:, 1:])
+        for name, values in zip(("times", "positions", "velocities", "accels"), waypoints):
+            if not np.isfinite(values).all():
+                raise InvalidInputError("trajectory values must be finite")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not (np.diff(self.times) > 0.0).all():
             raise InvalidInputError("waypoint times must be strictly increasing")
-        flat = [v for wp in self.positions + self.velocities + self.accels for v in wp]
-        if not all(math.isfinite(v) for v in list(self.times) + flat):
-            raise InvalidInputError("trajectory values must be finite")
-        for i, (ax, ay) in enumerate(self.accels):
-            dt = self.times[i + 1] - self.times[i]
-            px, py = self.positions[i]
-            vx, vy = self.velocities[i]
-            ex = px + vx * dt + 0.5 * ax * dt * dt
-            ey = py + vy * dt + 0.5 * ay * dt * dt
-            if math.hypot(ex - self.positions[i + 1][0], ey - self.positions[i + 1][1]) > _WAYPOINT_TOL:
-                raise InvalidInputError(f"waypoint {i + 1} inconsistent with acceleration profile")
-            if math.hypot(vx + ax * dt - self.velocities[i + 1][0], vy + ay * dt - self.velocities[i + 1][1]) > _WAYPOINT_TOL:
-                raise InvalidInputError(f"waypoint {i + 1} velocity inconsistent with profile")
 
     @classmethod
     def from_segments(
@@ -98,57 +100,9 @@ class Trajectory:
         velocity: tuple[float, float],
         segments: Sequence[tuple[float, float, float]],
     ) -> "Trajectory":
-        """Build from (duration, ax, ay) segments starting at time 0; waypoints
-        are derived exactly."""
-        if not segments:
-            raise InvalidInputError("need at least one segment")
-        times = [0.0]
-        positions = [tuple(float(c) for c in start)]
-        velocities = [tuple(float(c) for c in velocity)]
-        accels = []
-        for dur, ax, ay in segments:
-            if not (math.isfinite(dur) and dur > 0.0):
-                raise InvalidInputError(f"segment duration must be > 0, got {dur}")
-            px, py = positions[-1]
-            vx, vy = velocities[-1]
-            times.append(times[-1] + dur)
-            positions.append((px + vx * dur + 0.5 * ax * dur * dur, py + vy * dur + 0.5 * ay * dur * dur))
-            velocities.append((vx + ax * dur, vy + ay * dur))
-            accels.append((float(ax), float(ay)))
-        return cls(tuple(times), tuple(positions), tuple(velocities), tuple(accels))
-
-    @property
-    def start_time(self) -> float:
-        return self.times[0]
-
-    @property
-    def end_time(self) -> float:
-        return self.times[-1]
-
-    def _segment_index(self, t: float) -> int:
-        if not (self.start_time - 1e-9 <= t <= self.end_time + 1e-9):
-            raise InvalidInputError(
-                f"time {t} outside trajectory span [{self.start_time}, {self.end_time}]"
-            )
-        # Half-open segments; the end time belongs to the last segment.
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(i, 0), len(self.accels) - 1)
-
-    def state_at(self, t: float) -> TargetState:
-        i = self._segment_index(t)
-        dt = t - self.times[i]
-        px, py = self.positions[i]
-        vx, vy = self.velocities[i]
-        ax, ay = self.accels[i]
-        return TargetState(
-            px + vx * dt + 0.5 * ax * dt * dt,
-            py + vy * dt + 0.5 * ay * dt * dt,
-            vx + ax * dt,
-            vy + ay * dt,
-        )
-
-    def accel_at(self, t: float) -> tuple[float, float]:
-        return self.accels[self._segment_index(t)]
+        """The trajectory of (duration, ax, ay) `segments` from `start` at
+        `velocity`, every value taken as a float."""
+        return cls(tuple(map(float, start)), tuple(map(float, velocity)), tuple(tuple(map(float, s)) for s in segments))
 
 
 @dataclass(frozen=True)
@@ -185,11 +139,9 @@ class Scenario:
             raise InvalidInputError(f"attacker position must be a finite (x, y) pair, got {self.attacker_pos!r}")
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise InvalidInputError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
-        t_last = self.trajectory.start_time + (self.n_steps - 1) * self.dt
-        if t_last > self.trajectory.end_time + 1e-9:
-            raise InvalidInputError(
-                f"{self.n_steps} steps span {t_last} s but trajectory ends at {self.trajectory.end_time} s"
-            )
+        t_last, t_end = (self.n_steps - 1) * self.dt, float(self.trajectory.times[-1])
+        if t_last > t_end + 1e-9:
+            raise InvalidInputError(f"{self.n_steps} steps span {t_last} s but trajectory ends at {t_end} s")
         if self.eval_step is not None and not (
             isinstance(self.eval_step, (int, np.integer)) and 0 <= self.eval_step < self.n_steps
         ):
@@ -202,11 +154,6 @@ class Scenario:
     @property
     def evaluation_step(self) -> int:
         return self.n_steps - 1 if self.eval_step is None else self.eval_step
-
-    def step_time(self, step: int) -> float:
-        if not (isinstance(step, (int, np.integer)) and 0 <= step < self.n_steps):
-            raise InvalidInputError(f"step {step!r} out of range [0, {self.n_steps})")
-        return self.trajectory.start_time + step * self.dt
 
     def filter_models(self) -> tuple[MotionModel, MeasurementModel]:
         """The motion and measurement models of the tracker run in this world."""
@@ -243,47 +190,45 @@ class Scenario:
             out[k] = (truth[k], weights, offset)
         return out
 
-    def _step_segments(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Times of steps 0..upto and the trajectory segment of each, found as
-        :meth:`Trajectory.state_at` finds them, in one vectorised lookup."""
-        if not (isinstance(upto, (int, np.integer)) and 0 <= upto < self.n_steps):
-            raise InvalidInputError(f"step {upto!r} out of range [0, {self.n_steps})")
+    def _check_step(self, step: int) -> int:
+        if not (isinstance(step, (int, np.integer)) and 0 <= step < self.n_steps):
+            raise InvalidInputError(f"step {step!r} out of range [0, {self.n_steps})")
+        return step
+
+    def _states(self, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Time, position, velocity and segment acceleration at `steps`, an
+        int or an integer array (the vectors gain a last axis of 2), by the
+        closed form of the segment that each step's time falls in."""
         traj = self.trajectory
-        t = traj.start_time + np.arange(upto + 1) * self.dt
-        i = np.searchsorted(np.array(traj.times), t, side="right") - 1
-        return t, np.clip(i, 0, len(traj.accels) - 1)
+        t = steps * self.dt
+        # The interior waypoints at or before t are the segments passed: a
+        # waypoint's time opens the next segment, and the end time stays in the last.
+        i = traj.times[1:-1].searchsorted(t, side="right")
+        a = traj.accels[i]
+        p, v = _advance(traj.positions[i], traj.velocities[i], a, (t - traj.times[i])[..., None])
+        return t, p, v, a
 
     def step_times(self, upto: int) -> np.ndarray:
-        """Time of every step 0..upto; entry k equals ``step_time(k)`` bit for bit."""
-        return self._step_segments(upto)[0]
+        """Time of every step 0..upto."""
+        return self._states(np.arange(self._check_step(upto) + 1))[0]
 
     def truth_path(self, upto: int) -> np.ndarray:
-        """True PU position at every step 0..upto, shape (upto + 1, 2).
-
-        Closed form per segment with the operations of
-        :meth:`Trajectory.state_at` in the same order, so row k equals
-        ``truth_at(self, k).position`` bit for bit.
-        """
-        t, i = self._step_segments(upto)
-        traj = self.trajectory
-        dt = (t - np.array(traj.times)[i])[:, None]
-        p = np.array(traj.positions)[i]
-        v = np.array(traj.velocities)[i]
-        a = np.array(traj.accels)[i]
-        return p + v * dt + 0.5 * a * dt * dt
+        """True PU position at every step 0..upto, shape (upto + 1, 2); row k
+        is ``truth_at(self, k).position``."""
+        return self._states(np.arange(self._check_step(upto) + 1))[1]
 
     def step_accels(self, eval_step: int) -> np.ndarray:
         """Acceleration input for the predict into each step up to `eval_step`
         (row 0 unused): the acceleration of step k - 1's segment."""
-        _, i = self._step_segments(eval_step)
-        acc = np.zeros((eval_step + 1, 2))
-        acc[1:] = np.array(self.trajectory.accels)[i[:-1]]
+        acc = np.zeros((self._check_step(eval_step) + 1, 2))
+        acc[1:] = self._states(np.arange(eval_step))[3]
         return acc
 
 
 def truth_at(scenario: Scenario, step: int) -> TargetState:
     """Exact ground-truth state of the primary user at a sampling step."""
-    return scenario.trajectory.state_at(scenario.step_time(step))
+    _, p, v, _ = scenario._states(scenario._check_step(step))
+    return TargetState(*p.tolist(), *v.tolist())
 
 
 def emit_position_measurement(
@@ -293,8 +238,8 @@ def emit_position_measurement(
 
     Always consumes exactly two draws from the stream, even at zero noise.
     """
-    state = truth_at(scenario, step)
-    return state.position + scenario.meas_noise_std * rng.standard_normal(2)
+    position = scenario._states(scenario._check_step(step))[1]
+    return position + scenario.meas_noise_std * rng.standard_normal(2)
 
 
 def emit_rss(

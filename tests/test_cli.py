@@ -59,7 +59,7 @@ def per_step_track_rows(text, seed):
     rows = []
     for k in range(scen.n_steps):
         truth, z, s = truth_at(scen, k), zs[k], ests[k].state
-        values = [scen.step_time(k), truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
+        values = [k * scen.dt, truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
         rows.append([str(k)] + [format(float(v), ".9g") for v in values])
     return rows
 
@@ -201,6 +201,25 @@ seed = 5
         for name in ("pd_comparison.svg", "pm_comparison.svg"):
             root = ET.fromstring((out / name).read_text())
             assert len(root.findall(f"{SVG_NS}polyline")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, csv_name, charts, mix",
+    [
+        ("sweep-distance", "sweep_distance.csv", ("pd_vs_distance.svg", "pm_vs_distance.svg"), 0),
+        ("sweep-roc", "roc.csv", ("roc.svg",), 0),
+        ("sweep-roc", "roc.csv", ("roc.svg",), 1),
+        ("compare-baseline", "compare_baseline.csv", ("pd_comparison.svg", "pm_comparison.svg"), 0),
+    ],
+)
+def test_chart_of_absent_rates_is_skipped(tmp_path, command, csv_name, charts, mix):
+    # At schedule_mix 0 no cell has attack trials, so P_d and P_m are absent;
+    # at 1 none has legitimate trials, so P_fa, the ROC's x-axis, is.
+    config = SMALL_SWEEP.replace("[run]", f"schedule_mix = {mix}\n\n[run]")
+    rc, out = run_cli(tmp_path, command, config)
+    assert rc == 0
+    assert (out / csv_name).is_file() and (out / "manifest.txt").is_file()
+    assert not [c for c in charts if (out / c).exists()]
 
 
 class TestManifest:

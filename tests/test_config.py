@@ -115,6 +115,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="trajectory ends"):
             loads_config("[scenario]\nsegments = 10 0 0\nsteps = 100\n")
 
+    def test_trajectory_beyond_float_range(self):
+        # Finite segments whose derived waypoint overflows.
+        with pytest.raises(ConfigError, match="trajectory values must be finite"):
+            loads_config("[scenario]\nsegments = 1e200 1e200 0\n")
+
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             loads_config("[run]\ntrials = 0\n")

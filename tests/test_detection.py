@@ -1,10 +1,13 @@
+import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puedet.config import SweepSettings
 from puedet.detection import (
     ATTACKER,
     LEGITIMATE,
@@ -174,14 +177,14 @@ class TestCalibrateTau:
 
     def test_tiny_target_picks_maximum(self):
         residuals = np.arange(1.0, 101.0)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="a sample of 100 resolves no rate below 1/100"):
             cfg = calibrate_tau(residuals, 1e-9)
         assert cfg.tau == 100.0
         # only the maximum itself fires under the >= rule
         assert np.sum(residuals >= cfg.tau) == 1
 
     def test_degenerate_constant_sample_reported(self):
-        with pytest.warns(RuntimeWarning, match="above the target"):
+        with pytest.warns(RuntimeWarning, match="above the target.*tied residuals"):
             cfg = calibrate_tau(np.full(50, 3.0), 0.2)
         assert cfg.tau == 3.0
         assert np.mean(np.full(50, 3.0) >= cfg.tau) == 1.0
@@ -200,15 +203,27 @@ class TestCalibrateTau:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_sorting_oracle(self, sample, target):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = calibrate_tau(sample, target)
-        # independent oracle: sort ascending, take ceil((n-1) * q) index
+        # independent oracle: the smallest residual whose share of the sample
+        # at or above it is at most the target, else the largest
         s = sorted(sample)
-        idx = math.ceil((len(s) - 1) * (1.0 - target))
-        assert cfg.tau == s[idx]
+        meets = [r for r in s if (len(s) - bisect.bisect_left(s, r)) / len(s) <= target]
+        assert cfg.tau == (meets[0] if meets else s[-1])
+
+    @pytest.mark.parametrize("n, targets", [(50, (0.05,)), (4096, SweepSettings.pfa_targets)])
+    def test_distinct_residuals_meet_the_target(self, n, targets):
+        # target * n is not a whole number here, and the residuals have no
+        # ties, so the rate must come out at or under the target, unwarned.
+        residuals = np.random.default_rng(n).permutation(n) * 0.25
+        for target in targets:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tau = calibrate_tau(residuals, target).tau
+            assert np.mean(residuals >= tau) <= target
+            # The next residual down would overshoot: tau is the smallest that meets it.
+            assert np.mean(residuals >= tau - 0.25) > target
 
 
 def test_detector_config_validation():

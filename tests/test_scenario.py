@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 from dataclasses import replace
 
@@ -38,38 +40,88 @@ def simple_scenario(traj, n_steps, dt=1.0, sigma_z=0.0, sigma_db=0.0, attacker=(
     )
 
 
+def verlet_states(start, velocity, segs, times, h=0.01):
+    """Independent oracle: the state at each of the increasing `times` by
+    velocity-Verlet integration in substeps of at most `h`, none straddling a
+    segment boundary (exact per substep for piecewise-constant acceleration,
+    so h only bounds float accumulation error).  A boundary time belongs to
+    the next segment; times past the last boundary stay in the last one."""
+    (x, y), (vx, vy) = start, velocity
+    ends = list(itertools.accumulate(dur for dur, _, _ in segs))
+    clock, seg, out = 0.0, 0, []
+    for t in times:
+        while clock < t - 1e-12:
+            while seg + 1 < len(segs) and clock >= ends[seg] - 1e-12:
+                seg += 1
+            _, ax, ay = segs[seg]
+            step = min(h, (t if seg + 1 == len(segs) else min(t, ends[seg])) - clock)
+            x, y = x + vx * step + 0.5 * ax * step * step, y + vy * step + 0.5 * ay * step * step
+            vx, vy = vx + ax * step, vy + ay * step
+            clock += step
+        out.append((x, y, vx, vy))
+    return np.array(out)
+
+
+def segment_accels(segs, times):
+    """Independent lookup of the acceleration at each time: bisect over the
+    cumulative durations, a boundary time in the next segment and the end time
+    in the last."""
+    ends = list(itertools.accumulate(dur for dur, _, _ in segs))
+    return np.array([segs[min(bisect.bisect_right(ends, t), len(segs) - 1)][1:] for t in times], float).reshape(-1, 2)
+
+
+def step_count(traj, dt):
+    """The most steps of size dt that fit in the trajectory's span."""
+    n = int(traj.times[-1] / dt) + 1
+    return n - 1 if (n - 1) * dt > traj.times[-1] else n
+
+
 class TestTrajectory:
     def test_waypoints_derived_from_segments(self):
         traj = Trajectory.from_segments((0, 0), (1, 2), [(10, 0, 0), (5, 1, 0)])
-        assert traj.times == (0.0, 10.0, 15.0)
-        assert traj.positions[1] == (10.0, 20.0)
+        assert traj.times.tolist() == [0.0, 10.0, 15.0]
+        assert traj.positions[1].tolist() == [10.0, 20.0]
         # second segment: x = 10 + 1*5 + 0.5*1*25 = 27.5
-        assert traj.positions[2] == (27.5, 30.0)
-        assert traj.velocities[2] == (6.0, 2.0)
-
-    def test_inconsistent_waypoints_rejected(self):
-        with pytest.raises(InvalidInputError, match="inconsistent"):
-            Trajectory(
-                times=(0.0, 1.0),
-                positions=((0.0, 0.0), (5.0, 0.0)),  # should be (1, 0) for v=(1,0), a=0
-                velocities=((1.0, 0.0), (1.0, 0.0)),
-                accels=((0.0, 0.0),),
-            )
+        assert traj.positions[2].tolist() == [27.5, 30.0]
+        assert traj.velocities[2].tolist() == [6.0, 2.0]
+        assert traj.accels.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert not any(a.flags.writeable for a in (traj.times, traj.positions, traj.velocities, traj.accels))
+        # A value of its segments: equal segments, equal trajectories.
+        assert traj == Trajectory((0.0, 0.0), (1.0, 2.0), ((10.0, 0.0, 0.0), (5.0, 1.0, 0.0)))
+        assert hash(traj) == hash(Trajectory.from_segments((0, 0), (1, 2), [(10, 0, 0), (5, 1, 0)]))
 
     def test_non_increasing_times_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Trajectory(
-                times=(0.0, 0.0),
-                positions=((0.0, 0.0), (0.0, 0.0)),
-                velocities=((0.0, 0.0), (0.0, 0.0)),
-                accels=((0.0, 0.0),),
-            )
+        # The second duration is lost in the sum, so the waypoint times repeat.
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            Trajectory.from_segments((0, 0), (0, 0), [(1e20, 0, 0), (1.0, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "start, velocity, segs, match",
+        [
+            ((0, 0), (0, 0), [], "at least one segment"),
+            ((0, 0), (0, 0), [(0.0, 0, 0)], "duration"),
+            ((0, 0), (0, 0), [(np.inf, 0, 0)], "duration"),
+            ((np.nan, 0), (0, 0), [(1.0, 0, 0)], "finite"),
+            ((0, 0), (np.inf, 0), [(1.0, 0, 0)], "finite"),
+            ((0, 0), (0, 0), [(1.0, 0, np.nan)], "finite"),
+            # Finite inputs whose derived waypoint overflows.
+            ((0, 0), (0, 0), [(1e200, 1e200, 0)], "finite"),
+            ((0, 0), (1e300, 0), [(1e10, 0, 0)], "finite"),
+        ],
+    )
+    def test_rejects_bad_segments(self, start, velocity, segs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            Trajectory.from_segments(start, velocity, segs)
 
     def test_segment_boundary_belongs_to_next_segment(self):
+        # Steps 10 and 20 land on the waypoints: step 10 is the first of the
+        # second segment, and step 20, the end time, is in the last.
         traj = Trajectory.from_segments((0, 0), (0, 0), [(10, 1, 0), (10, -1, 0)])
-        assert traj.accel_at(9.999) == (1.0, 0.0)
-        assert traj.accel_at(10.0) == (-1.0, 0.0)
-        assert traj.accel_at(20.0) == (-1.0, 0.0)
+        scen = simple_scenario(traj, n_steps=21)
+        assert scen.step_accels(20)[[10, 11, 20]].tolist() == [[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]
+        s10, s20 = truth_at(scen, 10), truth_at(scen, 20)
+        assert (s10.x, s10.vx) == (50.0, 10.0)
+        assert (s20.x, s20.vx) == (100.0, 0.0)
 
     @given(
         segs=st.lists(
@@ -77,34 +129,17 @@ class TestTrajectory:
             min_size=1,
             max_size=5,
         ),
-        frac=st.floats(0.0, 1.0),
+        dt=st.floats(0.05, 3.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_state_matches_fine_step_integration_oracle(self, segs, frac):
+    def test_state_matches_fine_step_integration_oracle(self, segs, dt):
         traj = Trajectory.from_segments((3.0, -4.0), (1.5, 0.5), segs)
-        t = traj.start_time + frac * (traj.end_time - traj.start_time)
-        # Independent oracle: velocity-Verlet integration (exact per step for
-        # piecewise-constant acceleration, so the step size only bounds float
-        # accumulation error).
-        pos = np.array([3.0, -4.0])
-        vel = np.array([1.5, 0.5])
-        h = 0.01
-        clock = 0.0
-        for dur, ax, ay in segs:
-            acc = np.array([ax, ay])
-            end = min(clock + dur, t)
-            while clock < end - 1e-12:
-                step = min(h, end - clock)
-                pos = pos + vel * step + 0.5 * acc * step * step
-                vel = vel + acc * step
-                clock += step
-            if end >= t - 1e-12:
-                break
-        state = traj.state_at(t)
-        assert state.x == pytest.approx(pos[0], abs=1e-6)
-        assert state.y == pytest.approx(pos[1], abs=1e-6)
-        assert state.vx == pytest.approx(vel[0], abs=1e-6)
-        assert state.vy == pytest.approx(vel[1], abs=1e-6)
+        scen = simple_scenario(traj, n_steps=step_count(traj, dt), dt=dt)
+        n = scen.n_steps
+        ref = verlet_states((3.0, -4.0), (1.5, 0.5), segs, [k * dt for k in range(n)])
+        states = np.array([truth_at(scen, k).as_array() for k in range(n)])
+        assert np.abs(states - ref).max() <= 1e-6
+        assert np.abs(scen.truth_path(n - 1) - ref[:, :2]).max() <= 1e-6
 
 
 class TestTruthAt:
@@ -127,10 +162,9 @@ class TestTruthAt:
 
     def test_out_of_range_step(self):
         scen = simple_scenario(line_trajectory(), n_steps=10)
-        with pytest.raises(InvalidInputError):
-            truth_at(scen, 10)
-        with pytest.raises(InvalidInputError):
-            truth_at(scen, -1)
+        for bad in (10, -1, 2.0):
+            with pytest.raises(InvalidInputError):
+                truth_at(scen, bad)
 
 
 def stretched_stock_scenario(scale):
@@ -140,41 +174,38 @@ def stretched_stock_scenario(scale):
     time, so steps fall exactly on every waypoint."""
     base = default_scenario()
     segs = [(dur * scale, ax / scale, ay / scale) for dur, ax, ay in ScenarioConfig().segments]
-    traj = Trajectory.from_segments(base.trajectory.positions[0], base.trajectory.velocities[0], segs)
-    return replace(base, trajectory=traj, dt=1.0, n_steps=int(traj.end_time) + 1)
-
-
-def per_step_accels(scen, upto):
-    """step_accels stated one step at a time."""
-    acc = np.zeros((upto + 1, 2))
-    for k in range(1, upto + 1):
-        acc[k] = scen.trajectory.accel_at(scen.step_time(k - 1))
-    return acc
+    traj = Trajectory.from_segments(base.trajectory.start, base.trajectory.velocity, segs)
+    return replace(base, trajectory=traj, dt=1.0, n_steps=int(traj.times[-1]) + 1), segs
 
 
 class TestTruthPath:
     @pytest.mark.parametrize("scale", [1, 100])
     def test_equals_truth_at_bit_for_bit(self, scale):
-        scen = stretched_stock_scenario(scale)
+        scen, segs = stretched_stock_scenario(scale)
         n = scen.n_steps
-        assert set(scen.trajectory.times) <= {scen.step_time(k) for k in range(n)}
+        assert set(scen.trajectory.times.tolist()) <= set(range(n))
         ref = np.array([truth_at(scen, k).position for k in range(n)])
         assert np.array_equal(scen.truth_path(n - 1), ref)
         assert np.array_equal(scen.truth_path(0), ref[:1])
         assert np.array_equal(scen.truth_path(137), ref[:138])
+        oracle = verlet_states(scen.trajectory.start, scen.trajectory.velocity, segs, range(n), h=1.0)
+        assert np.abs(ref - oracle[:, :2]).max() <= 1e-6
 
     @pytest.mark.parametrize("scale", [1, 100])
-    def test_step_times_equal_step_time_bit_for_bit(self, scale):
-        scen = stretched_stock_scenario(scale)
-        ref = np.array([scen.step_time(k) for k in range(scen.n_steps)])
+    def test_step_times_are_k_times_dt(self, scale):
+        scen = replace(stretched_stock_scenario(scale)[0], dt=0.1)
+        ref = np.array([k * 0.1 for k in range(scen.n_steps)])
         for upto in (0, 1, 137, scen.n_steps - 1):
             assert np.array_equal(scen.step_times(upto), ref[: upto + 1])
 
     @pytest.mark.parametrize("scale", [1, 100])
     def test_step_accels_equal_per_step_lookup(self, scale):
-        scen = stretched_stock_scenario(scale)
+        scen, segs = stretched_stock_scenario(scale)
+        ref = segment_accels(segs, range(scen.n_steps))
         for upto in (0, 1, 137, scen.n_steps - 1):
-            assert np.array_equal(scen.step_accels(upto), per_step_accels(scen, upto))
+            acc = scen.step_accels(upto)
+            assert not acc[0].any()
+            assert np.array_equal(acc[1:], ref[:upto])
 
     @given(
         segs=st.lists(
@@ -187,14 +218,12 @@ class TestTruthPath:
     @settings(max_examples=60, deadline=None)
     def test_random_trajectories_match_per_step_route(self, segs, dt):
         traj = Trajectory.from_segments((3.0, -4.0), (1.5, 0.5), segs)
-        n = int(traj.end_time / dt) + 1
-        if traj.start_time + (n - 1) * dt > traj.end_time:
-            n -= 1
+        n = step_count(traj, dt)
         scen = simple_scenario(traj, n_steps=n, dt=dt)
         ref = np.array([truth_at(scen, k).position for k in range(n)])
         assert np.array_equal(scen.truth_path(n - 1), ref)
-        assert np.array_equal(scen.step_accels(n - 1), per_step_accels(scen, n - 1))
-        assert np.array_equal(scen.step_times(n - 1), [scen.step_time(k) for k in range(n)])
+        assert np.array_equal(scen.step_accels(n - 1)[1:], segment_accels(segs, [k * dt for k in range(n - 1)]))
+        assert np.array_equal(scen.step_times(n - 1), [k * dt for k in range(n)])
 
     def test_out_of_range_upto(self):
         scen = simple_scenario(line_trajectory(), n_steps=10)
@@ -281,10 +310,8 @@ class TestAttackerPlacement:
     )
     @settings(max_examples=100, deadline=None)
     def test_offset_distance_is_exact(self, d, bearing, step):
-        traj = line_trajectory(1.0, -0.5)
-        ref = traj.state_at(float(step))
-        x, y = place_attacker(traj, step, d, bearing)
-        assert math.hypot(x - ref.x, y - ref.y) == pytest.approx(d, rel=1e-9, abs=1e-9)
+        x, y = place_attacker(line_trajectory(1.0, -0.5), step, d, bearing)
+        assert math.hypot(x - step, y + 0.5 * step) == pytest.approx(d, rel=1e-9, abs=1e-9)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidInputError):
