@@ -92,7 +92,7 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     # trial-major, so trial 0's are the first (n, 2) of the block's generator.
     _, gen, _ = block_streams(cfg.run.seed, 0)
     table[:, 4:6] = table[:, 2:4] + scenario.meas_noise_std * gen.standard_normal((n, 2))
-    table[:, 6:] = [(e.state.x, e.state.y, e.state.vx, e.state.vy) for e in scenario.track(table[:, 4:6])]
+    table[:, 6:] = scenario.track(table[:, 4:6])
     _write_csv(
         out / "track.csv",
         ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"],

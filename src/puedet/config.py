@@ -208,12 +208,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         DetectorConfig(cfg.detector.tau, cfg.detector.fusion)
     except InvalidInputError as exc:
         raise ConfigError(f"[detector]: {exc}") from exc
-    if cfg.link.snr_calibration <= 0:
+    if not (math.isfinite(cfg.link.snr_calibration) and cfg.link.snr_calibration > 0):
         raise ConfigError(
-            f"[link] snr_calibration: must be > 0, got {cfg.link.snr_calibration}"
+            f"[link] snr_calibration: must be finite and > 0, got {cfg.link.snr_calibration}"
         )
     if not cfg.sweep.distances:
         raise ConfigError("[sweep] distances: must be non-empty")
+    if not all(math.isfinite(d) and d >= 0 for d in cfg.sweep.distances):
+        raise ConfigError(f"[sweep] distances: every distance must be finite and >= 0, got {cfg.sweep.distances}")
     if not cfg.sweep.snr_db:
         raise ConfigError("[sweep] snr_db: must be non-empty")
     if any(not 0.0 < t < 1.0 for t in cfg.sweep.pfa_targets):
@@ -224,8 +226,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if not all(math.isfinite(b) for b in cfg.sweep.bearings):
         raise ConfigError(f"[sweep] bearings: every bearing must be finite, got {cfg.sweep.bearings}")
-    if cfg.sweep.roc_distance < 0:
-        raise ConfigError(f"[sweep] roc_distance: must be >= 0, got {cfg.sweep.roc_distance}")
+    if not (math.isfinite(cfg.sweep.roc_distance) and cfg.sweep.roc_distance >= 0):
+        raise ConfigError(f"[sweep] roc_distance: must be finite and >= 0, got {cfg.sweep.roc_distance}")
     if cfg.sweep.calibration_trials < 0:
         raise ConfigError("[sweep] calibration_trials: must be >= 0 (0 = same as trials)")
     if cfg.run.trials < 1:

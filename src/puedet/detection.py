@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import LinkModel, RssSample, distance_from_rss
 from .scenario import AnchorNode
-from .tracking import FilterEstimate
 
 LEGITIMATE = "Legitimate"
 ATTACKER = "Attacker"
@@ -50,10 +49,10 @@ class Verdict:
         return self.label == ATTACKER
 
 
-def anchor_distance(estimate: FilterEstimate, anchor: AnchorNode) -> float:
-    """Euclidean distance from the estimated PU position to the anchor."""
-    s = estimate.state
-    return math.hypot(s.x - anchor.x, s.y - anchor.y)
+def anchor_distance(position, anchor: AnchorNode) -> float:
+    """Euclidean distance from the estimated PU position (x, y) to the anchor."""
+    x, y = position
+    return math.hypot(x - anchor.x, y - anchor.y)
 
 
 def decide(d_kf: float, d_rss: float, config: DetectorConfig) -> Verdict:
@@ -66,13 +65,13 @@ def decide(d_kf: float, d_rss: float, config: DetectorConfig) -> Verdict:
 
 
 def detect_step(
-    estimate: FilterEstimate,
+    position,
     rss_samples: Sequence[RssSample],
     anchors: Sequence[AnchorNode],
     link: LinkModel,
     config: DetectorConfig,
 ) -> Verdict:
-    """One detection decision from the current estimate and per-anchor RSS.
+    """One detection decision from the estimated PU position (x, y) and per-anchor RSS.
 
     Every anchor is ranged and decided, whatever the fusion, so an anchor
     whose RSS cannot be inverted fails the step under either.  Single-anchor
@@ -89,7 +88,7 @@ def detect_step(
             d_rss = distance_from_rss(link, s.pr_db)
         except NumericalDegeneracyError as e:
             raise NumericalDegeneracyError(f"anchor {a.id!r}: {e}") from None
-        verdicts.append(decide(anchor_distance(estimate, a), d_rss, config))
+        verdicts.append(decide(anchor_distance(position, a), d_rss, config))
     if config.fusion == SINGLE_ANCHOR:
         return verdicts[0]
     best = max(verdicts, key=lambda v: v.residual)

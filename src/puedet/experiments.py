@@ -315,7 +315,8 @@ def reference_trial(
     trial_index: int,
     scheduled: str = PU,
 ) -> TrialOutcome:
-    """One trial executed through the plain per-step API (no batching).
+    """One trial, unbatched: its measurements emitted step by step, tracked by
+    :meth:`Scenario.track`, and :func:`detect_step` at the estimated position.
 
     This is the readable statement of the trial procedure; the batched engine
     must agree with it, and tests enforce that.  `scheduled` names the
@@ -332,11 +333,11 @@ def reference_trial(
     rss_gen.standard_normal((row, len(scenario.anchors)))
 
     zs = [emit_position_measurement(scenario, k, pos_gen) for k in range(k_eval + 1)]
-    estimates = scenario.track(zs)
+    position = scenario.track(zs)[k_eval, :2]
 
     tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
     samples = [emit_rss(scenario, tx, a, rss_gen) for a in scenario.anchors]
-    verdict = detect_step(estimates[k_eval], samples, scenario.anchors, scenario.link, config)
+    verdict = detect_step(position, samples, scenario.anchors, scenario.link, config)
     seed = int(root.generate_state(row + 1, np.uint64)[row])
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .propagation import LinkModel, NoiseModel, RssSample, sample_rss
 from .tracking import (
-    FilterEstimate,
     MeasurementModel,
     MotionModel,
     TargetState,
@@ -150,6 +149,11 @@ class Scenario:
             raise InvalidInputError("process_noise_std must be >= 0")
         if not (math.isfinite(self.v_max) and self.v_max > 0.0):
             raise InvalidInputError("v_max must be > 0")
+        # The tracker squares each of these; as floats, so numpy scalars do not warn.
+        for name in ("meas_noise_std", "process_noise_std", "v_max"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v * v):
+                raise InvalidInputError(f"{name} must have a finite square, got {v}")
 
     @property
     def evaluation_step(self) -> int:
@@ -160,11 +164,12 @@ class Scenario:
         v = self.process_noise_std
         return MotionModel(self.dt, v * v, v * v), MeasurementModel.isotropic(self.meas_noise_std)
 
-    def track(self, measurements: Sequence) -> list[FilterEstimate]:
+    def track(self, measurements: Sequence) -> np.ndarray:
         """The tracker of this world run over the measurements of steps
         0..len - 1: :meth:`filter_models`, a start at the first measurement
         (velocity spread v_max) and each step's trajectory acceleration as the
-        known input."""
+        known input.  Row k of the (len, 4) result is the state estimate
+        ``[x, y, vx, vy]`` at step k."""
         accels = self.step_accels(len(measurements) - 1)
         motion, meas_model = self.filter_models()
         init = initial_estimate(measurements[0], meas_model, self.v_max)

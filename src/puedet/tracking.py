@@ -5,15 +5,16 @@ functions over small immutable values; nothing here holds mutable state,
 so concurrent use is safe.
 
 :func:`predict` and :func:`update` take one step.  :func:`track` runs a whole
-sequence through the same expressions, and :func:`track_weights` states the
-same filter in linear form: the estimate at step k as a fixed map of the
-measurements plus a fixed offset.  The covariance recursion does not depend
-on the data, so both consume one gain sequence, in which the gain and
-covariance are reused, not recomputed, once the covariance reaches its exact
-floating-point fixed point (it returns itself bit for bit; step 132 for the
-stock tracker).  This is not an approximation: every estimate equals the
-per-step route's bit for bit.  A model with no fixed point, such as one with
-zero process noise, runs the full recursion at every step.
+sequence through the same state formulas and returns the states as one
+(n, 4) array, and :func:`track_weights` states the same filter in linear
+form: the estimate at step k as a fixed map of the measurements plus a fixed
+offset.  The covariance recursion does not depend on the data, so both
+consume one gain sequence, in which the gain is reused, not recomputed, once
+the covariance reaches its exact floating-point fixed point (it returns
+itself bit for bit; step 132 for the stock tracker).  This is not an
+approximation: every state equals the per-step route's bit for bit.  A model
+with no fixed point, such as one with zero process noise, runs the full
+recursion at every step.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ DEGENERACY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TargetState:
-    """Kinematic state of the tracked transmitter: position (m) and velocity (m/s)."""
+    """Kinematic state of the tracked transmitter: position (m) and velocity (m/s), iterated as (x, y, vx, vy)."""
 
     x: float
     y: float
@@ -53,6 +54,9 @@ class TargetState:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "vx", float(self.vx))
         object.__setattr__(self, "vy", float(self.vy))
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.vx, self.vy))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.vx, self.vy])
@@ -72,13 +76,7 @@ class MotionModel:
     sigma_wy2: float = 0.0
 
     def __post_init__(self):
-        ok = (
-            isfinite(self.dt)
-            and self.dt >= 0.0
-            and self.sigma_wx2 >= 0.0
-            and self.sigma_wy2 >= 0.0
-        )
-        if not ok:
+        if not all(isfinite(v) and v >= 0.0 for v in (self.dt, self.sigma_wx2, self.sigma_wy2)):
             raise InvalidInputError(f"invalid motion model {self}")
         # Plain floats keep the filter arithmetic off numpy scalars.
         object.__setattr__(self, "dt", float(self.dt))
@@ -271,35 +269,27 @@ def _finite_rows(values, what: str, first: int = 0) -> np.ndarray:
     raise InvalidInputError(f"{what}s must form an (n, 2) array")
 
 
-def _predicted_state(s: TargetState, dt: float, ux: float, uy: float) -> TargetState:
-    """The state carried over dt by the constant-velocity model under a known
-    acceleration (ux, uy)."""
+def _predicted_state(s, dt: float, ux: float, uy: float) -> tuple:
+    """The state (x, y, vx, vy), as floats, carried over dt by the
+    constant-velocity model under a known acceleration (ux, uy)."""
+    x, y, vx, vy = s
     half = 0.5 * dt * dt
-    return _state(
-        s.x + dt * s.vx + half * ux,
-        s.y + dt * s.vy + half * uy,
-        s.vx + dt * ux,
-        s.vy + dt * uy,
-    )
+    return x + dt * vx + half * ux, y + dt * vy + half * uy, vx + dt * ux, vy + dt * uy
 
 
-def _corrected_state(s: TargetState, g: tuple, zx: float, zy: float) -> TargetState:
-    """The state moved by gain ``g`` (8 row-major floats) times the innovation
-    of the measurement (zx, zy)."""
+def _corrected_state(s, g: tuple, zx: float, zy: float) -> tuple:
+    """The state (x, y, vx, vy), as floats, moved by gain ``g`` (8 row-major
+    floats) times the innovation of the measurement (zx, zy)."""
+    x, y, vx, vy = s
     g00, g01, g10, g11, g20, g21, g30, g31 = g
-    ix, iy = zx - s.x, zy - s.y
-    return _state(
-        s.x + (g00 * ix + g01 * iy),
-        s.y + (g10 * ix + g11 * iy),
-        s.vx + (g20 * ix + g21 * iy),
-        s.vy + (g30 * ix + g31 * iy),
-    )
+    ix, iy = zx - x, zy - y
+    return x + (g00 * ix + g01 * iy), y + (g10 * ix + g11 * iy), vx + (g20 * ix + g21 * iy), vy + (g30 * ix + g31 * iy)
 
 
 def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> FilterEstimate:
     """Propagate the estimate through the motion model with a known acceleration input."""
     ux, uy = _finite_pair(accel, "acceleration")
-    state = _predicted_state(est.state, model.dt, ux, uy)
+    state = _state(*_predicted_state(est.state, model.dt, ux, uy))
     return _estimate(state, predict_covariance(est.covariance, model))
 
 
@@ -350,7 +340,7 @@ def update(est: FilterEstimate, meas_model: MeasurementModel, z) -> FilterEstima
     """Correct the estimate with a position measurement z (m)."""
     zx, zy = _finite_pair(z, "measurement")
     g, p_new = _gain_and_posterior(est.covariance, meas_model)
-    return _estimate(_corrected_state(est.state, g, zx, zy), p_new)
+    return _estimate(_state(*_corrected_state(est.state, g, zx, zy)), p_new)
 
 
 def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEstimate:
@@ -367,23 +357,20 @@ def track(
     meas_model: MeasurementModel,
     init: FilterEstimate,
     accels: Sequence | None = None,
-) -> list[FilterEstimate]:
-    """Filter a measurement sequence sampled every ``model.dt``; one estimate
-    per measurement.
+) -> np.ndarray:
+    """Filter a measurement sequence sampled every ``model.dt``: the state
+    estimate ``[x, y, vx, vy]`` of every measurement's step, shape (n, 4).
 
-    The initial estimate is taken to be at the first measurement, so the first
-    output is `init` itself (see :func:`initial_estimate`).  Every later step
-    predicts over ``model.dt`` with that step's acceleration input
-    (``accels[k]``, zero when absent; ``accels[0]`` is not used) and then
-    updates, exactly as ``update(predict(est, model, accels[k]), meas_model,
-    measurements[k])`` would.
+    The initial estimate is taken to be at the first measurement, so row 0 is
+    ``init.state`` (see :func:`initial_estimate`).  Every later step predicts
+    over ``model.dt`` with that step's acceleration input (``accels[k]``,
+    zero when absent; ``accels[0]`` is not used) and then updates, exactly as
+    ``update(predict(est, model, accels[k]), meas_model, measurements[k])``
+    would, bit for bit.
 
-    The covariance recursion does not depend on the data.  Once it reaches
-    its exact fixed point, its gain and covariance are reused (see
-    :func:`_gains`): all later estimates share that one covariance array,
-    marked read-only.  A model whose recursion never repeats (zero process
-    noise, say) runs it at every step.  The inputs are validated up front,
-    each as one (n, 2) array.
+    Only the gains of the covariance recursion are run (see :func:`_gains`).
+    The inputs are checked up front, each as one (n, 2) array, and the states
+    once at the end, naming the first step that left the finite range.
     """
     n = len(measurements)
     if n == 0:
@@ -397,13 +384,17 @@ def track(
         us = _finite_rows(accels[1:], "acceleration", first=1).tolist()
 
     dt = model.dt
-    s = init.state
-    out = [init]
+    s = tuple(init.state)
+    out = [s]
     # The gain sequence last, so that zip never asks it for a step past the end.
-    for (ux, uy), (zx, zy), (g, p) in zip(us, zs[1:], _gains(init.covariance, model, meas_model)):
+    for (ux, uy), (zx, zy), g in zip(us, zs[1:], _gains(init.covariance, model, meas_model)):
         s = _corrected_state(_predicted_state(s, dt, ux, uy), g, zx, zy)
-        out.append(_estimate(s, p))
-    return out
+        out.append(s)
+    states = np.array(out)
+    if not np.isfinite(states).all():
+        k = int(np.isfinite(states).all(axis=1).argmin())
+        raise InvalidInputError(f"target state at step {k} must be finite, got {out[k]}")
+    return states
 
 
 def track_weights(
@@ -436,7 +427,7 @@ def track_weights(
     m = np.eye(4, 2)
     c = np.zeros(4)
     out = {0: (m, c)} if 0 in wanted else {}
-    for k, u, (g, _) in zip(range(1, last + 1), us, _gains(init_covariance, model, meas_model)):
+    for k, u, g in zip(range(1, last + 1), us, _gains(init_covariance, model, meas_model)):
         # Predict then update: x <- (I - G C)(A x + B u) + G z_k.
         g = np.array(g).reshape(4, 2)
         i_gc = np.eye(4)
@@ -450,19 +441,18 @@ def track_weights(
 
 
 def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel) -> Iterator[tuple]:
-    """The gain (8 row-major floats) and posterior covariance of each step
-    after the first, without end, from the covariance `p` of step 0.
+    """The gain (8 row-major floats) of each step after the first, without
+    end, from the covariance `p` of step 0.
 
     Once a step returns the covariance it was given, bit for bit, every later
-    step would too, so that gain and covariance (marked read-only) are yielded
-    from then on.  Only two outputs of the recursion are compared, never `p`,
-    whose layout the caller chose; as bytes, since == equates -0.0 and 0.0.
+    step would too, so its gain is yielded from then on.  Only two outputs of
+    the recursion are compared, never `p`, whose layout the caller chose; as
+    bytes, since == equates -0.0 and 0.0.
     """
     g, p = _gain_and_posterior(predict_covariance(p, model), meas_model)
     while True:
-        yield g, p
+        yield g
         g, p_new = _gain_and_posterior(predict_covariance(p, model), meas_model)
         if p_new.tobytes() == p.tobytes():
-            p_new.flags.writeable = False
-            yield from repeat((g, p_new))
+            yield from repeat(g)
         p = p_new

@@ -162,8 +162,7 @@ def test_criterion_2_tracking_fidelity():
     for run in range(120):
         rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 2, run)))
         zs = truth + scen.meas_noise_std * rng.standard_normal((scen.n_steps, 2))
-        ests = scen.track(zs)
-        est_pos = np.array([[e.state.x, e.state.y] for e in ests])
+        est_pos = scen.track(zs)[:, :2]
         filt_rmse.append(math.sqrt(np.mean(np.sum((est_pos - truth) ** 2, axis=1))))
         raw_rmse.append(math.sqrt(np.mean(np.sum((zs - truth) ** 2, axis=1))))
 

@@ -55,11 +55,11 @@ def per_step_track_rows(text, seed):
     scen = build_scenario(loads_config(text))
     _, gen, _ = block_streams(seed, 0)
     zs = [emit_position_measurement(scen, k, gen) for k in range(scen.n_steps)]
-    ests = scen.track(zs)
+    states = scen.track(zs)
     rows = []
     for k in range(scen.n_steps):
-        truth, z, s = truth_at(scen, k), zs[k], ests[k].state
-        values = [k * scen.dt, truth.x, truth.y, z[0], z[1], s.x, s.y, s.vx, s.vy]
+        truth, z = truth_at(scen, k), zs[k]
+        values = [k * scen.dt, truth.x, truth.y, z[0], z[1], *states[k]]
         rows.append([str(k)] + [format(float(v), ".9g") for v in values])
     return rows
 

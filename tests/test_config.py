@@ -120,6 +120,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="trajectory values must be finite"):
             loads_config("[scenario]\nsegments = 1e200 1e200 0\n")
 
+    @pytest.mark.parametrize(
+        "section, key", [("scenario", "meas_noise_std"), ("tracking", "process_noise_std"), ("tracking", "v_max")]
+    )
+    def test_tracker_square_beyond_float_range(self, section, key):
+        # The tracker squares each of these; 1e200 is finite, its square is not.
+        with pytest.raises(ConfigError, match=rf"\[scenario/link\]: {key} must have a finite square"):
+            loads_config(f"[{section}]\n{key} = 1e200\n")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sweep", "roc_distance", "nan"),
+            ("link", "snr_calibration", "inf"),
+            ("sweep", "distances", "30 nan"),
+            ("sweep", "distances", "-10"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*finite"):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             loads_config("[run]\ntrials = 0\n")

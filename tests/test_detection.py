@@ -22,11 +22,10 @@ from puedet.detection import (
 from puedet.errors import InvalidInputError
 from puedet.propagation import LinkModel, RssSample, received_power_db
 from puedet.scenario import AnchorNode
-from puedet.tracking import FilterEstimate, TargetState
 
 
 def estimate_at(x, y):
-    return FilterEstimate(TargetState(x, y, 0.0, 0.0), np.eye(4))
+    return np.array([x, y], dtype=float)
 
 
 def rss_at_distance(link, d):

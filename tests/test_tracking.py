@@ -67,6 +67,9 @@ class TestModels:
             MeasurementModel(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(InvalidInputError):
             MeasurementModel(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+        for sx, sy in ((np.inf, np.inf), (0.04, np.inf), (np.nan, 0.04)):
+            with pytest.raises(InvalidInputError, match="invalid motion model"):
+                MotionModel(1.0, sx, sy)
 
 
 class TestPredict:
@@ -219,8 +222,8 @@ class TestTrack:
     def test_single_measurement_exact_init(self):
         init = est([4, 5, 1, 1], np.eye(4))
         out = track([np.array([4.0, 5.0])], MotionModel(1.0), MeasurementModel.isotropic(1.0), init=init)
-        assert len(out) == 1
-        assert out[0].state == init.state
+        assert out.shape == (1, 4)
+        assert np.array_equal(out[0], init.state.as_array())
 
     def test_noiseless_constant_velocity_is_exact(self):
         # Exact init + exact measurement values: the innovation is zero at
@@ -230,11 +233,11 @@ class TestTrack:
         times = [float(k) for k in range(30)]
         zs = [np.array([2.0 * t, -1.0 * t]) for t in times]
         out = track(zs, MotionModel(1.0), mm, init=init)
-        for t, e in zip(times, out):
-            assert abs(e.state.x - 2.0 * t) <= 1e-9
-            assert abs(e.state.y + 1.0 * t) <= 1e-9
-            assert abs(e.state.vx - 2.0) <= 1e-9
-            assert abs(e.state.vy + 1.0) <= 1e-9
+        for t, (x, y, vx, vy) in zip(times, out):
+            assert abs(x - 2.0 * t) <= 1e-9
+            assert abs(y + 1.0 * t) <= 1e-9
+            assert abs(vx - 2.0) <= 1e-9
+            assert abs(vy + 1.0) <= 1e-9
 
     def test_filter_beats_raw_measurements(self):
         # Monte Carlo RMSE comparison over 100 seeded straight-line runs.
@@ -247,7 +250,7 @@ class TestTrack:
             truth = np.stack([3.0 * times, 100.0 - 2.0 * times], axis=1)
             zs = truth + 5.0 * rng.standard_normal(truth.shape)
             out = track(list(zs), model, mm, init=initial_estimate(zs[0], mm, 10.0))
-            estpos = np.array([[e.state.x, e.state.y] for e in out])
+            estpos = out[:, :2]
             filt_se += np.sum((estpos - truth) ** 2)
             raw_se += np.sum((zs - truth) ** 2)
         assert filt_se < raw_se
@@ -274,14 +277,10 @@ class TestTrack:
             e = update(predict(e, model, accels[k]), mm, zs[k])
             expected.append(e)
         got = track(zs, model, mm, init, accels)
-        assert len(got) == n
-        for g, e in zip(got, expected):
-            assert g.state == e.state
-            assert np.array_equal(g.covariance, e.covariance)
-        assert got[-1].covariance.flags.writeable is not steady
-        if steady:
-            assert got[-1].covariance is got[-2].covariance
-        assert init.covariance.flags.writeable
+        assert got.shape == (n, 4)
+        assert np.array_equal(got, [e.state.as_array() for e in expected])
+        # The case reaches the covariance's fixed point, or never does.
+        assert (expected[-1].covariance.tobytes() == expected[-2].covariance.tobytes()) is steady
 
     def test_rejects_bad_sequences(self):
         mm = MeasurementModel.isotropic(1.0)
@@ -315,6 +314,15 @@ class TestTrack:
         with pytest.raises(InvalidInputError, match=f"{what} {k}"):
             track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
 
+    def test_state_overflow_names_its_step(self):
+        # Finite measurements whose innovation at step 5 overflows the state.
+        mm = MeasurementModel.isotropic(5.0)
+        zs = np.zeros((10, 2))
+        zs[4], zs[5] = (1.7e308, 0.0), (-1.7e308, 0.0)
+        init = initial_estimate(zs[0], mm, 10.0)
+        with pytest.raises(InvalidInputError, match="target state at step 5 must be finite"):
+            track(zs, MotionModel(1.0, 0.04, 0.04), mm, init)
+
     def test_first_acceleration_is_unused(self):
         mm = MeasurementModel.isotropic(5.0)
         zs = np.arange(20.0).reshape(10, 2)
@@ -323,7 +331,7 @@ class TestTrack:
         base = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
         accels[0] = (np.nan, np.inf)
         out = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
-        assert [e.state for e in out] == [e.state for e in base]
+        assert np.array_equal(out, base)
 
     @pytest.mark.parametrize(
         "model", [MotionModel(1.0, 0.04, 0.04), MotionModel(1.0), MotionModel(0.1, 0.04, 0.04)]
@@ -340,7 +348,7 @@ class TestTrack:
         assert list(maps) == [0, 1, 140, n - 1]
         for k, (m, c) in maps.items():
             got = m @ zs[: k + 1].ravel() + c
-            assert np.abs(got - expected[k].state.as_array()).max() <= 1e-9, k
+            assert np.abs(got - expected[k]).max() <= 1e-9, k
 
     def test_weights_reject_bad_accelerations(self):
         mm = MeasurementModel.isotropic(5.0)
