@@ -12,9 +12,9 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .detection import OR_ACROSS_ANCHORS, SINGLE_ANCHOR, DetectorConfig
+from .detection import SINGLE_ANCHOR, DetectorConfig
 from .errors import ConfigError, InvalidInputError
-from .propagation import LinkModel, NoiseModel
+from .propagation import LinkModel, NoiseModel, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
 
 
@@ -92,14 +92,7 @@ class ExperimentConfig:
     run: RunSettings = field(default_factory=RunSettings)
 
 
-_SECTIONS = {
-    "scenario": ScenarioConfig,
-    "tracking": TrackingConfig,
-    "link": LinkConfig,
-    "detector": DetectorSettings,
-    "sweep": SweepSettings,
-    "run": RunSettings,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -134,16 +127,9 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.strip() == "" else float(text)
 
 
-def _parse_fusion(text: str) -> str:
-    if text not in (SINGLE_ANCHOR, OR_ACROSS_ANCHORS):
-        raise ValueError(f"fusion must be '{SINGLE_ANCHOR}' or '{OR_ACROSS_ANCHORS}'")
-    return text
-
-
 _PARSERS = {
     ("scenario", "segments"): _parse_segments,
     ("scenario", "anchors"): _parse_anchors,
-    ("detector", "fusion"): _parse_fusion,
     ("detector", "target_pfa"): _parse_optional_float,
     ("sweep", "distances"): _parse_floats,
     ("sweep", "snr_db"): _parse_floats,
@@ -200,6 +186,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         build_scenario(cfg)
     except InvalidInputError as exc:
         raise ConfigError(f"[scenario/link]: {exc}") from exc
+    if cfg.scenario.eval_step < -1:
+        raise ConfigError(f"[scenario] eval_step: must be -1 (the final step) or >= 0, got {cfg.scenario.eval_step}")
     if cfg.detector.target_pfa is not None and not 0.0 < cfg.detector.target_pfa < 1.0:
         raise ConfigError(
             f"[detector] target_pfa: must be in (0, 1), got {cfg.detector.target_pfa}"
@@ -218,6 +206,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[sweep] distances: every distance must be finite and >= 0, got {cfg.sweep.distances}")
     if not cfg.sweep.snr_db:
         raise ConfigError("[sweep] snr_db: must be non-empty")
+    for snr in cfg.sweep.snr_db:
+        try:
+            sigma_from_snr(snr, cfg.link.snr_calibration)
+        except InvalidInputError as exc:
+            raise ConfigError(f"[sweep] snr_db: {exc}") from exc
+    if not cfg.sweep.pfa_targets:
+        raise ConfigError("[sweep] pfa_targets: must be non-empty")
     if any(not 0.0 < t < 1.0 for t in cfg.sweep.pfa_targets):
         raise ConfigError("[sweep] pfa_targets: every target must lie in (0, 1)")
     if not 0.0 <= cfg.sweep.schedule_mix <= 1.0:

@@ -5,21 +5,22 @@ Trials are seeded in fixed blocks of :data:`BLOCK`: block b holds trials
 [b * BLOCK, (b + 1) * BLOCK) and owns one substream root derived from
 (master_seed, b) by :func:`block_streams`, with one generator for position
 noise and one for RSS noise.  Trial r of a block takes row r of each
-generator's trial-major draws, so results do not depend on chunking: a chunk
-continues its block's generators, and a smaller draw is a prefix of a larger
-one.  The batched engine shares the truth path and the covariance/gain
-recursion across trials (none of it depends on measurement data in a linear
-filter), and each sweep computes them once for all of its cells, as the
-weight map of :meth:`Scenario.estimate_weights`: the filter's estimate at the
-evaluation step is a fixed linear combination of the trial's position-noise
-draws plus a fixed offset.  The weights are a C-contiguous (2, 2(K + 1))
+generator's trial-major draws; a block draws its RSS noise in one call and
+its position noise in chunks of :data:`CHUNK_DRAWS`, which continue its
+generator (a smaller draw is a prefix of a larger one).  The batched engine
+shares the truth path and the covariance/gain recursion across trials (none
+of it depends on measurement data in a linear filter), and each sweep
+computes them once for all of its cells, as the weight map of
+:meth:`Scenario.estimate_weights`: the filter's estimate at the evaluation
+step is a fixed linear combination of the trial's position-noise draws plus
+a fixed offset.  The weights are a C-contiguous (2, 2(K + 1))
 block, so a chunk's (rows, 2(K + 1)) draws and the weights are both
 contiguous along the summed axis, and one ``np.einsum`` contracts them with
 numpy's contiguous dot loop.  That loop sums a row in an order that does not
 depend on how many rows the chunk has; BLAS ``@`` is not used because its
 blocking does, which would let results differ in the last bits between chunk
-sizes.  Everything else per trial is elementwise, so chunked and unchunked
-runs are bit-identical.
+sizes.  Ranging and its checks run once over the whole cell, so neither the
+results nor the error a cell raises depend on the chunk size.
 :func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is scored
 at any threshold without re-running it.  The sweeps run their cells on one
 worker thread per CPU (numpy releases the GIL while it draws and contracts)
@@ -61,7 +62,7 @@ from .scenario import (
 )
 
 # Position-noise draws per chunk: a chunk of a cell evaluated at step K holds
-# max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffers stay small (and
+# max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffer stays small (and
 # cache-resident) whatever K is.
 CHUNK_DRAWS = 1 << 15
 
@@ -212,7 +213,9 @@ def run_cell(
     anchor; :func:`reference_trial` consumes the identical rows.
     `weight_map` is the scenario's ``estimate_weights`` entry for the
     evaluation step, passed in by sweeps that share it across cells and computed here
-    otherwise.
+    otherwise.  Chunks only draw and contract position noise; ranging and its
+    checks (every anchor's readings, in anchor order, before any inversion)
+    run once over the cell, so the error raised does not depend on chunk size.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
@@ -220,61 +223,51 @@ def run_cell(
     if n < 1 or attacker_xy.shape != (n, 2):
         raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
     k_eval = scenario.evaluation_step
-    n_anchors = len(scenario.anchors)
     chunk = max(1, CHUNK_DRAWS // (2 * (k_eval + 1)))
     truth, weights, offset = weight_map if weight_map is not None else _eval_weights(scenario)
     link = scenario.link
     a_link = link.link_constant_db
-    sigma_z = scenario.meas_noise_std
-    sigma_db = scenario.rss_noise.sigma_db
-
-    d_kf = np.empty((n, n_anchors))
-    d_rss = np.empty((n, n_anchors))
+    est = np.empty((n, 2))
+    rss_noise = np.empty((n, len(scenario.anchors)))
     seeds = np.empty(n, dtype=np.uint64)
 
+    # Draw the noise; chunks bound only the position-noise buffer.
     for block_lo in range(0, n, BLOCK):
         block_hi = min(block_lo + BLOCK, n)
         root, pos_gen, rss_gen = block_streams(master_seed, block_lo // BLOCK)
         seeds[block_lo:block_hi] = root.generate_state(block_hi - block_lo, np.uint64)
+        rss_gen.standard_normal(out=rss_noise[block_lo:block_hi])
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
-            m = hi - lo
-            noise = pos_gen.standard_normal((m, k_eval + 1, 2))
-            rss_noise = rss_gen.standard_normal((m, n_anchors))
+            noise = pos_gen.standard_normal((hi - lo, 2 * (k_eval + 1)))
             # The filter's estimate at the evaluation step, one row per trial.
             # einsum, not BLAS `@`: its per-row sum order does not depend on
             # the chunk's row count, which keeps chunking bit-exact.
-            est = np.einsum("mk,jk->mj", noise.reshape(m, -1), weights)
-            est *= sigma_z
-            est += offset
-            x, y = est[:, 0], est[:, 1]
+            np.einsum("mk,jk->mj", noise, weights, out=est[lo:hi])
 
-            # Every anchor's reading is emitted and checked before any is
-            # inverted, in the order reference_trial emits them; an
-            # overflowing reading or inversion is reported by the checks.
-            tx = np.where(is_pue[lo:hi, None], attacker_xy[lo:hi], truth)
-            pr = np.empty((m, n_anchors))
-            for j, anchor in enumerate(scenario.anchors):
-                d_kf[lo:hi, j] = np.hypot(x - anchor.x, y - anchor.y)
-                d_tx = np.hypot(tx[:, 0] - anchor.x, tx[:, 1] - anchor.y)
-                if (d_tx <= 0.0).any():
-                    raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pr[:, j] = -10.0 * link.alpha * np.log10(d_tx) + a_link + sigma_db * rss_noise[:, j]
-                bad = ~np.isfinite(pr[:, j])
-                if bad.any():
-                    raise InvalidInputError(
-                        f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}"
-                    )
-            with np.errstate(over="ignore"):
-                d = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
-            for j, anchor in enumerate(scenario.anchors):
-                if not np.isfinite(d[:, j]).all():
-                    raise NumericalDegeneracyError(
-                        f"anchor {anchor.id!r}: RSS-implied distance left the finite range"
-                    )
-            d_rss[lo:hi] = d
+    # Range every trial at every anchor; the checks report any limit hit.
+    est *= scenario.meas_noise_std
+    est += offset
+    tx = np.where(is_pue[:, None], attacker_xy, truth)
+    ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
+    d_kf = np.hypot(est[:, :1] - ax, est[:, 1:] - ay)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_tx = np.hypot(tx[:, :1] - ax, tx[:, 1:] - ay)
+        pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + scenario.rss_noise.sigma_db * rss_noise
+        d_rss = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
 
+    # Every reading is checked, in anchor order, before any inversion.
+    for j, anchor in enumerate(scenario.anchors):
+        if (d_tx[:, j] <= 0.0).any():
+            raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
+        bad = ~np.isfinite(pr[:, j])
+        if bad.any():
+            raise InvalidInputError(f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}")
+    bad = ~np.isfinite(d_rss).all(axis=0)
+    if bad.any():
+        raise NumericalDegeneracyError(
+            f"anchor {scenario.anchors[bad.argmax()].id!r}: RSS-implied distance left the finite range"
+        )
     return Cell(is_pue, d_kf, d_rss, seeds)
 
 

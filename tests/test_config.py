@@ -135,11 +135,26 @@ class TestValidation:
             ("link", "snr_calibration", "inf"),
             ("sweep", "distances", "30 nan"),
             ("sweep", "distances", "-10"),
+            ("sweep", "snr_db", "inf"),
+            ("sweep", "snr_db", "0 nan"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*finite"):
             loads_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[sweep]\nsnr_db = -5 -8000\n", r"\[sweep\] snr_db: .*beyond the float range"),
+            ("[sweep]\npfa_targets =\n", r"\[sweep\] pfa_targets: must be non-empty"),
+            ("[scenario]\neval_step = -7\n", r"\[scenario\] eval_step: "),
+        ],
+        ids=["snr_db=-8000", "empty pfa_targets", "eval_step=-7"],
+    )
+    def test_rejected_value_names_its_key(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            loads_config(text)
 
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):

@@ -82,14 +82,35 @@ class TestRunTrials:
         assert a == b
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
+        one = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
+        four = replace(one, anchors=SQUARE_ANCHORS)
         n = BLOCK + 50  # the last chunks cross a seeding-block boundary
-        whole = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5)
-        draws_per_trial = 2 * scen.n_steps
+        cases = [
+            (scen, cfg, run_trials(scen, cfg, n, 0.5, 5))
+            for scen, cfg in ((one, DetectorConfig(10.0)), (four, DetectorConfig(10.0, "or")))
+        ]
+        draws_per_trial = 2 * one.n_steps
         for chunk_size in (3, 1000):  # neither divides the block
             monkeypatch.setattr(experiments, "CHUNK_DRAWS", chunk_size * draws_per_trial)
-            pieces = run_trials(scen, DetectorConfig(10.0), n, 0.5, 5)
-            assert pieces == whole, chunk_size
+            for scen, cfg, whole in cases:
+                assert run_trials(scen, cfg, n, 0.5, 5) == whole, (len(scen.anchors), chunk_size)
+
+    def test_chunking_does_not_change_the_error(self, monkeypatch):
+        # Trial 0 overflows anchor a1's inversion; trial 150's attacker sits
+        # on anchor a2.  Every reading is checked before any inversion, over
+        # the whole cell, so the coincidence is reported at any chunk size.
+        scen = default_scenario(
+            anchors=SQUARE_ANCHORS[:2], link=LinkModel(alpha=0.01), rss_noise=NoiseModel(40.0)
+        )
+        n = 200
+        is_pue = np.arange(n) == 150
+        xy = np.zeros((n, 2))
+        xy[150] = (SQUARE_ANCHORS[1].x, SQUARE_ANCHORS[1].y)
+        draws_per_trial = 2 * scen.n_steps
+        for chunk_draws in (experiments.CHUNK_DRAWS, draws_per_trial, n * draws_per_trial):
+            monkeypatch.setattr(experiments, "CHUNK_DRAWS", chunk_draws)
+            with pytest.raises(InvalidInputError, match="transmitter coincides with anchor 'a2'"):
+                run_cell(scen, is_pue, xy, 1)
 
     def test_fewer_trials_are_a_prefix(self):
         # With one schedule label for all, a trial's outcome depends only on
