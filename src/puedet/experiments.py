@@ -5,38 +5,34 @@ Trials are seeded in fixed blocks of :data:`BLOCK`: block b holds trials
 [b * BLOCK, (b + 1) * BLOCK) and owns one substream root derived from
 (master_seed, b) by :func:`block_streams`, with one generator for position
 noise and one for RSS noise.  Trial r of a block takes row r of each
-generator's trial-major draws; a block draws its RSS noise in one call and
-its position noise in chunks of :data:`CHUNK_DRAWS`, which continue its
-generator (a smaller draw is a prefix of a larger one).  The batched engine
-shares the truth path and the covariance/gain recursion across trials (none
-of it depends on measurement data in a linear filter), and each sweep
-computes them once for all of its cells, as the weight map of
-:meth:`Scenario.estimate_weights`: the filter's estimate at the evaluation
-step is a fixed linear combination of the trial's position-noise draws plus
-a fixed offset.  The weights are a C-contiguous (2, 2(K + 1))
-block, so a chunk's (rows, 2(K + 1)) draws and the weights are both
-contiguous along the summed axis, and one ``np.einsum`` contracts them with
-numpy's contiguous dot loop.  That loop sums a row in an order that does not
-depend on how many rows the chunk has; BLAS ``@`` is not used because its
-blocking does, which would let results differ in the last bits between chunk
-sizes.  Ranging and its checks run once over the whole cell, so neither the
-results nor the error a cell raises depend on the chunk size.
-:func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is scored
-at any threshold without re-running it.  The sweeps run their cells on one
-worker thread per CPU (numpy releases the GIL while it draws and contracts)
-and score them in cell order; a cell depends only on its own seed, so the
-results do not depend on the thread count.  :func:`reference_trial` is the plain
-one-trial-at-a-time statement of the same procedure, running the filter step
-by step; tests hold the two routes together.
+generator's trial-major draws, so a run of n trials is a prefix of a longer
+run.  The filter's gains do not depend on the data, so its estimate at the
+evaluation step K is a fixed linear map of the trial's measurement noise,
+``offset + meas_noise_std * W @ noise`` (:meth:`Scenario.estimate_weights`),
+and its exact law is ``N(offset, meas_noise_std**2 * W @ W.T)``.  The
+engine draws it directly: two standard normals eta per trial, mapped by the
+lower Cholesky factor L of ``W @ W.T``, instead of the 2(K + 1) measurement
+normals that W would contract to the same law.  Each sweep computes W and
+the offset once for all of its cells.  Ranging and its checks run once over
+the whole cell.  :func:`run_cell` returns a :class:`Cell` of per-trial
+arrays, which is scored at any threshold without re-running it.  The sweeps
+run their cells one after another, in cell order, so the first failing cell
+decides the error.
+
+:func:`reference_trial` is the plain one-trial-at-a-time statement of the
+same procedure: it conditions the 2(K + 1) measurement normals on the
+trial's draw, ``xi = W⁺ L eta + (I - W⁺ W) zeta`` with zeta from a third
+stream of the block, which gives ``W @ xi = L eta`` and leaves xi standard
+normal, and runs the filter step by step over ``truth + meas_noise_std * xi``.
+Tests hold the two routes together, so a wrong weight map or offset still
+shows as a disagreement.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,15 +52,9 @@ from .scenario import (
     PU,
     PUE,
     Scenario,
-    emit_position_measurement,
     emit_rss,
     truth_at,
 )
-
-# Position-noise draws per chunk: a chunk of a cell evaluated at step K holds
-# max(1, CHUNK_DRAWS // (2(K + 1))) trials, so its buffer stays small (and
-# cache-resident) whatever K is.
-CHUNK_DRAWS = 1 << 15
 
 # Trials per seeding block: each block of trials owns one substream root.
 BLOCK = 4096
@@ -138,7 +128,8 @@ def block_streams(
     randomness only through this function.
 
     Row r of the root's ``generate_state(m, np.uint64)`` is the seed reported
-    for trial r of the block.
+    for trial r of the block.  The root's third child feeds only
+    :func:`reference_trial`, so the first two never change.
     """
     root = np.random.SeedSequence((master_seed, block))
     pos, rss = root.spawn(2)
@@ -155,6 +146,19 @@ def _eval_weights(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The scenario's :meth:`Scenario.estimate_weights` at its evaluation step."""
     k_eval = scenario.evaluation_step
     return scenario.estimate_weights((k_eval,))[k_eval]
+
+
+def _estimate_factor(weights: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of ``weights @ weights.T``, so that
+    ``L @ eta`` for eta ~ N(0, I_2) has the law of ``weights @ noise``.  All-zero
+    weights mean a point-mass estimate, L = 0; any other singular product
+    raises NumericalDegeneracyError."""
+    if not weights.any():
+        return np.zeros((2, 2))
+    try:
+        return np.linalg.cholesky(weights @ weights.T)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError("estimate covariance W W^T is singular") from None
 
 
 @dataclass(frozen=True)
@@ -208,46 +212,40 @@ def run_cell(
     ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
     PU's true position.
 
-    Per trial, the position generator of its block yields (eval_step + 1) x 2
-    standard normals for position measurements and the RSS generator one per
-    anchor; :func:`reference_trial` consumes the identical rows.
+    Per trial, the position generator of its block yields two standard
+    normals, which set the estimate from its exact law, and the RSS generator
+    one per anchor; :func:`reference_trial` consumes the identical rows.
     `weight_map` is the scenario's ``estimate_weights`` entry for the
-    evaluation step, passed in by sweeps that share it across cells and computed here
-    otherwise.  Chunks only draw and contract position noise; ranging and its
-    checks (every anchor's readings, in anchor order, before any inversion)
-    run once over the cell, so the error raised does not depend on chunk size.
+    evaluation step, passed in by sweeps that share it across cells and
+    computed here otherwise.  Ranging and its checks (every anchor's readings,
+    in anchor order, before any inversion) run once over the cell.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
     n = len(is_pue)
     if n < 1 or attacker_xy.shape != (n, 2):
         raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
-    k_eval = scenario.evaluation_step
-    chunk = max(1, CHUNK_DRAWS // (2 * (k_eval + 1)))
     truth, weights, offset = weight_map if weight_map is not None else _eval_weights(scenario)
+    factor = _estimate_factor(weights)
     link = scenario.link
     a_link = link.link_constant_db
-    est = np.empty((n, 2))
+    eta = np.empty((n, 2))
     rss_noise = np.empty((n, len(scenario.anchors)))
     seeds = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        root, pos_gen, rss_gen = block_streams(master_seed, lo // BLOCK)
+        seeds[lo:hi] = root.generate_state(hi - lo, np.uint64)
+        pos_gen.standard_normal(out=eta[lo:hi])
+        rss_gen.standard_normal(out=rss_noise[lo:hi])
 
-    # Draw the noise; chunks bound only the position-noise buffer.
-    for block_lo in range(0, n, BLOCK):
-        block_hi = min(block_lo + BLOCK, n)
-        root, pos_gen, rss_gen = block_streams(master_seed, block_lo // BLOCK)
-        seeds[block_lo:block_hi] = root.generate_state(block_hi - block_lo, np.uint64)
-        rss_gen.standard_normal(out=rss_noise[block_lo:block_hi])
-        for lo in range(block_lo, block_hi, chunk):
-            hi = min(lo + chunk, block_hi)
-            noise = pos_gen.standard_normal((hi - lo, 2 * (k_eval + 1)))
-            # The filter's estimate at the evaluation step, one row per trial.
-            # einsum, not BLAS `@`: its per-row sum order does not depend on
-            # the chunk's row count, which keeps chunking bit-exact.
-            np.einsum("mk,jk->mj", noise, weights, out=est[lo:hi])
-
-    # Range every trial at every anchor; the checks report any limit hit.
+    # est = offset + sigma_z * L @ eta per row, written elementwise so that a
+    # row's value does not depend on how many rows the cell has.
+    est = eta[:, :1] * factor[:, 0] + eta[:, 1:] * factor[:, 1]
     est *= scenario.meas_noise_std
     est += offset
+
+    # Range every trial at every anchor; the checks report any limit hit.
     tx = np.where(is_pue[:, None], attacker_xy, truth)
     ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
     d_kf = np.hypot(est[:, :1] - ax, est[:, 1:] - ay)
@@ -311,21 +309,29 @@ def reference_trial(
     """One trial, unbatched: its measurements emitted step by step, tracked by
     :meth:`Scenario.track`, and :func:`detect_step` at the estimated position.
 
-    This is the readable statement of the trial procedure; the batched engine
-    must agree with it, and tests enforce that.  `scheduled` names the
-    transmitter at the evaluation step: PU at its true position, or PUE at
-    the scenario's attacker position.
+    The measurement noise xi of steps 0..K is drawn given the trial's two
+    position normals eta: ``xi = W⁺ L eta + (I - W⁺ W) zeta``, with zeta read
+    from the third child of the block's root.  Then ``W @ xi = L eta``, and
+    xi is standard normal for any W of full row rank, so the measurements keep
+    their law.  This is the readable statement of the trial procedure; the
+    batched engine must agree with it, and tests enforce that.  `scheduled`
+    names the transmitter at the evaluation step: PU at its true position, or
+    PUE at the scenario's attacker position.
     """
     if scheduled not in (PU, PUE):
         raise InvalidInputError(f"invalid schedule label {scheduled!r}")
     block, row = divmod(trial_index, BLOCK)
     root, pos_gen, rss_gen = block_streams(master_seed, block)
+    null_gen = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(2,)))
     k_eval = scenario.evaluation_step
-    # Skip the rows of the block's earlier trials.
-    pos_gen.standard_normal((row, k_eval + 1, 2))
+    # Row `row` of each stream's trial-major draws.
+    eta = pos_gen.standard_normal((row + 1, 2))[row]
+    zeta = null_gen.standard_normal((row + 1, 2 * (k_eval + 1)))[row]
     rss_gen.standard_normal((row, len(scenario.anchors)))
 
-    zs = [emit_position_measurement(scenario, k, pos_gen) for k in range(k_eval + 1)]
+    _, weights, _ = _eval_weights(scenario)
+    xi = zeta + np.linalg.pinv(weights) @ (_estimate_factor(weights) @ eta - weights @ zeta)
+    zs = scenario.truth_path(k_eval) + scenario.meas_noise_std * xi.reshape(k_eval + 1, 2)
     position = scenario.track(zs)[k_eval, :2]
 
     tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
@@ -333,26 +339,6 @@ def reference_trial(
     verdict = detect_step(position, samples, scenario.anchors, scenario.link, config)
     seed = int(root.generate_state(row + 1, np.uint64)[row])
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
-
-
-def _run_cells(jobs: Sequence[tuple]) -> Iterator[Cell]:
-    """:func:`run_cell` of each job's arguments on one worker thread per CPU,
-    yielding the cells in job order.  A failed job raises its error when its
-    turn comes, so the first failing job in job order decides what a sweep
-    raises; the jobs not yet started are then cancelled, and every worker has
-    exited before the error leaves."""
-    # Imported on first use: the executor's imports (logging, queue) would
-    # add about 15 ms to the start-up of every command, sweep or not.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(min(len(jobs), os.cpu_count() or 1))
-    try:
-        futures = deque(pool.submit(run_cell, *job) for job in jobs)
-        while futures:
-            # Popped before it is yielded, so a cell lives only until scored.
-            yield futures.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def attacker_positions(
@@ -400,15 +386,17 @@ def sweep_distance(
         raise InvalidInputError("distances and snr_db_list must be non-empty")
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
+    # Every argument is checked before the first cell runs.
+    positions = [attacker_positions(base, d, n_trials, bearings) for d in distances]
+    noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
     weight_map = _eval_weights(base)
-    jobs, coords = [], []
-    for i, d in enumerate(distances):
-        attacker_xy = attacker_positions(base, d, n_trials, bearings)
-        for j, snr in enumerate(snr_db_list):
-            cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-            jobs.append((cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 0, i, j), weight_map))
-            coords.append(SweepCoords(float(d), float(snr), config.tau))
-    return [cell.score(config, c) for cell, c in zip(_run_cells(jobs), coords)]
+    return [
+        run_cell(
+            replace(base, rss_noise=noise), is_pue, attacker_xy, child_seed(master_seed, 0, i, j), weight_map
+        ).score(config, SweepCoords(float(d), float(snr), config.tau))
+        for i, (d, attacker_xy) in enumerate(zip(distances, positions))
+        for j, (snr, noise) in enumerate(zip(snr_db_list, noises))
+    ]
 
 
 def sweep_roc(
@@ -438,20 +426,17 @@ def sweep_roc(
 
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
+    noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
     weight_map = _eval_weights(base)
-    # Each SNR's calibration cell, then its evaluation cell.
-    jobs = []
-    for j, snr in enumerate(snr_db_list):
-        cell_scenario = replace(base, rss_noise=sigma_from_snr(snr, snr_calibration))
-        jobs += [
-            (cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-             child_seed(master_seed, 1, j, 0), weight_map),
-            (cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), weight_map),
-        ]
-    cells = _run_cells(jobs)
     reports = []
-    # zip(cells, cells) pairs each calibration cell with the evaluation cell after it.
-    for (cal, eval_cell), snr in zip(zip(cells, cells), snr_db_list):
+    # Each SNR's calibration cell, then its evaluation cell.
+    for j, (snr, noise) in enumerate(zip(snr_db_list, noises)):
+        cell_scenario = replace(base, rss_noise=noise)
+        cal = run_cell(
+            cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
+            child_seed(master_seed, 1, j, 0), weight_map,
+        )
+        eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), weight_map)
         cal_residuals = cal.residuals(fusion)
         for target in pfa_targets:
             cfg = calibrate_tau(cal_residuals, target, fusion)
@@ -498,12 +483,9 @@ def compare_baseline(
     # One recursion up to the latest evaluation step, snapshotted at each.
     weight_maps = base.estimate_weights(eval_steps)
 
-    jobs = [
-        (replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), weight_maps[k])
-        for i, k in enumerate(eval_steps)
-    ]
     rows = []
-    for cell, d, k in zip(_run_cells(jobs), distances, eval_steps):
+    for i, (d, k) in enumerate(zip(distances, eval_steps)):
+        cell = run_cell(replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), weight_maps[k])
         pos = weight_maps[k][0]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.

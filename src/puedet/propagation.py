@@ -38,10 +38,10 @@ class LinkModel:
 
     @property
     def link_constant_db(self) -> float:
-        """The distance-independent dB term of the path-loss law."""
-        return 10.0 * math.log10(
-            self.pt * self.gt * self.gr * self.wavelength * self.wavelength
-        ) - 20.0 * math.log10(4.0 * math.pi)
+        """The distance-independent dB term of the path-loss law, summed as
+        logs so that no product of the parameters can overflow or underflow."""
+        logs = math.log10(self.pt) + math.log10(self.gt) + math.log10(self.gr) + 2.0 * math.log10(self.wavelength)
+        return 10.0 * logs - 20.0 * math.log10(4.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ identical data."""
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -15,6 +15,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 24, 40, 56
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text; quotes need no escape outside attributes."""
+    return html.escape(text, quote=False)
 
 
 def _fmt(v: float) -> str:
@@ -76,7 +81,7 @@ def line_chart(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="22" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{escape(title)}</text>',
+        f'text-anchor="middle">{_escape(title)}</text>',
     ]
 
     axis_style = 'stroke="black" stroke-width="1"'
@@ -100,11 +105,11 @@ def line_chart(
 
     out.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 14}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{escape(xlabel)}</text>'
+        f'font-size="13" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="18" y="{_MT + plot_h / 2:.1f}" font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{escape(ylabel)}</text>'
+        f'text-anchor="middle" transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
     for i, (xs, ys) in enumerate(points):
@@ -123,7 +128,7 @@ def line_chart(
         y = ly + 18 * i
         out.append(f'<line x1="{lx}" y1="{y - 4}" x2="{lx + 26}" y2="{y - 4}" stroke="{color}" stroke-width="2"/>')
         out.append(
-            f'<text x="{lx + 32}" y="{y}" font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'<text x="{lx + 32}" y="{y}" font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
 
     out.append("</svg>")

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from puedet import experiments
 from puedet.cli import main
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, DetectorConfig, decide
@@ -306,7 +305,7 @@ def test_criterion_8_noiseless_end_to_end():
     passed(8, f"noiseless residual == d_pu_pue within 1e-9; pd flips 1 -> 0 exactly at tau = d")
 
 
-def test_criterion_9_reproducibility(tmp_path, monkeypatch):
+def test_criterion_9_reproducibility(tmp_path):
     config_text = """
 [scenario]
 steps = 50
@@ -328,11 +327,8 @@ seed = 31
         outs.append((tmp_path / name / "sweep_distance.csv").read_bytes())
     assert outs[0] == outs[1]
 
-    # chunking (the parallelism unit) does not change any report
-    scen = default_scenario(n_steps=50)
-    kwargs = dict(snr_calibration=CALIBRATION)
-    a = sweep_distance(scen, (30.0, 90.0), (-5.0, 5.0), DetectorConfig(TAU), 400, 31, **kwargs)
-    monkeypatch.setattr(experiments, "CHUNK_DRAWS", 7 * 2 * scen.n_steps)  # 7 trials a chunk
-    b = sweep_distance(scen, (30.0, 90.0), (-5.0, 5.0), DetectorConfig(TAU), 400, 31, **kwargs)
-    assert a == b
-    passed(9, "byte-identical CSV on rerun; chunked and unchunked sweeps agree exactly")
+    # the batch size does not change any trial: fewer trials are a prefix
+    scen = default_scenario(n_steps=50, rss_noise=sigma_from_snr(-5.0, CALIBRATION))
+    many = run_trials(scen, DetectorConfig(TAU), 400, 1.0, 31)
+    assert run_trials(scen, DetectorConfig(TAU), 150, 1.0, 31) == many[:150]
+    passed(9, "byte-identical CSV on rerun; a 150-trial run is the prefix of a 400-trial run")

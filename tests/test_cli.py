@@ -337,6 +337,15 @@ class TestErrors:
         assert err.startswith("puedet: error:")
         assert "[sweep] bearings" in err
 
+    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc", "compare-baseline"])
+    @pytest.mark.parametrize("wavelength", ["1e-300", "1e300"])
+    def test_extreme_wavelength_runs_or_names_its_key(self, tmp_path, capsys, command, wavelength):
+        # The product pt * gt * gr * wavelength^2 under- or overflows; the
+        # link constant must not.
+        rc, _ = run_cli(tmp_path, command, f"[link]\nwavelength = {wavelength}\n", "--trials", "500")
+        err = capsys.readouterr().err
+        assert rc == 0 or err.startswith("puedet: error: [link] wavelength"), err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 import warnings
 from dataclasses import replace
 
@@ -81,24 +80,10 @@ class TestRunTrials:
         b = run_trials(scen, DetectorConfig(10.0), 64, 0.5, master_seed=77)
         assert a == b
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
-        one = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
-        four = replace(one, anchors=SQUARE_ANCHORS)
-        n = BLOCK + 50  # the last chunks cross a seeding-block boundary
-        cases = [
-            (scen, cfg, run_trials(scen, cfg, n, 0.5, 5))
-            for scen, cfg in ((one, DetectorConfig(10.0)), (four, DetectorConfig(10.0, "or")))
-        ]
-        draws_per_trial = 2 * one.n_steps
-        for chunk_size in (3, 1000):  # neither divides the block
-            monkeypatch.setattr(experiments, "CHUNK_DRAWS", chunk_size * draws_per_trial)
-            for scen, cfg, whole in cases:
-                assert run_trials(scen, cfg, n, 0.5, 5) == whole, (len(scen.anchors), chunk_size)
-
-    def test_chunking_does_not_change_the_error(self, monkeypatch):
+    def test_every_reading_is_checked_before_any_inversion(self):
         # Trial 0 overflows anchor a1's inversion; trial 150's attacker sits
         # on anchor a2.  Every reading is checked before any inversion, over
-        # the whole cell, so the coincidence is reported at any chunk size.
+        # the whole cell, so the coincidence is reported.
         scen = default_scenario(
             anchors=SQUARE_ANCHORS[:2], link=LinkModel(alpha=0.01), rss_noise=NoiseModel(40.0)
         )
@@ -106,11 +91,22 @@ class TestRunTrials:
         is_pue = np.arange(n) == 150
         xy = np.zeros((n, 2))
         xy[150] = (SQUARE_ANCHORS[1].x, SQUARE_ANCHORS[1].y)
-        draws_per_trial = 2 * scen.n_steps
-        for chunk_draws in (experiments.CHUNK_DRAWS, draws_per_trial, n * draws_per_trial):
-            monkeypatch.setattr(experiments, "CHUNK_DRAWS", chunk_draws)
-            with pytest.raises(InvalidInputError, match="transmitter coincides with anchor 'a2'"):
-                run_cell(scen, is_pue, xy, 1)
+        with pytest.raises(InvalidInputError, match="transmitter coincides with anchor 'a2'"):
+            run_cell(scen, is_pue, xy, 1)
+
+    def test_chunking_does_not_change_results(self):
+        # A cell cut to fewer trials returns, row for row, what the whole cell
+        # returns for them: mixed schedule labels, across a seeding-block
+        # boundary, on one anchor and on four under or-fusion.
+        one = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
+        four = replace(one, anchors=SQUARE_ANCHORS)
+        n = BLOCK + 50
+        is_pue = np.arange(n) % 3 == 0
+        for scen, cfg in ((one, DetectorConfig(10.0)), (four, DetectorConfig(10.0, "or"))):
+            xy = np.tile(np.asarray(scen.attacker_pos, float), (n, 1))
+            whole = run_cell(scen, is_pue, xy, 5).outcomes(cfg)
+            for m in (3, 1000, BLOCK + 1):  # none divides the block
+                assert run_cell(scen, is_pue[:m], xy[:m], 5).outcomes(cfg) == whole[:m], (len(scen.anchors), m)
 
     def test_fewer_trials_are_a_prefix(self):
         # With one schedule label for all, a trial's outcome depends only on
@@ -323,6 +319,65 @@ class TestBatchedEngineMatchesReference:
             assert out.verdict == ref.verdict
             assert out.seed == ref.seed
             assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+
+
+def trilaterate(d_kf, anchors):
+    """The estimates whose distances to `anchors` are the rows of `d_kf`:
+    differences of squared distances are linear in the position."""
+    a = np.array([(n.x, n.y) for n in anchors])
+    lhs = 2.0 * (a[1:] - a[0])
+    rhs = (a[1:] ** 2).sum(axis=1) - (a[0] ** 2).sum() - d_kf[:, 1:] ** 2 + d_kf[:, :1] ** 2
+    return np.linalg.lstsq(lhs, rhs.T, rcond=None)[0].T
+
+
+class TestExactLaw:
+    def test_estimate_has_the_law_of_the_full_noise_contraction(self):
+        # The engine's two normals per trial against offset + sigma_z * W @
+        # noise over all 2(K + 1) measurement normals, at a non-final step.
+        # Bounds, fixed before the run: 5 standard errors of each difference.
+        scen = default_scenario(n_steps=30, eval_step=5, meas_noise_std=5.0, anchors=SQUARE_ANCHORS)
+        n = 20_000
+        _, weights, offset = scen.estimate_weights((5,))[5]
+        cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 3)
+        est = trilaterate(cell.d_kf, SQUARE_ANCHORS)
+        noise = np.random.default_rng(2024).standard_normal((n, weights.shape[1]))
+        full = offset + 5.0 * noise @ weights.T
+        cov = 25.0 * weights @ weights.T
+        var = np.diag(cov)
+        assert (np.abs(est.mean(axis=0) - full.mean(axis=0)) <= 5.0 * np.sqrt(2.0 * var / n)).all()
+        var_se = np.sqrt(2.0 * 2.0 * var**2 / (n - 1))
+        assert (np.abs(est.var(axis=0, ddof=1) - full.var(axis=0, ddof=1)) <= 5.0 * var_se).all()
+        cov_se = math.sqrt(2.0 * (var[0] * var[1] + cov[0, 1] ** 2) / (n - 1))
+        assert abs(np.cov(est.T)[0, 1] - np.cov(full.T)[0, 1]) <= 5.0 * cov_se
+
+    def test_zero_measurement_noise_puts_every_estimate_at_the_offset(self):
+        scen = default_scenario(n_steps=30, eval_step=5, meas_noise_std=0.0, anchors=SQUARE_ANCHORS)
+        _, _, offset = scen.estimate_weights((5,))[5]
+        cell = run_cell(scen, np.zeros(300, dtype=bool), np.zeros((300, 2)), 3)
+        ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
+        assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (300, 4)))
+
+    def test_singular_weight_maps(self, monkeypatch):
+        # All-zero weights are a point mass at the offset; a singular W W^T
+        # that is not zero is a typed error on both routes, never a LinAlgError.
+        scen = default_scenario(n_steps=20, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(2.0))
+        truth, weights, offset = scen.estimate_weights((19,))[19]
+        zero = np.zeros_like(weights)
+        rank_one = weights.copy()
+        rank_one[1] = 0.0
+        n = 50
+        cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4, (truth, zero, offset))
+        ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
+        assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (n, 4)))
+        with pytest.raises(NumericalDegeneracyError, match="singular"):
+            run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4, (truth, rank_one, offset))
+
+        cfg = DetectorConfig(25.0, "or")
+        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, zero, offset)})
+        assert reference_trial(scen, cfg, 4, 3).scheduled == PU
+        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, rank_one, offset)})
+        with pytest.raises(NumericalDegeneracyError, match="singular"):
+            reference_trial(scen, cfg, 4, 3)
 
 
 class TestMetrics:
@@ -572,18 +627,15 @@ class TestCompareBaseline:
 
 
 class TestSweepsMatchSerialCells:
-    """The sweeps run their cells on worker threads; each must equal a serial
-    loop of run_cell over the same child seeds, in cell order, and leave no
-    thread behind."""
+    """Each sweep must equal a loop of run_cell over the same child seeds, in
+    cell order."""
 
     def test_sweep_distance(self):
         scen = default_scenario(n_steps=30)
         cfg = DetectorConfig(25.0)
         n, seed, cal = 300, 5, 0.15
         distances, snrs = (20.0, 60.0), (-10.0, 0.0, 10.0)
-        threads = threading.active_count()
         reports = sweep_distance(scen, distances, snrs, cfg, n, seed, cal, schedule_mix=0.5)
-        assert threading.active_count() == threads
         is_pue = np.arange(n) < n // 2
         serial = [
             run_cell(
@@ -599,11 +651,9 @@ class TestSweepsMatchSerialCells:
         scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:2])
         n, n_cal, seed, cal, d = 300, 200, 9, 0.15, 40.0
         snrs, targets = (-10.0, 0.0, 10.0), (0.05, 0.2)
-        threads = threading.active_count()
         reports = sweep_roc(
             scen, d, snrs, targets, n, seed, cal, n_calibration=n_cal, schedule_mix=0.5, fusion="or",
         )
-        assert threading.active_count() == threads
         is_pue = np.arange(n) < n // 2
         serial = []
         for j, snr in enumerate(snrs):
@@ -621,9 +671,7 @@ class TestSweepsMatchSerialCells:
         scen = default_scenario(n_steps=60, rss_noise=sigma_from_snr(-10.0, 0.15))
         cfg = DetectorConfig(25.0)
         n, seed, distances = 300, 23, (20.0, 60.0, 150.0)
-        threads = threading.active_count()
         rows = compare_baseline(scen, cfg, n, seed, distances, schedule_mix=0.5)
-        assert threading.active_count() == threads
         start = truth_at(scen, 0).position
         anchor = scen.anchors[0]
         d_ref = math.dist(start, (anchor.x, anchor.y))
@@ -649,14 +697,11 @@ class TestSweepsMatchSerialCells:
         d = anchor.x - pu[0]
         assert attacker_positions(scen, d, n, bearings)[-1].tolist() == [anchor.x, anchor.y]
         kwargs = dict(n_calibration=10, bearings=bearings, schedule_mix=1.0)
-        threads = threading.active_count()
         with pytest.raises(InvalidInputError, match="coincides with anchor 'a1'"):
             sweep_roc(scen, d, (0.0, -40.0), (0.1,), n, 3, 1.0, **kwargs)
-        assert threading.active_count() == threads
         # The cells of SNR -40 alone raise their own error.
         with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
             sweep_roc(scen, d, (-40.0,), (0.1,), n, 3, 1.0, **kwargs)
-        assert threading.active_count() == threads
 
 
 def test_calibrated_config_hits_target_roughly():

@@ -37,6 +37,15 @@ def test_labels_are_escaped():
     ET.fromstring(svg)  # would raise on raw < or &
 
 
+def test_escape_matches_xml_saxutils():
+    # Text is escaped as xml.sax.saxutils.escape does: &, < and >, not quotes.
+    from xml.sax.saxutils import escape
+
+    text = 'a & b < c > d "e"'
+    svg = line_chart([(text, [0, 1], [0, 1])], text, text, text)
+    assert svg.count(f">{escape(text)}</text>") == 4
+
+
 def test_rejects_bad_series():
     with pytest.raises(InvalidInputError):
         line_chart([], "t", "x", "y")
