@@ -23,7 +23,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
-from .experiments import block_streams
+from .experiments import cell_streams
 from .svgplot import line_chart
 
 
@@ -88,9 +88,9 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     table[:, 0] = np.arange(n)
     table[:, 1] = scenario.step_times(n - 1)
     table[:, 2:4] = scenario.truth_path(n - 1)
-    # The measurements of trial 0 of the seed's Monte Carlo stream: draws are
-    # trial-major, so trial 0's are the first (n, 2) of the block's generator.
-    _, gen, _ = block_streams(cfg.run.seed, 0)
+    # The measurement noise is the first (n, 2) draws of the position
+    # generator of the seed's Monte Carlo cell.
+    _, gen, _ = cell_streams(cfg.run.seed)
     table[:, 4:6] = table[:, 2:4] + scenario.meas_noise_std * gen.standard_normal((n, 2))
     table[:, 6:] = scenario.track(table[:, 4:6])
     _write_csv(

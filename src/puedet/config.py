@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .detection import SINGLE_ANCHOR, DetectorConfig
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .propagation import LinkModel, NoiseModel, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
+from .tracking import initial_estimate, predict, update
 
 
 @dataclass(frozen=True)
@@ -183,9 +184,17 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Enforce the domain invariants, naming the offending key."""
     try:
-        build_scenario(cfg)
+        scenario = build_scenario(cfg)
     except InvalidInputError as exc:
         raise ConfigError(f"[scenario/link]: {exc}") from exc
+    # Noise levels and v_max with finite squares can still overflow inside
+    # the filter; its first step, from the start, shows it.
+    motion, meas_model = scenario.filter_models()
+    start = scenario.trajectory.start
+    try:
+        update(predict(initial_estimate(start, meas_model, scenario.v_max), motion), meas_model, start)
+    except (InvalidInputError, NumericalDegeneracyError) as exc:
+        raise ConfigError(f"[scenario] meas_noise_std, [tracking] process_noise_std and v_max: {exc}") from exc
     if cfg.scenario.eval_step < -1:
         raise ConfigError(f"[scenario] eval_step: must be -1 (the final step) or >= 0, got {cfg.scenario.eval_step}")
     if cfg.detector.target_pfa is not None and not 0.0 < cfg.detector.target_pfa < 1.0:

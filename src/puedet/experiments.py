@@ -1,13 +1,12 @@
 """Seeded Monte Carlo harness: detection / false-alarm / miss probabilities
 over sweeps of attacker distance, SNR, and threshold.
 
-Trials are seeded in fixed blocks of :data:`BLOCK`: block b holds trials
-[b * BLOCK, (b + 1) * BLOCK) and owns one substream root derived from
-(master_seed, b) by :func:`block_streams`, with one generator for position
-noise and one for RSS noise.  Trial r of a block takes row r of each
-generator's trial-major draws, so a run of n trials is a prefix of a longer
-run.  The filter's gains do not depend on the data, so its estimate at the
-evaluation step K is a fixed linear map of the trial's measurement noise,
+A cell's trials draw from one substream root, derived from (master_seed, 0)
+by :func:`cell_streams`, with one generator for position noise and one for
+RSS noise.  Trial i takes row i of each generator's trial-major draws, so a
+run of n trials is a prefix of a longer run.  The filter's gains do not
+depend on the data, so its estimate at the evaluation step K is a fixed
+linear map of the trial's measurement noise,
 ``offset + meas_noise_std * W @ noise`` (:meth:`Scenario.estimate_weights`),
 and its exact law is ``N(offset, meas_noise_std**2 * W @ W.T)``.  The
 engine draws it directly: two standard normals eta per trial, mapped by the
@@ -21,8 +20,8 @@ decides the error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
 same procedure: it conditions the 2(K + 1) measurement normals on the
-trial's draw, ``xi = W⁺ L eta + (I - W⁺ W) zeta`` with zeta from a third
-stream of the block, which gives ``W @ xi = L eta`` and leaves xi standard
+trial's draw, ``xi = W⁺ L eta + (I - W⁺ W) zeta`` with zeta from a stream of
+the trial's own, which gives ``W @ xi = L eta`` and leaves xi standard
 normal, and runs the filter step by step over ``truth + meas_noise_std * xi``.
 Tests hold the two routes together, so a wrong weight map or offset still
 shows as a disagreement.
@@ -55,10 +54,6 @@ from .scenario import (
     emit_rss,
     truth_at,
 )
-
-# Trials per seeding block: each block of trials owns one substream root.
-BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -120,18 +115,17 @@ def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None =
     return _count(is_pue, flags, sweep_coords)
 
 
-def block_streams(
-    master_seed: int, block: int
-) -> tuple[np.random.SeedSequence, np.random.Generator, np.random.Generator]:
-    """The substream root of one block of trials, with the block's
-    position-noise and RSS-noise generators; the whole harness derives trial
-    randomness only through this function.
+def cell_streams(master_seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, np.random.Generator]:
+    """The substream root of a cell's trials, with its position-noise and
+    RSS-noise generators; the whole harness derives trial randomness only
+    through this function.
 
-    Row r of the root's ``generate_state(m, np.uint64)`` is the seed reported
-    for trial r of the block.  The root's third child feeds only
-    :func:`reference_trial`, so the first two never change.
+    Row i of the root's ``generate_state(n, np.uint64)`` is the seed reported
+    for trial i.  The root's third child feeds only :func:`reference_trial`,
+    so the first two never change.  The entropy ``(master_seed, 0)`` is part
+    of the determinism contract: the committed results were drawn from it.
     """
-    root = np.random.SeedSequence((master_seed, block))
+    root = np.random.SeedSequence((master_seed, 0))
     pos, rss = root.spawn(2)
     return root, np.random.default_rng(pos), np.random.default_rng(rss)
 
@@ -212,9 +206,9 @@ def run_cell(
     ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
     PU's true position.
 
-    Per trial, the position generator of its block yields two standard
-    normals, which set the estimate from its exact law, and the RSS generator
-    one per anchor; :func:`reference_trial` consumes the identical rows.
+    Per trial, the cell's position generator yields two standard normals,
+    which set the estimate from its exact law, and the RSS generator one per
+    anchor; :func:`reference_trial` consumes the identical rows.
     `weight_map` is the scenario's ``estimate_weights`` entry for the
     evaluation step, passed in by sweeps that share it across cells and
     computed here otherwise.  Ranging and its checks (every anchor's readings,
@@ -229,15 +223,10 @@ def run_cell(
     factor = _estimate_factor(weights)
     link = scenario.link
     a_link = link.link_constant_db
-    eta = np.empty((n, 2))
-    rss_noise = np.empty((n, len(scenario.anchors)))
-    seeds = np.empty(n, dtype=np.uint64)
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        root, pos_gen, rss_gen = block_streams(master_seed, lo // BLOCK)
-        seeds[lo:hi] = root.generate_state(hi - lo, np.uint64)
-        pos_gen.standard_normal(out=eta[lo:hi])
-        rss_gen.standard_normal(out=rss_noise[lo:hi])
+    root, pos_gen, rss_gen = cell_streams(master_seed)
+    seeds = root.generate_state(n, np.uint64)
+    eta = pos_gen.standard_normal((n, 2))
+    rss_noise = rss_gen.standard_normal((n, len(scenario.anchors)))
 
     # est = offset + sigma_z * L @ eta per row, written elementwise so that a
     # row's value does not depend on how many rows the cell has.
@@ -310,24 +299,23 @@ def reference_trial(
     :meth:`Scenario.track`, and :func:`detect_step` at the estimated position.
 
     The measurement noise xi of steps 0..K is drawn given the trial's two
-    position normals eta: ``xi = W⁺ L eta + (I - W⁺ W) zeta``, with zeta read
-    from the third child of the block's root.  Then ``W @ xi = L eta``, and
-    xi is standard normal for any W of full row rank, so the measurements keep
-    their law.  This is the readable statement of the trial procedure; the
-    batched engine must agree with it, and tests enforce that.  `scheduled`
-    names the transmitter at the evaluation step: PU at its true position, or
-    PUE at the scenario's attacker position.
+    position normals eta: ``xi = W⁺ L eta + (I - W⁺ W) zeta``, with zeta the
+    2(K + 1) normals of the trial's own child of the root's third child.  Then
+    ``W @ xi = L eta``, and xi is standard normal for any W of full row rank,
+    so the measurements keep their law.  This is the readable statement of
+    the trial procedure; the batched engine must agree with it, and tests
+    enforce that.  `scheduled` names the transmitter at the evaluation step:
+    PU at its true position, or PUE at the scenario's attacker position.
     """
     if scheduled not in (PU, PUE):
         raise InvalidInputError(f"invalid schedule label {scheduled!r}")
-    block, row = divmod(trial_index, BLOCK)
-    root, pos_gen, rss_gen = block_streams(master_seed, block)
-    null_gen = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(2,)))
+    root, pos_gen, rss_gen = cell_streams(master_seed)
+    null_gen = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(2, trial_index)))
     k_eval = scenario.evaluation_step
-    # Row `row` of each stream's trial-major draws.
-    eta = pos_gen.standard_normal((row + 1, 2))[row]
-    zeta = null_gen.standard_normal((row + 1, 2 * (k_eval + 1)))[row]
-    rss_gen.standard_normal((row, len(scenario.anchors)))
+    # Row `trial_index` of the cell's trial-major draws.
+    eta = pos_gen.standard_normal((trial_index + 1, 2))[trial_index]
+    rss_gen.standard_normal((trial_index, len(scenario.anchors)))
+    zeta = null_gen.standard_normal(2 * (k_eval + 1))
 
     _, weights, _ = _eval_weights(scenario)
     xi = zeta + np.linalg.pinv(weights) @ (_estimate_factor(weights) @ eta - weights @ zeta)
@@ -337,7 +325,7 @@ def reference_trial(
     tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
     samples = [emit_rss(scenario, tx, a, rss_gen) for a in scenario.anchors]
     verdict = detect_step(position, samples, scenario.anchors, scenario.link, config)
-    seed = int(root.generate_state(row + 1, np.uint64)[row])
+    seed = int(root.generate_state(trial_index + 1, np.uint64)[trial_index])
     return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
 
 

@@ -9,7 +9,7 @@ import pytest
 from puedet import experiments
 from puedet.cli import main
 from puedet.config import build_scenario, loads_config
-from puedet.experiments import MetricsReport, SweepCoords, block_streams
+from puedet.experiments import MetricsReport, SweepCoords, cell_streams
 from puedet.scenario import Scenario, emit_position_measurement, truth_at
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -50,10 +50,10 @@ def read_csv(path):
 
 
 def per_step_track_rows(text, seed):
-    """The data rows of track.csv stated one step at a time: trial 0's
-    position draws of the seed's first block, taken step by step."""
+    """The data rows of track.csv stated one step at a time: the position
+    generator of the seed's Monte Carlo cell, read step by step."""
     scen = build_scenario(loads_config(text))
-    _, gen, _ = block_streams(seed, 0)
+    _, gen, _ = cell_streams(seed)
     zs = [emit_position_measurement(scen, k, gen) for k in range(scen.n_steps)]
     states = scen.track(zs)
     rows = []
@@ -295,6 +295,19 @@ class TestErrors:
         rc, _ = run_cli(tmp_path, command, config)
         assert rc == 1
         assert capsys.readouterr().err.startswith("puedet: error:")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "[scenario]\nmeas_noise_std = 1e150\n",
+            "[tracking]\nprocess_noise_std = 1e150\n",
+            "[tracking]\nv_max = 1e154\n",
+        ],
+    )
+    def test_tracker_overflow_is_a_config_error(self, tmp_path, capsys, config):
+        rc, _ = run_cli(tmp_path, "track", config)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("puedet: error: [")
 
     def test_non_finite_measurement_is_an_error(self, tmp_path, capsys, monkeypatch):
         # No valid config yields a non-finite measurement, so one is planted

@@ -131,6 +131,23 @@ class TestValidation:
     @pytest.mark.parametrize(
         "section, key, value",
         [
+            ("scenario", "meas_noise_std", "1e100"),
+            ("scenario", "meas_noise_std", "1e150"),
+            ("tracking", "process_noise_std", "1e140"),
+            ("tracking", "process_noise_std", "1e150"),
+            ("tracking", "v_max", "1e154"),
+        ],
+    )
+    def test_tracker_overflow_names_the_tracker_keys(self, section, key, value):
+        # Each square is finite, but the filter's first step overflows.
+        with pytest.raises(
+            ConfigError, match=r"^\[scenario\] meas_noise_std, \[tracking\] process_noise_std and v_max: "
+        ):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
             ("sweep", "roc_distance", "nan"),
             ("link", "snr_calibration", "inf"),
             ("sweep", "distances", "30 nan"),

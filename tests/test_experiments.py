@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,13 +14,12 @@ from puedet.config import default_scenario
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_tau, rss_baseline_decide
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.experiments import (
-    BLOCK,
     MetricsReport,
     SweepCoords,
     TrialOutcome,
     attacker_positions,
-    block_streams,
     calibrated_config,
+    cell_streams,
     child_seed,
     compare_baseline,
     metrics,
@@ -96,24 +96,24 @@ class TestRunTrials:
 
     def test_chunking_does_not_change_results(self):
         # A cell cut to fewer trials returns, row for row, what the whole cell
-        # returns for them: mixed schedule labels, across a seeding-block
-        # boundary, on one anchor and on four under or-fusion.
+        # returns for them: mixed schedule labels, on one anchor and on four
+        # under or-fusion.
         one = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
         four = replace(one, anchors=SQUARE_ANCHORS)
-        n = BLOCK + 50
+        n = 4146
         is_pue = np.arange(n) % 3 == 0
         for scen, cfg in ((one, DetectorConfig(10.0)), (four, DetectorConfig(10.0, "or"))):
             xy = np.tile(np.asarray(scen.attacker_pos, float), (n, 1))
             whole = run_cell(scen, is_pue, xy, 5).outcomes(cfg)
-            for m in (3, 1000, BLOCK + 1):  # none divides the block
+            for m in (3, 1000, 4097):
                 assert run_cell(scen, is_pue[:m], xy[:m], 5).outcomes(cfg) == whole[:m], (len(scen.anchors), m)
 
     def test_fewer_trials_are_a_prefix(self):
         # With one schedule label for all, a trial's outcome depends only on
         # its index, not on how many trials run after it.
         scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
-        many = run_trials(scen, DetectorConfig(10.0), BLOCK + 5, 1.0, 8)
-        for n in (1, 37, BLOCK, BLOCK + 1):
+        many = run_trials(scen, DetectorConfig(10.0), 4101, 1.0, 8)
+        for n in (1, 37, 4096, 4097):
             assert run_trials(scen, DetectorConfig(10.0), n, 1.0, 8) == many[:n], n
 
     def test_noiseless_collinear_attack_always_detected(self):
@@ -153,8 +153,8 @@ class TestBatchedEngineMatchesReference:
     def test_dual_route_agreement(self):
         scen = default_scenario(n_steps=50, rss_noise=NoiseModel(2.0))
         cfg = DetectorConfig(25.0)
-        # The first 30 trials, then both sides of the first block boundary.
-        for n, indices in ((30, range(30)), (BLOCK + 2, range(BLOCK - 2, BLOCK + 2))):
+        # The first 30 trials, then trials 4094-4097 of a longer cell.
+        for n, indices in ((30, range(30)), (4098, range(4094, 4098))):
             batched = run_trials(scen, cfg, n, 0.5, master_seed=123)
             n_pue = round(0.5 * n)
             for i in indices:
@@ -206,6 +206,21 @@ class TestBatchedEngineMatchesReference:
             assert out.verdict == ref.verdict
             assert out.seed == ref.seed
             assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
+
+    def test_reference_memory_does_not_grow_with_index_times_steps(self):
+        # Trial 4095 at K = 1999 skips 4095 rows of its cell's position and
+        # RSS draws but draws only its own 2(K + 1) null-space normals; a
+        # reference that drew the skipped trials' 4000 normals each would
+        # peak near 126 MB here.
+        scen = default_scenario(n_steps=2000, dt=0.1)
+        bound_mb = 16.0
+        tracemalloc.start()
+        try:
+            reference_trial(scen, DetectorConfig(25.0), 3, 4095)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, peak
 
     def test_overflowing_rss_inversion_is_typed_on_both_routes(self):
         # A tiny path-loss exponent and a wide dB spread push the inverted
@@ -582,7 +597,7 @@ class TestCompareBaseline:
         assert rows_a[0].proposed != rows_b[0].proposed
 
     def test_baseline_matches_per_trial_reference(self):
-        # Each trial's RSS sample is rebuilt from its block stream, as
+        # Each trial's RSS sample is rebuilt from the cell's stream, as
         # reference_trial does, and decided by the per-trial baseline.
         scen = default_scenario(n_steps=60, rss_noise=sigma_from_snr(-10.0, 0.15))
         cfg = DetectorConfig(25.0)
@@ -593,9 +608,8 @@ class TestCompareBaseline:
         anchor = scen.anchors[0]
         outcomes = []
         for i in range(n):
-            block, r = divmod(i, BLOCK)
-            _, _, rss_gen = block_streams(child_seed(seed, 2, 0), block)
-            rss_gen.standard_normal((r, len(scen.anchors)))
+            _, _, rss_gen = cell_streams(child_seed(seed, 2, 0))
+            rss_gen.standard_normal((i, len(scen.anchors)))
             scheduled = PUE if i < n // 2 else PU
             tx = scen.attacker_pos if scheduled == PUE else truth_at(scen, k).position
             v = rss_baseline_decide(start, anchor, emit_rss(scen, tx, anchor, rss_gen), scen.link, cfg)
