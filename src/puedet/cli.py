@@ -1,7 +1,9 @@
 """Command-line front end: run scenarios and sweeps, write CSV tables,
 self-rendered SVG charts, and a manifest that reproduces the run exactly.
 
-Subcommands: track, sweep-distance, sweep-roc, compare-baseline.
+Subcommands: track, sweep-distance, sweep-roc, compare-baseline.  Each one
+returns its files by name, every table checked and every chart rendered, and
+only then is any file written, so a failing command writes none.
 """
 
 from __future__ import annotations
@@ -31,43 +33,40 @@ _BLOCK_ROWS = 4096
 _SWEEP_SPECS = ["%.9g"] * 3 + ["%d"] * 2 + ["%.9g"] * 3
 
 
-def _write_csv(path: Path, header: list[str], rows, specs: list[str]) -> None:
-    """Write `rows` (lists or a 2-D array) under `header`, each column in its
-    %-spec of `specs`, an absent (None) cell empty.  Every value is checked
-    finite before the file is opened; rows are formatted a block at a time."""
+def _csv(name: str, header: list[str], rows, specs: list[str]):
+    """The text of CSV file `name` as a function that writes it to a file:
+    `rows` (lists or a 2-D array) under `header`, each column in its %-spec of
+    `specs`, an absent (None) cell empty.  Every value is checked finite here,
+    before any file is opened; rows are formatted a block at a time."""
     table = np.array(rows, dtype=float).reshape(len(rows), len(specs))  # an absent cell reads as nan
     absent = ~np.isfinite(table)
     if any(rows[i][j] is not None for i, j in np.argwhere(absent)):
-        raise InvalidInputError(f"refusing to write a non-finite value to {path.name}")
+        raise InvalidInputError(f"refusing to write a non-finite value to {name}")
     formats = [",".join(specs) + "\n"] * len(table)
     for i in np.flatnonzero(absent.any(axis=1)):
         # "%.0s" prints an absent cell's nan as nothing.
         formats[i] = ",".join(np.where(absent[i], "%.0s", specs)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+    def write(fh) -> None:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             fh.write("".join(map(str.__mod__, formats[block], map(tuple, table[block].tolist()))))
 
+    return write
 
-def _write_chart(path: Path, series, title: str, xlabel: str, ylabel: str) -> None:
-    """Write the line chart of the (label, xs, ys) `series` at the points where
-    x and y are both present: a rate is absent (None) in a cell without trials
-    of its kind.  A series with no such point is left out, and a chart with no
-    series is not written."""
+
+def _chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
+    """The line chart of the (label, xs, ys) `series` at the points where x and
+    y are both present: a rate is absent (None) in a cell without trials of
+    its kind.  A series with no such point is left out, and a chart with no
+    series is None, which is not written."""
     kept = []
     for label, xs, ys in series:
         points = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
         if points:
             kept.append((label, *zip(*points)))
-    if kept:
-        path.write_text(line_chart(kept, title, xlabel, ylabel), encoding="utf-8")
-
-
-def _write_manifest(out: Path, command: str, cfg: ExperimentConfig) -> None:
-    # The manifest is itself a loadable config file; the command is a comment.
-    text = f"# command: {command}\n{serialize_config(cfg)}"
-    (out / "manifest.txt").write_text(text, encoding="utf-8")
+    return line_chart(kept, title, xlabel, ylabel) if kept else None
 
 
 def _resolve_detector(cfg: ExperimentConfig, scenario):
@@ -80,7 +79,7 @@ def _resolve_detector(cfg: ExperimentConfig, scenario):
     )
 
 
-def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_track(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
     n = scenario.n_steps
     # Columns: step, time, truth (2), measurement (2), estimate (4).
@@ -93,21 +92,18 @@ def cmd_track(cfg: ExperimentConfig, out: Path) -> None:
     _, gen, _ = cell_streams(cfg.run.seed)
     table[:, 4:6] = table[:, 2:4] + scenario.meas_noise_std * gen.standard_normal((n, 2))
     table[:, 6:] = scenario.track(table[:, 4:6])
-    _write_csv(
-        out / "track.csv",
-        ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"],
-        table,
-        ["%d"] + ["%.9g"] * 9,
-    )
-    svg = line_chart(
-        [
-            ("true trajectory", table[:, 2], table[:, 3]),
-            ("measurements", table[:, 4], table[:, 5]),
-            ("filter estimate", table[:, 6], table[:, 7]),
-        ],
-        "Primary-user tracking", "x (m)", "y (m)",
-    )
-    (out / "track.svg").write_text(svg, encoding="utf-8")
+    header = ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"]
+    return {
+        "track.svg": line_chart(
+            [
+                ("true trajectory", table[:, 2], table[:, 3]),
+                ("measurements", table[:, 4], table[:, 5]),
+                ("filter estimate", table[:, 6], table[:, 7]),
+            ],
+            "Primary-user tracking", "x (m)", "y (m)",
+        ),
+        "track.csv": _csv("track.csv", header, table, ["%d"] + ["%.9g"] * 9),
+    }
 
 
 def _report_row(report: experiments.MetricsReport) -> list:
@@ -123,7 +119,7 @@ def _per_snr_series(reports, snr_list, x_of, y_of):
     return series
 
 
-def cmd_sweep_distance(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
     detector = _resolve_detector(cfg, scenario)
     reports = experiments.sweep_distance(
@@ -137,26 +133,22 @@ def cmd_sweep_distance(cfg: ExperimentConfig, out: Path) -> None:
         bearings=cfg.sweep.bearings or None,
         schedule_mix=cfg.sweep.schedule_mix,
     )
-    _write_csv(
-        out / "sweep_distance.csv",
-        ["d_pu_pue_m", "snr_db", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"],
-        [_report_row(r) for r in reports],
-        _SWEEP_SPECS,
-    )
+    header = ["d_pu_pue_m", "snr_db", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"]
     x = lambda r: r.sweep_coords.d_pu_pue
-    _write_chart(
-        out / "pd_vs_distance.svg",
-        _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
-        "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
-    )
-    _write_chart(
-        out / "pm_vs_distance.svg",
-        _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
-        "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
-    )
+    return {
+        "sweep_distance.csv": _csv("sweep_distance.csv", header, [_report_row(r) for r in reports], _SWEEP_SPECS),
+        "pd_vs_distance.svg": _chart(
+            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
+            "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
+        ),
+        "pm_vs_distance.svg": _chart(
+            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
+            "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
+        ),
+    }
 
 
-def cmd_sweep_roc(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
     reports = experiments.sweep_roc(
         scenario,
@@ -173,20 +165,18 @@ def cmd_sweep_roc(cfg: ExperimentConfig, out: Path) -> None:
     )
     # Reports are target-major within each SNR, matching this zip.
     targets = list(cfg.sweep.pfa_targets) * len(cfg.sweep.snr_db)
-    _write_csv(
-        out / "roc.csv",
-        ["snr_db", "target_pfa", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"],
-        [[r.sweep_coords.snr_db, target] + _report_row(r)[2:] for target, r in zip(targets, reports)],
-        _SWEEP_SPECS,
-    )
-    _write_chart(
-        out / "roc.svg",
-        _per_snr_series(reports, cfg.sweep.snr_db, lambda r: r.pfa, lambda r: r.pd),
-        f"ROC at d_pu_pue = {cfg.sweep.roc_distance:g} m", "P_fa", "P_d",
-    )
+    header = ["snr_db", "target_pfa", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"]
+    rows = [[r.sweep_coords.snr_db, target] + _report_row(r)[2:] for target, r in zip(targets, reports)]
+    return {
+        "roc.csv": _csv("roc.csv", header, rows, _SWEEP_SPECS),
+        "roc.svg": _chart(
+            _per_snr_series(reports, cfg.sweep.snr_db, lambda r: r.pfa, lambda r: r.pd),
+            f"ROC at d_pu_pue = {cfg.sweep.roc_distance:g} m", "P_fa", "P_d",
+        ),
+    }
 
 
-def cmd_compare_baseline(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_compare_baseline(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
     detector = _resolve_detector(cfg, scenario)
     rows = experiments.compare_baseline(
@@ -197,8 +187,8 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out: Path) -> None:
         distances=cfg.sweep.distances,
         schedule_mix=cfg.sweep.schedule_mix,
     )
-    _write_csv(
-        out / "compare_baseline.csv",
+    csv_file = _csv(
+        "compare_baseline.csv",
         [
             "distance_m", "actual_distance_m", "tau_m",
             "proposed_pd", "proposed_pfa", "proposed_pm",
@@ -217,22 +207,23 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out: Path) -> None:
         ["%.9g"] * 9 + ["%d"] * 2,
     )
     dist = [r.distance for r in rows]
-    _write_chart(
-        out / "pd_comparison.svg",
-        [
-            ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
-            ("RSS baseline", dist, [r.baseline.pd for r in rows]),
-        ],
-        "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
-    )
-    _write_chart(
-        out / "pm_comparison.svg",
-        [
-            ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
-            ("RSS baseline", dist, [r.baseline.pm for r in rows]),
-        ],
-        "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
-    )
+    return {
+        "compare_baseline.csv": csv_file,
+        "pd_comparison.svg": _chart(
+            [
+                ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
+                ("RSS baseline", dist, [r.baseline.pd for r in rows]),
+            ],
+            "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
+        ),
+        "pm_comparison.svg": _chart(
+            [
+                ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
+                ("RSS baseline", dist, [r.baseline.pm for r in rows]),
+            ],
+            "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
+        ),
+    }
 
 
 _COMMANDS = {
@@ -274,8 +265,16 @@ def main(argv=None) -> int:
 
         out = Path(cfg.run.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out)
-        _write_manifest(out, args.command, cfg)
+        files = _COMMANDS[args.command](cfg)
+        # The manifest is itself a loadable config file; the command is a comment.
+        files["manifest.txt"] = f"# command: {args.command}\n{serialize_config(cfg)}"
+        # Each file is dropped once written, so a chart listed before a table
+        # is not held while the table streams.
+        for name in list(files):
+            body = files.pop(name)
+            if body is not None:  # None is a chart with nothing to plot
+                with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(body) if isinstance(body, str) else body(fh)
     except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError) as exc:
         print(f"puedet: error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,12 @@ SINGLE_ANCHOR = "single"
 OR_ACROSS_ANCHORS = "or"
 
 
+def check_fusion(fusion: str) -> None:
+    """Raise InvalidInputError unless `fusion` names a fusion mode."""
+    if fusion not in (SINGLE_ANCHOR, OR_ACROSS_ANCHORS):
+        raise InvalidInputError(f"unknown fusion mode {fusion!r}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     tau: float
@@ -33,8 +39,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise InvalidInputError(f"tau must be >= 0, got {self.tau}")
-        if self.fusion not in (SINGLE_ANCHOR, OR_ACROSS_ANCHORS):
-            raise InvalidInputError(f"unknown fusion mode {self.fusion!r}")
+        check_fusion(self.fusion)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ over sweeps of attacker distance, SNR, and threshold.
 A cell's trials draw from one substream root, derived from (master_seed, 0)
 by :func:`cell_streams`, with one generator for position noise and one for
 RSS noise.  Trial i takes row i of each generator's trial-major draws, so a
-run of n trials is a prefix of a longer run.  The filter's gains do not
-depend on the data, so its estimate at the evaluation step K is a fixed
-linear map of the trial's measurement noise,
+run of n trials is a prefix of a longer run, and the cell's seed and i name
+the trial.  The filter's gains do not depend on the data, so its estimate at
+the evaluation step K is a fixed linear map of the trial's measurement noise,
 ``offset + meas_noise_std * W @ noise`` (:meth:`Scenario.estimate_weights`),
 and its exact law is ``N(offset, meas_noise_std**2 * W @ W.T)``.  The
 engine draws it directly: two standard normals eta per trial, mapped by the
@@ -43,6 +43,7 @@ from .detection import (
     SINGLE_ANCHOR,
     DetectorConfig,
     calibrate_tau,
+    check_fusion,
     detect_step,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
@@ -57,7 +58,9 @@ from .scenario import (
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One Monte Carlo trial: what was scheduled, what the detector said."""
+    """One Monte Carlo trial: what was scheduled, what the detector said, and
+    the seed of its cell; that seed and the trial's index replay it through
+    :func:`reference_trial`."""
 
     scheduled: str
     verdict: str
@@ -120,9 +123,9 @@ def cell_streams(master_seed: int) -> tuple[np.random.SeedSequence, np.random.Ge
     RSS-noise generators; the whole harness derives trial randomness only
     through this function.
 
-    Row i of the root's ``generate_state(n, np.uint64)`` is the seed reported
-    for trial i.  The root's third child feeds only :func:`reference_trial`,
-    so the first two never change.  The entropy ``(master_seed, 0)`` is part
+    Trial i reads row i of each generator's draws, so no trial has a seed of
+    its own.  The root's third child feeds only :func:`reference_trial`, so
+    the first two never change.  The entropy ``(master_seed, 0)`` is part
     of the determinism contract: the committed results were drawn from it.
     """
     root = np.random.SeedSequence((master_seed, 0))
@@ -160,17 +163,18 @@ class Cell:
     """The trials of one experiment cell as arrays, ready to score at any
     detector setting: the schedule label (True = the attacker transmits) of
     each trial, the tracker-implied and RSS-implied distance from each trial's
-    transmitter to each anchor, shape (n_trials, n_anchors), and each trial's
-    reported seed."""
+    transmitter to each anchor, shape (n_trials, n_anchors), and the seed the
+    cell was drawn under."""
 
     is_pue: np.ndarray
     d_kf: np.ndarray
     d_rss: np.ndarray
-    seeds: np.ndarray
+    seed: int
 
     def residuals(self, fusion: str) -> np.ndarray:
         """Per-trial residual |d_kf - d_rss|: the designated (first) anchor's
         under single fusion, the largest across anchors under or-fusion."""
+        check_fusion(fusion)
         res = np.abs(self.d_kf - self.d_rss)
         return res.max(axis=1) if fusion == OR_ACROSS_ANCHORS else res[:, 0]
 
@@ -185,12 +189,9 @@ class Cell:
     def outcomes(self, config: DetectorConfig) -> list[TrialOutcome]:
         """One :class:`TrialOutcome` per trial at `config`."""
         return [
-            TrialOutcome(PUE if pue else PU, ATTACKER if flag else LEGITIMATE, res, seed)
-            for pue, flag, res, seed in zip(
-                self.is_pue.tolist(),
-                self.flags(config).tolist(),
-                self.residuals(config.fusion).tolist(),
-                self.seeds.tolist(),
+            TrialOutcome(PUE if pue else PU, ATTACKER if flag else LEGITIMATE, res, self.seed)
+            for pue, flag, res in zip(
+                self.is_pue.tolist(), self.flags(config).tolist(), self.residuals(config.fusion).tolist()
             )
         ]
 
@@ -223,8 +224,7 @@ def run_cell(
     factor = _estimate_factor(weights)
     link = scenario.link
     a_link = link.link_constant_db
-    root, pos_gen, rss_gen = cell_streams(master_seed)
-    seeds = root.generate_state(n, np.uint64)
+    _, pos_gen, rss_gen = cell_streams(master_seed)
     eta = pos_gen.standard_normal((n, 2))
     rss_noise = rss_gen.standard_normal((n, len(scenario.anchors)))
 
@@ -255,7 +255,7 @@ def run_cell(
         raise NumericalDegeneracyError(
             f"anchor {scenario.anchors[bad.argmax()].id!r}: RSS-implied distance left the finite range"
         )
-    return Cell(is_pue, d_kf, d_rss, seeds)
+    return Cell(is_pue, d_kf, d_rss, int(master_seed))
 
 
 def _schedule_labels(n_trials: int, schedule_mix: float) -> np.ndarray:
@@ -325,8 +325,7 @@ def reference_trial(
     tx = scenario.attacker_pos if scheduled == PUE else truth_at(scenario, k_eval).position
     samples = [emit_rss(scenario, tx, a, rss_gen) for a in scenario.anchors]
     verdict = detect_step(position, samples, scenario.anchors, scenario.link, config)
-    seed = int(root.generate_state(trial_index + 1, np.uint64)[trial_index])
-    return TrialOutcome(scheduled, verdict.label, verdict.residual, seed)
+    return TrialOutcome(scheduled, verdict.label, verdict.residual, int(master_seed))
 
 
 def attacker_positions(
@@ -407,6 +406,7 @@ def sweep_roc(
         raise InvalidInputError("snr_db_list and pfa_targets must be non-empty")
     if any(not 0.0 < t < 1.0 for t in pfa_targets):
         raise InvalidInputError("pfa targets must lie in (0, 1)")
+    check_fusion(fusion)
     _validate_run_args(n_trials, schedule_mix, master_seed)
     n_cal = n_calibration if n_calibration is not None else n_trials
     if not (isinstance(n_cal, (int, np.integer)) and n_cal >= 1):
@@ -494,6 +494,7 @@ def calibrated_config(
 ) -> DetectorConfig:
     """Fit tau on legitimate-only trials of the given scenario."""
     _validate_run_args(n_trials, 0.0, master_seed)
+    check_fusion(fusion)
     cal = run_cell(
         base, np.zeros(n_trials, dtype=bool), np.zeros((n_trials, 2)),
         child_seed(master_seed, 3),

@@ -359,6 +359,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 0 or err.startswith("puedet: error: [link] wavelength"), err
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("track", "start_x = 1e150"),
+            ("sweep-distance", "[sweep]\ndistances = 1e150"),
+            ("compare-baseline", "dt = 1e-300"),
+            ("sweep-distance", "[link]\nalpha = 1e-300"),
+            ("track", "meas_noise_std = 1e150"),
+            ("sweep-distance", "[link]\nwavelength = 1e-300"),
+        ],
+        ids=["start_x", "distances", "dt", "alpha", "meas_noise_std", "wavelength"],
+    )
+    def test_extreme_value_runs_or_fails_writing_nothing(self, tmp_path, capsys, command, setting):
+        # A chart that cannot be drawn must not leave its command's CSV behind.
+        rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n{setting}\n", "--trials", "40")
+        if rc != 0:
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("puedet: error:")
+            assert not out.exists() or list(out.iterdir()) == []
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

@@ -163,6 +163,7 @@ class TestBatchedEngineMatchesReference:
                 assert out.scheduled == ref.scheduled
                 assert out.verdict == ref.verdict
                 assert out.seed == ref.seed
+                assert out.seed == 123
                 assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
     def test_dual_route_multi_anchor_or_fusion(self):
@@ -179,6 +180,7 @@ class TestBatchedEngineMatchesReference:
                 ref = reference_trial(replace(scen, attacker_pos=tuple(xy[i])), cfg, 55, i, PUE if i < 10 else PU)
                 assert out.verdict == ref.verdict
                 assert out.seed == ref.seed
+                assert out.seed == 55
                 assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -205,6 +207,7 @@ class TestBatchedEngineMatchesReference:
             assert out.scheduled == ref.scheduled
             assert out.verdict == ref.verdict
             assert out.seed == ref.seed
+            assert out.seed == 31
             assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
     def test_reference_memory_does_not_grow_with_index_times_steps(self):
@@ -333,6 +336,7 @@ class TestBatchedEngineMatchesReference:
             assert out.scheduled == ref.scheduled
             assert out.verdict == ref.verdict
             assert out.seed == ref.seed
+            assert out.seed == seed
             assert out.residual == pytest.approx(ref.residual, rel=1e-10, abs=1e-10)
 
 
@@ -733,3 +737,18 @@ def test_attacker_positions_reject_non_finite_bearings(bearing):
         attacker_positions(scen, 30.0, 4, bearings=(0.0, bearing))
     with pytest.raises(InvalidInputError, match="bearings must be finite"):
         sweep_distance(scen, [30.0], [0.0], DetectorConfig(10.0), 4, 1, 0.15, bearings=(bearing,))
+
+
+def test_unknown_fusion_is_refused_before_any_cell_runs(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the fusion mode was checked")
+
+    monkeypatch.setattr(experiments, "run_cell", no_cell)
+    scen = collinear_scenario()
+    cell = experiments.Cell(np.zeros(2, dtype=bool), np.ones((2, 1)), np.ones((2, 1)), 0)
+    with pytest.raises(InvalidInputError, match="unknown fusion mode 'vote'"):
+        cell.residuals("vote")
+    with pytest.raises(InvalidInputError, match="unknown fusion mode 'vote'"):
+        sweep_roc(scen, 30.0, [0.0, 5.0], [0.1], 10, 1, 0.15, fusion="vote")
+    with pytest.raises(InvalidInputError, match="unknown fusion mode 'vote'"):
+        calibrated_config(scen, 0.1, 10, 1, fusion="vote")
