@@ -24,14 +24,14 @@ def run() -> int:
 
     scen = default_scenario(rss_noise=sigma_from_snr(snr, LinkConfig.snr_calibration))
     is_pue = np.arange(TRIALS) < TRIALS // 2
-    # one cell, rescored at each threshold; the trial streams are shared
+    # one cell, scored at every threshold in one pass; the trial streams are shared
     cell = run_cell(scen, is_pue, attacker_positions(scen, distance, TRIALS), SEED)
+    configs = [DetectorConfig(tau) for tau in (5.0, 10.0, 15.0, 20.0, 25.0, 35.0, 50.0, 75.0, 100.0)]
 
     print(f"snr = {snr:g} dB, d_pu_pue = {distance:g} m, {TRIALS} trials")
     print(f"{'tau_m':>6}  {'pd':>6}  {'pfa':>6}  {'pm':>6}")
-    for tau in (5.0, 10.0, 15.0, 20.0, 25.0, 35.0, 50.0, 75.0, 100.0):
-        r = cell.score(DetectorConfig(tau))
-        print(f"{tau:6.1f}  {r.pd:6.3f}  {r.pfa:6.3f}  {r.pm:6.3f}")
+    for c, r in zip(configs, cell.scores(configs)):
+        print(f"{c.tau:6.1f}  {r.pd:6.3f}  {r.pfa:6.3f}  {r.pm:6.3f}")
     return 0
 
 

@@ -15,6 +15,7 @@ from .detection import (
     Verdict,
     anchor_distance,
     calibrate_tau,
+    calibrate_taus,
     decide,
     detect_step,
     rss_baseline_decide,

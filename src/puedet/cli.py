@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +57,16 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
     return write
 
 
+@contextmanager
+def _config_decides(keys: str):
+    """Report an InvalidInputError of the block as a ConfigError naming
+    `keys`, for a step that only the values of those keys can make fail."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     """The line chart of the (label, xs, ys) `series` at the points where x and
     y are both present: a rate is absent (None) in a cell without trials of
@@ -93,17 +104,18 @@ def cmd_track(cfg: ExperimentConfig) -> dict:
     table[:, 4:6] = table[:, 2:4] + scenario.meas_noise_std * gen.standard_normal((n, 2))
     table[:, 6:] = scenario.track(table[:, 4:6])
     header = ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"]
-    return {
-        "track.svg": line_chart(
+    # `track` refuses a non-finite measurement or estimate, so the chart fails
+    # only if the track lies too far out for its span to be scaled.
+    with _config_decides("[scenario] start_x, start_y"):
+        chart = line_chart(
             [
                 ("true trajectory", table[:, 2], table[:, 3]),
                 ("measurements", table[:, 4], table[:, 5]),
                 ("filter estimate", table[:, 6], table[:, 7]),
             ],
             "Primary-user tracking", "x (m)", "y (m)",
-        ),
-        "track.csv": _csv("track.csv", header, table, ["%d"] + ["%.9g"] * 9),
-    }
+        )
+    return {"track.svg": chart, "track.csv": _csv("track.csv", header, table, ["%d"] + ["%.9g"] * 9)}
 
 
 def _report_row(report: experiments.MetricsReport) -> list:
@@ -135,17 +147,20 @@ def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
     )
     header = ["d_pu_pue_m", "snr_db", "tau_m", "n_attack", "n_legit", "pd", "pfa", "pm"]
     x = lambda r: r.sweep_coords.d_pu_pue
-    return {
-        "sweep_distance.csv": _csv("sweep_distance.csv", header, [_report_row(r) for r in reports], _SWEEP_SPECS),
-        "pd_vs_distance.svg": _chart(
-            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
-            "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
-        ),
-        "pm_vs_distance.svg": _chart(
-            _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
-            "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
-        ),
-    }
+    csv_file = _csv("sweep_distance.csv", header, [_report_row(r) for r in reports], _SWEEP_SPECS)
+    # A chart's rates lie in [0, 1], so only its distance axis can fail.
+    with _config_decides("[sweep] distances"):
+        return {
+            "sweep_distance.csv": csv_file,
+            "pd_vs_distance.svg": _chart(
+                _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pd),
+                "Detection probability vs attacker distance", "d_pu_pue (m)", "P_d",
+            ),
+            "pm_vs_distance.svg": _chart(
+                _per_snr_series(reports, cfg.sweep.snr_db, x, lambda r: r.pm),
+                "Miss probability vs attacker distance", "d_pu_pue (m)", "P_m",
+            ),
+        }
 
 
 def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
@@ -178,6 +193,8 @@ def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
 
 def cmd_compare_baseline(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
+    with _config_decides("[sweep] distances"):
+        experiments.baseline_eval_steps(scenario, cfg.sweep.distances)
     detector = _resolve_detector(cfg, scenario)
     rows = experiments.compare_baseline(
         scenario,
@@ -207,23 +224,24 @@ def cmd_compare_baseline(cfg: ExperimentConfig) -> dict:
         ["%.9g"] * 9 + ["%d"] * 2,
     )
     dist = [r.distance for r in rows]
-    return {
-        "compare_baseline.csv": csv_file,
-        "pd_comparison.svg": _chart(
-            [
-                ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
-                ("RSS baseline", dist, [r.baseline.pd for r in rows]),
-            ],
-            "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
-        ),
-        "pm_comparison.svg": _chart(
-            [
-                ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
-                ("RSS baseline", dist, [r.baseline.pm for r in rows]),
-            ],
-            "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
-        ),
-    }
+    with _config_decides("[sweep] distances"):
+        return {
+            "compare_baseline.csv": csv_file,
+            "pd_comparison.svg": _chart(
+                [
+                    ("proposed (tracking)", dist, [r.proposed.pd for r in rows]),
+                    ("RSS baseline", dist, [r.baseline.pd for r in rows]),
+                ],
+                "Detection probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_d",
+            ),
+            "pm_comparison.svg": _chart(
+                [
+                    ("proposed (tracking)", dist, [r.proposed.pm for r in rows]),
+                    ("RSS baseline", dist, [r.baseline.pm for r in rows]),
+                ],
+                "Miss probability: proposed vs RSS baseline", "d_pu_pue (m)", "P_m",
+            ),
+        }
 
 
 _COMMANDS = {

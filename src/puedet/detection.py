@@ -116,37 +116,60 @@ def rss_baseline_decide(
     return decide(d_ref, distance_from_rss(link, rss.pr_db), config)
 
 
+def calibrate_taus(
+    legitimate_residuals: Sequence[float],
+    targets: Sequence[float],
+    fusion: str = SINGLE_ANCHOR,
+) -> list[DetectorConfig]:
+    """One config per false-alarm target, in the order given: tau is the
+    smallest legitimate residual whose false-alarm rate on the sample, the
+    share of residuals >= tau, is at most the target.
+
+    One sort of the sample serves every target.  When no residual meets a
+    target -- the largest is tied, or the sample has fewer than 1 / target
+    residuals -- its tau is the largest residual, and a warning names the
+    cause and the rate it yields.
+    """
+    return _calibrate(legitimate_residuals, targets, fusion)
+
+
 def calibrate_tau(
     legitimate_residuals: Sequence[float],
     target_pfa: float,
     fusion: str = SINGLE_ANCHOR,
 ) -> DetectorConfig:
-    """Set tau to the smallest legitimate residual whose false-alarm rate on
-    the sample, the share of residuals >= tau, is at most `target_pfa`.
+    """:func:`calibrate_taus` for the one target `target_pfa`.  Pass several
+    targets to that function instead, and one sort serves them all."""
+    return _calibrate(legitimate_residuals, [target_pfa], fusion)[0]
 
-    When no residual gets there -- the largest is tied, or the sample has
-    fewer than 1 / target_pfa residuals -- tau is the largest residual, and a
-    warning names the cause and the rate it yields.
-    """
+
+def _calibrate(legitimate_residuals: Sequence[float], targets: Sequence[float], fusion: str) -> list[DetectorConfig]:
+    """:func:`calibrate_taus`, called by both public functions so that a
+    warning names the line that called either of them."""
     residuals = np.asarray(legitimate_residuals, dtype=float)
     if residuals.size == 0:
         raise InvalidInputError("need a non-empty residual sample")
     if not np.isfinite(residuals).all():
         raise InvalidInputError("residual sample must be finite")
-    if not 0.0 < target_pfa < 1.0:
-        raise InvalidInputError(f"target_pfa must be in (0, 1), got {target_pfa}")
+    for target in targets:
+        if not 0.0 < target < 1.0:
+            raise InvalidInputError(f"target_pfa must be in (0, 1), got {target}")
     ranked = np.sort(residuals)
     n = ranked.size
     # The false-alarm rate with tau at each residual: the share at or above it.
+    # It never increases, so the first residual that meets a target is where
+    # the target would enter -rates.
     rates = (n - np.searchsorted(ranked, ranked, side="left")) / n
-    meets = np.flatnonzero(rates <= target_pfa)
-    if meets.size:
-        return DetectorConfig(tau=float(ranked[meets[0]]), fusion=fusion)
-    cause = f"a sample of {n} resolves no rate below 1/{n}" if n * target_pfa < 1 else "tied residuals"
-    warnings.warn(
-        f"calibrated tau={ranked[-1]:.6g} yields false-alarm rate {rates[-1]:.4f} on the "
-        f"calibration sample, above the target {target_pfa:.4f} ({cause})",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return DetectorConfig(tau=float(ranked[-1]), fusion=fusion)
+    first = np.searchsorted(-rates, -np.asarray(targets, dtype=float), side="left").tolist()
+    configs = []
+    for target, i in zip(targets, first):
+        if i == n:
+            cause = f"a sample of {n} resolves no rate below 1/{n}" if n * target < 1 else "tied residuals"
+            warnings.warn(
+                f"calibrated tau={ranked[-1]:.6g} yields false-alarm rate {rates[-1]:.4f} on the "
+                f"calibration sample, above the target {target:.4f} ({cause})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        configs.append(DetectorConfig(tau=float(ranked[min(i, n - 1)]), fusion=fusion))
+    return configs

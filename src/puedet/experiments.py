@@ -43,6 +43,7 @@ from .detection import (
     SINGLE_ANCHOR,
     DetectorConfig,
     calibrate_tau,
+    calibrate_taus,
     check_fusion,
     detect_step,
 )
@@ -178,21 +179,40 @@ class Cell:
         res = np.abs(self.d_kf - self.d_rss)
         return res.max(axis=1) if fusion == OR_ACROSS_ANCHORS else res[:, 0]
 
+    def _verdicts(self, configs: Sequence[DetectorConfig]) -> tuple[np.ndarray, np.ndarray]:
+        """The per-trial residuals under the fusion mode that `configs` share,
+        and the attacker verdicts at every config's tau in one compare, one
+        row per config: residual >= tau, so a tie is an attack."""
+        fusions = {c.fusion for c in configs}
+        if len(fusions) != 1:
+            raise InvalidInputError(f"need configs that share one fusion mode, got {sorted(fusions)}")
+        res = self.residuals(fusions.pop())
+        return res, res >= np.array([[c.tau] for c in configs])
+
     def flags(self, config: DetectorConfig) -> np.ndarray:
-        """Per-trial attacker verdict: residual >= tau (a tie is an attack)."""
-        return self.residuals(config.fusion) >= config.tau
+        """Per-trial attacker verdict at `config`."""
+        return self._verdicts([config])[1][0]
+
+    def scores(
+        self, configs: Sequence[DetectorConfig], coords: Sequence[SweepCoords | None] | None = None
+    ) -> list[MetricsReport]:
+        """Detection / false-alarm / miss probabilities at each of `configs`,
+        from one residual pass and one compare; `coords` gives each report's
+        sweep coordinates."""
+        _, flags = self._verdicts(configs)
+        coords = coords or [None] * len(configs)
+        return [_count(self.is_pue, row, c) for row, c in zip(flags, coords, strict=True)]
 
     def score(self, config: DetectorConfig, coords: SweepCoords | None = None) -> MetricsReport:
         """Detection / false-alarm / miss probabilities at `config`."""
-        return _count(self.is_pue, self.flags(config), coords)
+        return self.scores([config], [coords])[0]
 
     def outcomes(self, config: DetectorConfig) -> list[TrialOutcome]:
         """One :class:`TrialOutcome` per trial at `config`."""
+        res, (flags,) = self._verdicts([config])
         return [
-            TrialOutcome(PUE if pue else PU, ATTACKER if flag else LEGITIMATE, res, self.seed)
-            for pue, flag, res in zip(
-                self.is_pue.tolist(), self.flags(config).tolist(), self.residuals(config.fusion).tolist()
-            )
+            TrialOutcome(PUE if pue else PU, ATTACKER if flag else LEGITIMATE, r, self.seed)
+            for pue, flag, r in zip(self.is_pue.tolist(), flags.tolist(), res.tolist())
         ]
 
 
@@ -401,7 +421,9 @@ def sweep_roc(
 ) -> list[MetricsReport]:
     """Calibrated-threshold operating points: per SNR, tau is fitted to each
     false-alarm target on a fresh legitimate-only calibration set and then
-    evaluated on held-out trials."""
+    evaluated on held-out trials.  One sort of the calibration residuals
+    serves every target, and one compare of the held-out residuals with
+    every tau scores them all."""
     if not snr_db_list or not pfa_targets:
         raise InvalidInputError("snr_db_list and pfa_targets must be non-empty")
     if any(not 0.0 < t < 1.0 for t in pfa_targets):
@@ -425,16 +447,16 @@ def sweep_roc(
             child_seed(master_seed, 1, j, 0), weight_map,
         )
         eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), weight_map)
-        cal_residuals = cal.residuals(fusion)
-        for target in pfa_targets:
-            cfg = calibrate_tau(cal_residuals, target, fusion)
-            reports.append(eval_cell.score(cfg, SweepCoords(float(d_pu_pue), float(snr), cfg.tau)))
+        configs = calibrate_taus(cal.residuals(fusion), pfa_targets, fusion)
+        reports += eval_cell.scores(configs, [SweepCoords(float(d_pu_pue), float(snr), c.tau) for c in configs])
     return reports
 
 
-def _eval_steps_for_distances(scenario: Scenario, reference: np.ndarray, distances: Sequence[float]) -> list[int]:
-    """For each of `distances`, the first step at which the PU has moved that far from `reference`."""
-    rx, ry = reference.tolist()
+def baseline_eval_steps(scenario: Scenario, distances: Sequence[float]) -> list[int]:
+    """For each of `distances`, the first step at which the PU has moved that
+    far from its start, the baseline's fixed reference; raises
+    InvalidInputError if the trajectory never gets that far."""
+    rx, ry = scenario.trajectory.start
     moved = [math.hypot(x - rx, y - ry) for x, y in scenario.truth_path(scenario.n_steps - 1).tolist()]
     reached = np.array(moved) >= np.array(distances, float)[:, None]
     found = reached.any(axis=1)
@@ -467,7 +489,7 @@ def compare_baseline(
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = np.tile(np.asarray(base.attacker_pos, float), (n_trials, 1))
 
-    eval_steps = _eval_steps_for_distances(base, reference, distances)
+    eval_steps = baseline_eval_steps(base, distances)
     # One recursion up to the latest evaluation step, snapshotted at each.
     weight_maps = base.estimate_weights(eval_steps)
 

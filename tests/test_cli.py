@@ -379,6 +379,25 @@ class TestErrors:
             assert capsys.readouterr().err.startswith("puedet: error:")
             assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("track", "start_x = 1e150", "[scenario] start_x"),
+            ("track", "start_y = -1e150", "start_y"),
+            ("sweep-distance", "[sweep]\ndistances = 1e150", "[sweep] distances"),
+            ("compare-baseline", "[sweep]\ndistances = 1e150", "[sweep] distances"),
+            ("compare-baseline", "dt = 1e-300", "[sweep] distances"),
+        ],
+        ids=["start_x", "start_y", "distances", "baseline-distances", "dt"],
+    )
+    def test_config_decided_failure_names_its_key(self, tmp_path, capsys, command, setting, key):
+        # The chart's span, or the trajectory's reach, is set by the config alone.
+        rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n{setting}\n", "--trials", "40")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error: [") and key in err, err
+        assert list(out.iterdir()) == []
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

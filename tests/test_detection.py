@@ -15,6 +15,7 @@ from puedet.detection import (
     DetectorConfig,
     anchor_distance,
     calibrate_tau,
+    calibrate_taus,
     decide,
     detect_step,
     rss_baseline_decide,
@@ -167,6 +168,14 @@ class TestRssBaseline:
         assert v.label == LEGITIMATE  # indistinguishable by construction
 
 
+def sorting_oracle(sample, target):
+    """The smallest residual whose share of the sample at or above it is at
+    most the target, else the largest, found by bisection on a sorted list."""
+    s = sorted(sample)
+    meets = [r for r in s if (len(s) - bisect.bisect_left(s, r)) / len(s) <= target]
+    return meets[0] if meets else s[-1]
+
+
 class TestCalibrateTau:
     def test_quantile_on_one_to_hundred(self):
         residuals = np.arange(1.0, 101.0)
@@ -205,11 +214,7 @@ class TestCalibrateTau:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = calibrate_tau(sample, target)
-        # independent oracle: the smallest residual whose share of the sample
-        # at or above it is at most the target, else the largest
-        s = sorted(sample)
-        meets = [r for r in s if (len(s) - bisect.bisect_left(s, r)) / len(s) <= target]
-        assert cfg.tau == (meets[0] if meets else s[-1])
+        assert cfg.tau == sorting_oracle(sample, target)
 
     @pytest.mark.parametrize("n, targets", [(50, (0.05,)), (4096, SweepSettings.pfa_targets)])
     def test_distinct_residuals_meet_the_target(self, n, targets):
@@ -223,6 +228,57 @@ class TestCalibrateTau:
             assert np.mean(residuals >= tau) <= target
             # The next residual down would overshoot: tau is the smallest that meets it.
             assert np.mean(residuals >= tau - 0.25) > target
+
+
+class TestCalibrateTaus:
+    @given(
+        # Few distinct values, so samples have ties; up to 60 residuals, so
+        # targets from 0.001 fall below 1 / n.
+        sample=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, 1e6]) | st.floats(0, 1e6), min_size=1, max_size=60),
+        targets=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorting_oracle_for_every_target(self, sample, targets, data):
+        # Repeat some targets, so duplicates and unsorted orders are covered.
+        targets = targets + data.draw(st.lists(st.sampled_from(targets), max_size=4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            configs = calibrate_taus(sample, targets, OR_ACROSS_ANCHORS)
+        assert [c.tau for c in configs] == [sorting_oracle(sample, t) for t in targets]
+        assert all(c.fusion == OR_ACROSS_ANCHORS for c in configs)
+        # One warning per target that no residual meets.
+        unmet = [t for t in targets if np.mean(np.asarray(sample) >= sorting_oracle(sample, t)) > t]
+        assert len([w for w in caught if w.category is RuntimeWarning]) == len(unmet)
+
+    def test_each_target_equals_calibrate_tau(self):
+        residuals = np.random.default_rng(3).exponential(10.0, 999).round(1)  # tied values
+        targets = [0.2, 0.01, 0.2, 0.5, 0.0005, 0.07]
+        with warnings.catch_warnings(record=True) as many:
+            warnings.simplefilter("always")
+            configs = calibrate_taus(residuals, targets)
+        with warnings.catch_warnings(record=True) as one_by_one:
+            warnings.simplefilter("always")
+            singles = [calibrate_tau(residuals, t) for t in targets]
+        assert configs == singles
+        assert [str(w.message) for w in many] == [str(w.message) for w in one_by_one]
+        assert len(many) == 1 and "resolves no rate below 1/999" in str(many[0].message)
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [lambda r: calibrate_tau(r, 0.5), lambda r: calibrate_taus(r, [0.5])],
+        ids=["calibrate_tau", "calibrate_taus"],
+    )
+    def test_warning_names_the_calling_line(self, calibrate):
+        with pytest.warns(RuntimeWarning) as caught:
+            calibrate([1.0])
+        assert caught[0].filename == __file__
+
+    def test_rejects_any_bad_target(self):
+        with pytest.raises(InvalidInputError, match="got 1.0"):
+            calibrate_taus([1.0, 2.0], [0.1, 1.0])
+        with pytest.raises(InvalidInputError, match="got nan"):
+            calibrate_taus([1.0, 2.0], [float("nan")])
 
 
 def test_detector_config_validation():

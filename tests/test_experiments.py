@@ -467,6 +467,41 @@ class TestCell:
         assert cell.outcomes(DetectorConfig(tie, fusion))[i_tie].verdict == ATTACKER
         assert not cell.flags(DetectorConfig(float(np.nextafter(tie, np.inf)), fusion))[i_tie]
 
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        n_anchors=st.integers(1, 4),
+        fusion=st.sampled_from(["single", "or"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scores_count_each_tau(self, data, n, n_anchors, fusion):
+        # Distances from a short list, so residuals tie and taus hit them.
+        dists = st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 30.0]), min_size=n * n_anchors, max_size=n * n_anchors)
+        d_kf = np.reshape(data.draw(dists), (n, n_anchors))
+        d_rss = np.reshape(data.draw(dists), (n, n_anchors))
+        is_pue = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        cell = experiments.Cell(is_pue, d_kf, d_rss, 0)
+        res = cell.residuals(fusion)
+        taus = data.draw(st.lists(st.sampled_from(res.tolist()) | st.floats(0, 40), min_size=1, max_size=8))
+        coords = [SweepCoords(None, None, tau) for tau in taus]
+        reports = cell.scores([DetectorConfig(tau, fusion) for tau in taus], coords)
+        n_attack = int(is_pue.sum())
+        for tau, c, r in zip(taus, coords, reports, strict=True):
+            det = np.count_nonzero((res >= tau) & is_pue)
+            fa = np.count_nonzero((res >= tau) & ~is_pue)
+            assert (r.n_attack_trials, r.n_legit_trials, r.sweep_coords) == (n_attack, n - n_attack, c)
+            assert r.pd == (det / n_attack if n_attack else None)
+            assert r.pm == ((n_attack - det) / n_attack if n_attack else None)
+            assert r.pfa == (fa / (n - n_attack) if n > n_attack else None)
+            assert r == cell.score(DetectorConfig(tau, fusion), c)
+
+    def test_scores_refuse_configs_of_mixed_fusion(self):
+        cell = experiments.Cell(np.array([True, False]), np.ones((2, 2)), np.zeros((2, 2)), 0)
+        with pytest.raises(InvalidInputError, match="share one fusion mode"):
+            cell.scores([DetectorConfig(1.0, "single"), DetectorConfig(1.0, "or")])
+        with pytest.raises(InvalidInputError, match="share one fusion mode"):
+            cell.scores([])
+
     def test_rejects_mismatched_inputs(self):
         scen = collinear_scenario()
         with pytest.raises(InvalidInputError):
@@ -683,6 +718,30 @@ class TestSweepsMatchSerialCells:
             for target in targets:
                 tuned = calibrate_tau(legit.residuals("or"), target, "or")
                 serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
+        assert reports == serial
+
+    @pytest.mark.parametrize("fusion", ["single", "or"])
+    @pytest.mark.parametrize("seed", [0, 9, 2024])
+    def test_sweep_roc_equals_a_loop_over_targets(self, seed, fusion):
+        # Unsorted, repeated targets, one below 1 / n_cal, which warns.
+        scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:3])
+        n, n_cal, cal, d = 200, 150, 0.15, 40.0
+        snrs, targets = (-10.0, 5.0), (0.2, 0.05, 0.2, 0.001, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reports = sweep_roc(
+                scen, d, snrs, targets, n, seed, cal, n_calibration=n_cal, schedule_mix=0.5, fusion=fusion
+            )
+            serial = []
+            for j, snr in enumerate(snrs):
+                cell_scen = replace(scen, rss_noise=sigma_from_snr(snr, cal))
+                legit = run_cell(cell_scen, np.zeros(n_cal, bool), np.zeros((n_cal, 2)), child_seed(seed, 1, j, 0))
+                cell = run_cell(
+                    cell_scen, np.arange(n) < n // 2, attacker_positions(scen, d, n), child_seed(seed, 1, j, 1)
+                )
+                for target in targets:
+                    tuned = calibrate_tau(legit.residuals(fusion), target, fusion)
+                    serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
         assert reports == serial
 
     def test_compare_baseline(self):
