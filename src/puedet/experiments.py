@@ -6,25 +6,27 @@ by :func:`cell_streams`, with one generator for position noise and one for
 RSS noise.  Trial i takes row i of each generator's trial-major draws, so a
 run of n trials is a prefix of a longer run, and the cell's seed and i name
 the trial.  The filter's gains do not depend on the data, so its estimate at
-the evaluation step K is a fixed linear map of the trial's measurement noise,
-``offset + meas_noise_std * W @ noise`` (:meth:`Scenario.estimate_weights`),
-and its exact law is ``N(offset, meas_noise_std**2 * W @ W.T)``.  The
-engine draws it directly: two standard normals eta per trial, mapped by the
-lower Cholesky factor L of ``W @ W.T``, instead of the 2(K + 1) measurement
-normals that W would contract to the same law.  Each sweep computes W and
-the offset once for all of its cells.  Ranging and its checks run once over
-the whole cell.  :func:`run_cell` returns a :class:`Cell` of per-trial
-arrays, which is scored at any threshold without re-running it.  The sweeps
-run their cells one after another, in cell order, so the first failing cell
-decides the error.
+the evaluation step K is Gaussian: ``N(offset, meas_noise_std**2 * L @ L.T)``,
+with ``offset`` the noiseless estimate and L the lower Cholesky factor of the
+unit-noise error covariance, both read from :meth:`Scenario.estimate_law`
+(one O(K) moment recursion).  The engine draws the estimate from that law:
+two standard normals eta per trial, mapped as ``offset + meas_noise_std * L
+@ eta`` one coordinate column at a time, instead of 2(K + 1) measurement
+normals.  Each sweep reads the law once for all of its cells.  Ranging and
+its checks run once over the whole cell.  :func:`run_cell` returns a
+:class:`Cell` of per-trial arrays, which is scored at any threshold without
+re-running it.  The sweeps run their cells one after another, in cell
+order, so the first failing cell decides the error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
-same procedure: it conditions the 2(K + 1) measurement normals on the
-trial's draw, ``xi = W⁺ L eta + (I - W⁺ W) zeta`` with zeta from a stream of
-the trial's own, which gives ``W @ xi = L eta`` and leaves xi standard
-normal, and runs the filter step by step over ``truth + meas_noise_std * xi``.
-Tests hold the two routes together, so a wrong weight map or offset still
-shows as a disagreement.
+same procedure.  It alone reads the filter's weight map W
+(:meth:`Scenario.estimate_weights`: the estimate is ``offset +
+meas_noise_std * W @ noise``) and takes its own factor L of ``W @ W.T``.  It
+conditions the 2(K + 1) measurement normals on the trial's draw, ``xi = W⁺ L
+eta + (I - W⁺ W) zeta`` with zeta from a stream of the trial's own, which
+gives ``W @ xi = L eta`` and leaves xi standard normal, and runs the filter
+step by step over ``truth + meas_noise_std * xi``.  Tests hold the two
+routes together, so a wrong law still shows as a disagreement.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .scenario import (
     PUE,
     Scenario,
     emit_rss,
+    law_factor,
     truth_at,
 )
 
@@ -140,23 +143,10 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _eval_weights(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scenario's :meth:`Scenario.estimate_weights` at its evaluation step."""
+def _eval_law(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scenario's :meth:`Scenario.estimate_law` at its evaluation step."""
     k_eval = scenario.evaluation_step
-    return scenario.estimate_weights((k_eval,))[k_eval]
-
-
-def _estimate_factor(weights: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor L of ``weights @ weights.T``, so that
-    ``L @ eta`` for eta ~ N(0, I_2) has the law of ``weights @ noise``.  All-zero
-    weights mean a point-mass estimate, L = 0; any other singular product
-    raises NumericalDegeneracyError."""
-    if not weights.any():
-        return np.zeros((2, 2))
-    try:
-        return np.linalg.cholesky(weights @ weights.T)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError("estimate covariance W W^T is singular") from None
+    return scenario.estimate_law((k_eval,))[k_eval]
 
 
 @dataclass(frozen=True)
@@ -221,7 +211,7 @@ def run_cell(
     is_pue: np.ndarray,
     attacker_xy: np.ndarray,
     master_seed: int,
-    weight_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    law: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Cell:
     """Run one cell's trials, vectorized: trial i transmits from
     ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
@@ -230,18 +220,22 @@ def run_cell(
     Per trial, the cell's position generator yields two standard normals,
     which set the estimate from its exact law, and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `weight_map` is the scenario's ``estimate_weights`` entry for the
-    evaluation step, passed in by sweeps that share it across cells and
-    computed here otherwise.  Ranging and its checks (every anchor's readings,
-    in anchor order, before any inversion) run once over the cell.
+    `law` is the scenario's :meth:`Scenario.estimate_law` entry for the
+    evaluation step, ``(truth, factor, offset)``, passed in by sweeps that
+    share it across cells and computed here otherwise; the weight map W of
+    :meth:`Scenario.estimate_weights` serves only :func:`reference_trial`.
+    The estimate and the transmitter position are computed one coordinate
+    column at a time, with the same float operations per row whatever the
+    cell's size.  Ranging and its checks (every anchor's readings, in anchor
+    order, before any inversion) run once over the cell.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
     n = len(is_pue)
     if n < 1 or attacker_xy.shape != (n, 2):
         raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
-    truth, weights, offset = weight_map if weight_map is not None else _eval_weights(scenario)
-    factor = _estimate_factor(weights)
+    truth, factor, offset = law if law is not None else _eval_law(scenario)
+    (f00, f01), (f10, f11) = factor.tolist()
     link = scenario.link
     a_link = link.link_constant_db
     _, pos_gen, rss_gen = cell_streams(master_seed)
@@ -250,16 +244,18 @@ def run_cell(
 
     # est = offset + sigma_z * L @ eta per row, written elementwise so that a
     # row's value does not depend on how many rows the cell has.
-    est = eta[:, :1] * factor[:, 0] + eta[:, 1:] * factor[:, 1]
-    est *= scenario.meas_noise_std
-    est += offset
+    e0, e1 = eta[:, 0], eta[:, 1]
+    sigma_z = scenario.meas_noise_std
+    est_x = (e0 * f00 + e1 * f01) * sigma_z + offset[0]
+    est_y = (e0 * f10 + e1 * f11) * sigma_z + offset[1]
 
     # Range every trial at every anchor; the checks report any limit hit.
-    tx = np.where(is_pue[:, None], attacker_xy, truth)
+    tx_x = np.where(is_pue, attacker_xy[:, 0], truth[0])
+    tx_y = np.where(is_pue, attacker_xy[:, 1], truth[1])
     ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
-    d_kf = np.hypot(est[:, :1] - ax, est[:, 1:] - ay)
+    d_kf = np.hypot(est_x[:, None] - ax, est_y[:, None] - ay)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_tx = np.hypot(tx[:, :1] - ax, tx[:, 1:] - ay)
+        d_tx = np.hypot(tx_x[:, None] - ax, tx_y[:, None] - ay)
         pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + scenario.rss_noise.sigma_db * rss_noise
         d_rss = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
 
@@ -337,8 +333,13 @@ def reference_trial(
     rss_gen.standard_normal((trial_index, len(scenario.anchors)))
     zeta = null_gen.standard_normal(2 * (k_eval + 1))
 
-    _, weights, _ = _eval_weights(scenario)
-    xi = zeta + np.linalg.pinv(weights) @ (_estimate_factor(weights) @ eta - weights @ zeta)
+    _, weights, _ = scenario.estimate_weights((k_eval,))[k_eval]
+    # The reference's own factor, from W rather than the engine's law, so a
+    # wrong law shows as a disagreement; an overflow is reported by law_factor.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = weights @ weights.T
+    factor = law_factor(covariance, k_eval)
+    xi = zeta + np.linalg.pinv(weights) @ (factor @ eta - weights @ zeta)
     zs = scenario.truth_path(k_eval) + scenario.meas_noise_std * xi.reshape(k_eval + 1, 2)
     position = scenario.track(zs)[k_eval, :2]
 
@@ -396,10 +397,10 @@ def sweep_distance(
     # Every argument is checked before the first cell runs.
     positions = [attacker_positions(base, d, n_trials, bearings) for d in distances]
     noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
-    weight_map = _eval_weights(base)
+    law = _eval_law(base)
     return [
         run_cell(
-            replace(base, rss_noise=noise), is_pue, attacker_xy, child_seed(master_seed, 0, i, j), weight_map
+            replace(base, rss_noise=noise), is_pue, attacker_xy, child_seed(master_seed, 0, i, j), law
         ).score(config, SweepCoords(float(d), float(snr), config.tau))
         for i, (d, attacker_xy) in enumerate(zip(distances, positions))
         for j, (snr, noise) in enumerate(zip(snr_db_list, noises))
@@ -437,16 +438,16 @@ def sweep_roc(
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
     noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
-    weight_map = _eval_weights(base)
+    law = _eval_law(base)
     reports = []
     # Each SNR's calibration cell, then its evaluation cell.
     for j, (snr, noise) in enumerate(zip(snr_db_list, noises)):
         cell_scenario = replace(base, rss_noise=noise)
         cal = run_cell(
             cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-            child_seed(master_seed, 1, j, 0), weight_map,
+            child_seed(master_seed, 1, j, 0), law,
         )
-        eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), weight_map)
+        eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), law)
         configs = calibrate_taus(cal.residuals(fusion), pfa_targets, fusion)
         reports += eval_cell.scores(configs, [SweepCoords(float(d_pu_pue), float(snr), c.tau) for c in configs])
     return reports
@@ -491,12 +492,12 @@ def compare_baseline(
 
     eval_steps = baseline_eval_steps(base, distances)
     # One recursion up to the latest evaluation step, snapshotted at each.
-    weight_maps = base.estimate_weights(eval_steps)
+    laws = base.estimate_law(eval_steps)
 
     rows = []
     for i, (d, k) in enumerate(zip(distances, eval_steps)):
-        cell = run_cell(replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), weight_maps[k])
-        pos = weight_maps[k][0]
+        cell = run_cell(replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), laws[k])
+        pos = laws[k][0]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.
         baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))

@@ -2,8 +2,11 @@
 world, and the synthetic measurements (positions and RSS) fed to the tracker
 and detector.
 
-:meth:`Scenario.track` runs the world's tracker; :meth:`Scenario.estimate_weights`
-states its estimate in the linear form that the Monte Carlo engine applies.
+:meth:`Scenario.track` runs the world's tracker.  :meth:`Scenario.estimate_law`
+gives the law of its estimate at any step, which the Monte Carlo engine
+samples; :meth:`Scenario.estimate_weights` states the estimate in linear
+form, a weight map W over the measurements, which only the per-trial
+reference route reads.
 
 A :class:`Trajectory` is its segments of constant acceleration; one step
 evaluator of :class:`Scenario` answers :func:`truth_at` and the array queries
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import LinkModel, NoiseModel, RssSample, sample_rss
 from .tracking import (
     MeasurementModel,
@@ -27,6 +30,7 @@ from .tracking import (
     TargetState,
     initial_estimate,
     track,
+    track_moments,
     track_weights,
 )
 
@@ -175,13 +179,40 @@ class Scenario:
         init = initial_estimate(measurements[0], meas_model, self.v_max)
         return track(measurements, motion, meas_model, init, accels)
 
+    def estimate_law(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The law of the position estimate of :meth:`track` at each of
+        `steps`, ``{k: (truth_k, factor, offset)}``: over the measurements
+        ``truth + meas_noise_std * noise`` of steps 0..k, with standard normal
+        noise, the estimate is ``offset + meas_noise_std * factor @ eta`` for
+        eta ~ N(0, I_2).  ``offset`` is the noiseless estimate, row k of
+        ``track(truth)`` bit for bit, and not yet ``truth_k`` while the filter
+        converges; ``factor`` is :func:`law_factor` of the unit-noise error
+        covariance, which equals ``weights @ weights.T`` for the
+        :meth:`estimate_weights` of the step.  One O(k) moment recursion
+        (:func:`~puedet.tracking.track_moments`) runs to the latest step.
+        Raises InvalidInputError naming the step whose law is not finite."""
+        truth = self.truth_path(self.n_steps - 1)
+        motion, meas_model = self.filter_models()
+        init = initial_estimate(truth[0], meas_model, self.v_max)
+        moments = track_moments(steps, motion, meas_model, init.covariance, truth, self.step_accels(self.n_steps - 1))
+        out = {}
+        for k, (state, covariance) in moments.items():
+            offset = state[:2]
+            if not np.isfinite(offset).all():
+                raise InvalidInputError(f"estimate law at step {k} left the finite range")
+            out[k] = (truth[k], law_factor(covariance, k), offset)
+        return out
+
     def estimate_weights(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The position estimate of :meth:`track` at each of `steps` in weight
         form, ``{k: (truth_k, weights, offset)}``: over the measurements
         ``truth + meas_noise_std * noise`` of steps 0..k it is
         ``meas_noise_std * weights @ noise.ravel() + offset``, with ``weights``
         C-contiguous of shape (2, 2(k + 1)).  ``offset`` is the noiseless
-        estimate, not yet ``truth_k`` while the filter converges."""
+        estimate, not yet ``truth_k`` while the filter converges.  The map
+        costs O(k^2) to build; the Monte Carlo engine reads
+        :meth:`estimate_law` instead, and the map serves the per-trial
+        reference, which conditions its measurement noise on it."""
         truth = self.truth_path(self.n_steps - 1)
         motion, meas_model = self.filter_models()
         init = initial_estimate(truth[0], meas_model, self.v_max)
@@ -228,6 +259,22 @@ class Scenario:
         acc = np.zeros((self._check_step(eval_step) + 1, 2))
         acc[1:] = self._states(np.arange(eval_step))[3]
         return acc
+
+
+def law_factor(covariance: np.ndarray, step: int) -> np.ndarray:
+    """The lower Cholesky factor L of a 2x2 estimate covariance at `step`, so
+    that ``L @ eta`` for eta ~ N(0, I_2) has that covariance.  A zero
+    covariance is a point mass, L = 0.  Any other singular one raises
+    NumericalDegeneracyError, and one that is not finite InvalidInputError,
+    both naming the step."""
+    if not np.isfinite(covariance).all():
+        raise InvalidInputError(f"estimate covariance at step {step} left the finite range")
+    if not covariance.any():
+        return np.zeros((2, 2))
+    try:
+        return np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError(f"estimate covariance at step {step} is singular") from None
 
 
 def truth_at(scenario: Scenario, step: int) -> TargetState:

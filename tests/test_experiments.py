@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puedet import experiments
+from puedet import scenario as scenario_module
 from puedet.config import default_scenario
 from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_tau, rss_baseline_decide
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
@@ -193,9 +194,12 @@ class TestBatchedEngineMatchesReference:
             (dict(process_noise_std=1.0), "single"),
             (dict(meas_noise_std=0.0, process_noise_std=0.5), "single"),
             (dict(anchors=SQUARE_ANCHORS), "or"),
+            # Velocity gains near 1/dt = 1e155: an error covariance kept in
+            # m/s squares them past the float range; the reference's W does not.
+            (dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60), "single"),
         ],
         ids=["eval_step", "dt_0.5", "dt_2", "no_process_noise", "process_noise_1",
-             "no_meas_noise", "or4"],
+             "no_meas_noise", "or4", "tiny_dt"],
     )
     def test_dual_route_off_the_stock_path(self, overrides, fusion):
         scen = default_scenario(n_steps=50, rss_noise=NoiseModel(2.0), **overrides)
@@ -376,27 +380,82 @@ class TestExactLaw:
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
         assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (300, 4)))
 
-    def test_singular_weight_maps(self, monkeypatch):
-        # All-zero weights are a point mass at the offset; a singular W W^T
-        # that is not zero is a typed error on both routes, never a LinAlgError.
+    def test_cell_columns_keep_the_broadcast_values(self):
+        # Four anchors, or-fusion, off-axis bearings and mixed labels: a short
+        # cell is a bitwise prefix of a long one, and d_kf is, row for row,
+        # the hypot of the (n, 2) broadcast form of offset + sigma_z * L eta.
+        scen = default_scenario(n_steps=60, eval_step=41, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(3.0))
+        n = 1500
+        is_pue = np.arange(n) % 3 == 1
+        xy = attacker_positions(scen, 35.0, n, bearings=(0.3, 2.2, 4.1))
+        long = run_cell(scen, is_pue, xy, 21)
+        short = run_cell(scen, is_pue[:37], xy[:37], 21)
+        for name in ("is_pue", "d_kf", "d_rss"):
+            assert getattr(short, name).tobytes() == getattr(long, name)[:37].tobytes(), name
+        _, factor, offset = scen.estimate_law((41,))[41]
+        eta = cell_streams(21)[1].standard_normal((n, 2))
+        est = eta[:, :1] * factor[:, 0] + eta[:, 1:] * factor[:, 1]
+        est *= scen.meas_noise_std
+        est += offset
+        ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
+        assert np.array_equal(long.d_kf, np.hypot(est[:, :1] - ax, est[:, 1:] - ay))
+        residual = long.residuals("or")
+        assert 0 < np.count_nonzero(residual >= 25.0) < n
+
+    def test_singular_laws(self, monkeypatch):
+        # A zero covariance is a point mass at the offset; a singular one that
+        # is not zero is a typed error on both routes, never a LinAlgError.
+        # The engine reads the law's covariance, the reference W W^T.
         scen = default_scenario(n_steps=20, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(2.0))
         truth, weights, offset = scen.estimate_weights((19,))[19]
-        zero = np.zeros_like(weights)
-        rank_one = weights.copy()
-        rank_one[1] = 0.0
         n = 50
-        cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4, (truth, zero, offset))
+        rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
-        assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (n, 4)))
-        with pytest.raises(NumericalDegeneracyError, match="singular"):
-            run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4, (truth, rank_one, offset))
-
         cfg = DetectorConfig(25.0, "or")
+
+        def moments(covariance):
+            return lambda steps, *args: {19: (np.array([*offset, 0.0, 0.0]), covariance)}
+
+        monkeypatch.setattr(scenario_module, "track_moments", moments(np.zeros((2, 2))))
+        cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
+        assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (n, 4)))
+        monkeypatch.setattr(scenario_module, "track_moments", moments(rank_one))
+        with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
+            run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
+
+        zero = np.zeros_like(weights)
+        single_row = weights.copy()
+        single_row[1] = 0.0
         monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, zero, offset)})
         assert reference_trial(scen, cfg, 4, 3).scheduled == PU
-        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, rank_one, offset)})
-        with pytest.raises(NumericalDegeneracyError, match="singular"):
+        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, single_row, offset)})
+        with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
             reference_trial(scen, cfg, 4, 3)
+
+    def test_law_that_is_not_finite_is_typed_on_both_routes(self, monkeypatch):
+        # No valid config was found whose law leaves the float range (the
+        # nearest, the tiny_dt case of test_dual_route_off_the_stock_path,
+        # keeps both routes finite), so the inputs are patched: the engine's
+        # moments, and weights whose W W^T overflows.
+        scen = default_scenario(n_steps=20, rss_noise=NoiseModel(2.0))
+        truth, weights, offset = scen.estimate_weights((19,))[19]
+        cfg = DetectorConfig(25.0)
+        state = np.array([*offset, 0.0, 0.0])
+        cases = [
+            ({19: (state, np.array([[np.inf, 0.0], [0.0, 1.0]]))}, "estimate covariance at step 19"),
+            ({19: (state, np.full((2, 2), np.nan))}, "estimate covariance at step 19"),
+            ({19: (np.array([np.inf, 0.0, 0.0, 0.0]), np.eye(2))}, "estimate law at step 19"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for moments, message in cases:
+                monkeypatch.setattr(scenario_module, "track_moments", lambda steps, *args: moments)
+                with pytest.raises(InvalidInputError, match=message):
+                    run_trials(scen, cfg, 10, 0.5, 1)
+            huge = weights * 1e200
+            monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, huge, offset)})
+            with pytest.raises(InvalidInputError, match="estimate covariance at step 19 left the finite range"):
+                reference_trial(scen, cfg, 1, 0)
 
 
 class TestMetrics:

@@ -402,6 +402,57 @@ class TestEstimateWeights:
             default_scenario().estimate_weights(steps)
 
 
+SQUARE_ANCHORS = (
+    AnchorNode("a1", 500.0, 0.0),
+    AnchorNode("a2", 0.0, 500.0),
+    AnchorNode("a3", 500.0, 500.0),
+    AnchorNode("a4", -200.0, -200.0),
+)
+
+
+class TestEstimateLaw:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(eval_step=57),
+            dict(n_steps=2000, dt=0.1),
+            dict(process_noise_std=0.0),
+            dict(anchors=SQUARE_ANCHORS),
+        ],
+        ids=["stock", "eval_step_57", "K_1999_dt_0.1", "no_process_noise", "four_anchors"],
+    )
+    def test_law_is_the_weight_map_contracted(self, overrides):
+        # factor factor^T against W W^T and offset against W truth + c, both
+        # within 1e-12 relative; the offset is track's noiseless row bit for bit.
+        scen = default_scenario(**overrides)
+        k = scen.evaluation_step
+        truth_k, factor, offset = scen.estimate_law((k,))[k]
+        weights_truth, weights, weights_offset = scen.estimate_weights((k,))[k]
+        assert np.array_equal(truth_k, weights_truth)
+        assert factor.shape == (2, 2) and factor[0, 1] == 0.0
+        ww = weights @ weights.T
+        assert np.abs(factor @ factor.T - ww).max() <= 1e-12 * np.abs(ww).max()
+        assert np.abs(offset - weights_offset).max() <= 1e-12 * np.abs(weights_offset).max()
+        assert np.array_equal(offset, scen.track(scen.truth_path(k))[k, :2])
+
+    def test_one_recursion_equals_single_steps_bit_for_bit(self):
+        scen = default_scenario()
+        steps = (7, 0, 150, 1, 199)
+        laws = scen.estimate_law(steps)
+        assert list(laws) == sorted(steps)
+        assert np.array_equal(laws[0][1], np.eye(2))
+        for k in steps:
+            (single,) = scen.estimate_law((k,)).values()
+            for a, b in zip(laws[k], single):
+                assert a.tobytes() == b.tobytes(), k
+
+    @pytest.mark.parametrize("steps", [(), (-1,), (200,), (3.0,), (5, 2.5)])
+    def test_law_rejects_bad_steps(self, steps):
+        with pytest.raises(InvalidInputError, match="steps"):
+            default_scenario().estimate_law(steps)
+
+
 class TestScenarioValidation:
     def test_eval_step_must_be_an_integer_in_range(self):
         for eval_step in (3.0, -1, 200):

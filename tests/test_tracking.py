@@ -1,10 +1,12 @@
 import warnings
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puedet import tracking
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.tracking import (
     FilterEstimate,
@@ -16,6 +18,7 @@ from puedet.tracking import (
     predict,
     symmetrize,
     track,
+    track_moments,
     track_weights,
     update,
 )
@@ -357,6 +360,99 @@ class TestTrack:
         accels[4] = (np.nan, 0.0)
         with pytest.raises(InvalidInputError, match="acceleration 4"):
             track_weights((9,), MotionModel(1.0, 0.04, 0.04), mm, init.covariance, accels)
+
+
+def fresh_gains(gains):
+    """`gains` as a new tuple at every step: no gain is the one before it, so
+    a consumer never sees the fixed point declared."""
+    return (tuple(list(g)) for g in gains)
+
+
+class TestTrackMoments:
+    @pytest.mark.parametrize(
+        "model", [MotionModel(1.0, 0.04, 0.04), MotionModel(1.0), MotionModel(0.1, 0.04, 0.04)]
+    )
+    def test_moments_are_the_weight_map_contracted(self, model):
+        # The state is track's row bit for bit; the covariance is m m^T of the
+        # position rows of track_weights' map within 1e-12 relative.
+        rng = np.random.default_rng(12)
+        mm = MeasurementModel.isotropic(5.0)
+        n = 300
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        init = initial_estimate(zs[0], mm, 10.0)
+        expected = track(zs, model, mm, init, accels)
+        steps = (n - 1, 140, 1, 0)
+        moments = track_moments(steps, model, mm, init.covariance, zs, accels)
+        maps = track_weights(steps, model, mm, init.covariance, accels)
+        assert list(moments) == [0, 1, 140, n - 1]
+        for k, (state, p) in moments.items():
+            assert np.array_equal(state, expected[k]), k
+            w = maps[k][0][:2]
+            ww = w @ w.T
+            assert p.shape == (2, 2) and p[0, 1] == p[1, 0]
+            assert np.abs(p - ww).max() <= 1e-12 * np.abs(ww).max(), k
+
+    def test_fixed_point_reuse_is_bit_exact(self, monkeypatch):
+        # At K = 1999 with dt = 1 the gain stops at step 133 and S at step
+        # 155; a run that never sees the gain's fixed point recomputes S at
+        # every step and must give the same bits at every step.
+        rng = np.random.default_rng(3)
+        model, mm = MotionModel(1.0, 0.04, 0.04), MeasurementModel.isotropic(5.0)
+        n = 2000
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        p0 = initial_estimate(zs[0], mm, 10.0).covariance
+        steps = range(n)
+        reused = track_moments(steps, model, mm, p0, zs, accels)
+        gains = tracking._gains
+        monkeypatch.setattr(tracking, "_gains", lambda *args: fresh_gains(gains(*args)))
+        recomputed = track_moments(steps, model, mm, p0, zs, accels)
+        for k in steps:
+            for a, b in zip(reused[k], recomputed[k]):
+                assert a.tobytes() == b.tobytes(), k
+        # S did reach its fixed point, so the reuse was exercised.
+        assert reused[200][1].tobytes() == reused[n - 1][1].tobytes()
+        assert reused[100][1].tobytes() != reused[200][1].tobytes()
+
+    def test_fixed_point_reuse_waits_for_the_gain(self, monkeypatch):
+        # A gain held at one value, as a new tuple at every step, until S has
+        # stopped moving, and then another: the gain still moves, so S must
+        # follow the second gain exactly as a run that recomputes S throughout.
+        model, mm = MotionModel(1.0, 0.04, 0.04), MeasurementModel.isotropic(5.0)
+        n = 400
+        zs = np.zeros((n, 2))
+        p0 = initial_estimate(zs[0], mm, 10.0).covariance
+        early, late = islice(tracking._gains(p0, model, mm), 4, 200, 195)
+
+        def held_then_switched(*args):
+            yield from fresh_gains(repeat(early, 150))
+            yield from repeat(late)
+
+        monkeypatch.setattr(tracking, "_gains", held_then_switched)
+        got = track_moments(range(n), model, mm, p0, zs, zs)
+        monkeypatch.setattr(tracking, "_gains", lambda *args: fresh_gains(held_then_switched()))
+        want = track_moments(range(n), model, mm, p0, zs, zs)
+        # S under the held gain stops moving before the switch.
+        assert want[120][1].tobytes() == want[150][1].tobytes()
+        assert want[n - 1][1].tobytes() != want[150][1].tobytes()
+        for k in range(n):
+            assert got[k][1].tobytes() == want[k][1].tobytes(), k
+
+    def test_rejects_bad_input(self):
+        mm = MeasurementModel.isotropic(5.0)
+        model = MotionModel(1.0, 0.04, 0.04)
+        p0 = initial_estimate(np.zeros(2), mm, 10.0).covariance
+        zs = np.zeros((10, 2))
+        for steps in ((), (-1,), (10,), (3.0,)):
+            with pytest.raises(InvalidInputError, match="steps"):
+                track_moments(steps, model, mm, p0, zs, zs)
+        with pytest.raises(InvalidInputError, match="one entry per measurement"):
+            track_moments((5,), model, mm, p0, zs, zs[:9])
+        accels = zs.copy()
+        accels[4] = (np.nan, 0.0)
+        with pytest.raises(InvalidInputError, match="acceleration 4"):
+            track_moments((9,), model, mm, p0, zs, accels)
 
 
 def test_initial_estimate_covariance():
