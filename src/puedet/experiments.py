@@ -6,10 +6,11 @@ by :func:`cell_streams`, with one generator for position noise and one for
 RSS noise.  Trial i takes row i of each generator's trial-major draws, so a
 run of n trials is a prefix of a longer run, and the cell's seed and i name
 the trial.  The filter's gains do not depend on the data, so its estimate at
-the evaluation step K is Gaussian: ``N(offset, meas_noise_std**2 * L @ L.T)``,
-with ``offset`` the noiseless estimate and L the lower Cholesky factor of the
-unit-noise error covariance, both read from :meth:`Scenario.estimate_law`
-(one O(K) moment recursion).  The engine draws the estimate from that law:
+the evaluation step K is Gaussian: ``N(offset, meas_noise_std**2 * W @
+W.T)``, with ``offset`` the noiseless estimate and W the filter's weight map
+over the measurements (:meth:`Scenario.estimate_weights`, built in O(K)).
+The engine reads the law from :meth:`Scenario.estimate_law`, W reduced to
+the lower Cholesky factor L of ``W @ W.T``, and draws the estimate from it:
 two standard normals eta per trial, mapped as ``offset + meas_noise_std * L
 @ eta`` one coordinate column at a time, instead of 2(K + 1) measurement
 normals.  Each sweep reads the law once for all of its cells.  Ranging and
@@ -19,14 +20,12 @@ re-running it.  The sweeps run their cells one after another, in cell
 order, so the first failing cell decides the error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
-same procedure.  It alone reads the filter's weight map W
-(:meth:`Scenario.estimate_weights`: the estimate is ``offset +
-meas_noise_std * W @ noise``) and takes its own factor L of ``W @ W.T``.  It
-conditions the 2(K + 1) measurement normals on the trial's draw, ``xi = W⁺ L
-eta + (I - W⁺ W) zeta`` with zeta from a stream of the trial's own, which
-gives ``W @ xi = L eta`` and leaves xi standard normal, and runs the filter
-step by step over ``truth + meas_noise_std * xi``.  Tests hold the two
-routes together, so a wrong law still shows as a disagreement.
+same procedure.  It reads the same map W and factor L, and conditions the
+2(K + 1) measurement normals on the trial's draw, ``xi = W⁺ L eta + (I - W⁺
+W) zeta`` with zeta from a stream of the trial's own, which gives ``W @ xi
+= L eta`` and leaves xi standard normal.  It then runs the filter step by
+step over ``truth + meas_noise_std * xi``, so a wrong W or offset shows as
+a disagreement with the engine: tests hold the two routes together.
 """
 
 from __future__ import annotations
@@ -122,6 +121,12 @@ def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None =
     return _count(is_pue, flags, sweep_coords)
 
 
+def _check_index(value: int, name: str) -> None:
+    """InvalidInputError naming `name` unless `value` is a non-negative integer."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise InvalidInputError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def cell_streams(master_seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, np.random.Generator]:
     """The substream root of a cell's trials, with its position-noise and
     RSS-noise generators; the whole harness derives trial randomness only
@@ -131,7 +136,9 @@ def cell_streams(master_seed: int) -> tuple[np.random.SeedSequence, np.random.Ge
     its own.  The root's third child feeds only :func:`reference_trial`, so
     the first two never change.  The entropy ``(master_seed, 0)`` is part
     of the determinism contract: the committed results were drawn from it.
+    Raises InvalidInputError unless `master_seed` is a non-negative integer.
     """
+    _check_index(master_seed, "master_seed")
     root = np.random.SeedSequence((master_seed, 0))
     pos, rss = root.spawn(2)
     return root, np.random.default_rng(pos), np.random.default_rng(rss)
@@ -222,8 +229,8 @@ def run_cell(
     anchor; :func:`reference_trial` consumes the identical rows.
     `law` is the scenario's :meth:`Scenario.estimate_law` entry for the
     evaluation step, ``(truth, factor, offset)``, passed in by sweeps that
-    share it across cells and computed here otherwise; the weight map W of
-    :meth:`Scenario.estimate_weights` serves only :func:`reference_trial`.
+    share it across cells and computed here otherwise.  :func:`cell_streams`
+    refuses a `master_seed` that is not a non-negative integer.
     The estimate and the transmitter position are computed one coordinate
     column at a time, with the same float operations per row whatever the
     cell's size.  Ranging and its checks (every anchor's readings, in anchor
@@ -284,8 +291,7 @@ def _validate_run_args(n_trials: int, schedule_mix: float, master_seed: int) -> 
         raise InvalidInputError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     if not 0.0 <= schedule_mix <= 1.0:
         raise InvalidInputError(f"schedule_mix must be in [0, 1], got {schedule_mix}")
-    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
-        raise InvalidInputError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+    _check_index(master_seed, "master_seed")
 
 
 def run_trials(
@@ -322,9 +328,12 @@ def reference_trial(
     the trial procedure; the batched engine must agree with it, and tests
     enforce that.  `scheduled` names the transmitter at the evaluation step:
     PU at its true position, or PUE at the scenario's attacker position.
+    Raises InvalidInputError unless `master_seed` and `trial_index` are
+    non-negative integers.
     """
     if scheduled not in (PU, PUE):
         raise InvalidInputError(f"invalid schedule label {scheduled!r}")
+    _check_index(trial_index, "trial_index")
     root, pos_gen, rss_gen = cell_streams(master_seed)
     null_gen = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(2, trial_index)))
     k_eval = scenario.evaluation_step
@@ -334,11 +343,7 @@ def reference_trial(
     zeta = null_gen.standard_normal(2 * (k_eval + 1))
 
     _, weights, _ = scenario.estimate_weights((k_eval,))[k_eval]
-    # The reference's own factor, from W rather than the engine's law, so a
-    # wrong law shows as a disagreement; an overflow is reported by law_factor.
-    with np.errstate(over="ignore", invalid="ignore"):
-        covariance = weights @ weights.T
-    factor = law_factor(covariance, k_eval)
+    factor = law_factor(weights, k_eval)
     xi = zeta + np.linalg.pinv(weights) @ (factor @ eta - weights @ zeta)
     zs = scenario.truth_path(k_eval) + scenario.meas_noise_std * xi.reshape(k_eval + 1, 2)
     position = scenario.track(zs)[k_eval, :2]

@@ -2,11 +2,12 @@
 world, and the synthetic measurements (positions and RSS) fed to the tracker
 and detector.
 
-:meth:`Scenario.track` runs the world's tracker.  :meth:`Scenario.estimate_law`
-gives the law of its estimate at any step, which the Monte Carlo engine
-samples; :meth:`Scenario.estimate_weights` states the estimate in linear
-form, a weight map W over the measurements, which only the per-trial
-reference route reads.
+:meth:`Scenario.track` runs the world's tracker.
+:meth:`Scenario.estimate_weights` states its estimate in linear form, a
+weight map W over the measurements about the noiseless run, and
+:meth:`Scenario.estimate_law` reduces each map to the law of the estimate,
+which the Monte Carlo engine samples; the per-trial reference route reads the
+same map to condition its measurement noise.
 
 A :class:`Trajectory` is its segments of constant acceleration; one step
 evaluator of :class:`Scenario` answers :func:`truth_at` and the array queries
@@ -30,7 +31,6 @@ from .tracking import (
     TargetState,
     initial_estimate,
     track,
-    track_moments,
     track_weights,
 )
 
@@ -184,24 +184,12 @@ class Scenario:
         `steps`, ``{k: (truth_k, factor, offset)}``: over the measurements
         ``truth + meas_noise_std * noise`` of steps 0..k, with standard normal
         noise, the estimate is ``offset + meas_noise_std * factor @ eta`` for
-        eta ~ N(0, I_2).  ``offset`` is the noiseless estimate, row k of
-        ``track(truth)`` bit for bit, and not yet ``truth_k`` while the filter
-        converges; ``factor`` is :func:`law_factor` of the unit-noise error
-        covariance, which equals ``weights @ weights.T`` for the
-        :meth:`estimate_weights` of the step.  One O(k) moment recursion
-        (:func:`~puedet.tracking.track_moments`) runs to the latest step.
-        Raises InvalidInputError naming the step whose law is not finite."""
-        truth = self.truth_path(self.n_steps - 1)
-        motion, meas_model = self.filter_models()
-        init = initial_estimate(truth[0], meas_model, self.v_max)
-        moments = track_moments(steps, motion, meas_model, init.covariance, truth, self.step_accels(self.n_steps - 1))
-        out = {}
-        for k, (state, covariance) in moments.items():
-            offset = state[:2]
-            if not np.isfinite(offset).all():
-                raise InvalidInputError(f"estimate law at step {k} left the finite range")
-            out[k] = (truth[k], law_factor(covariance, k), offset)
-        return out
+        eta ~ N(0, I_2).  This is :meth:`estimate_weights` with each map W
+        reduced to its :func:`law_factor`, the Cholesky factor of W W^T."""
+        return {
+            k: (truth_k, law_factor(weights, k), offset)
+            for k, (truth_k, weights, offset) in self.estimate_weights(steps).items()
+        }
 
     def estimate_weights(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The position estimate of :meth:`track` at each of `steps` in weight
@@ -209,20 +197,20 @@ class Scenario:
         ``truth + meas_noise_std * noise`` of steps 0..k it is
         ``meas_noise_std * weights @ noise.ravel() + offset``, with ``weights``
         C-contiguous of shape (2, 2(k + 1)).  ``offset`` is the noiseless
-        estimate, not yet ``truth_k`` while the filter converges.  The map
-        costs O(k^2) to build; the Monte Carlo engine reads
-        :meth:`estimate_law` instead, and the map serves the per-trial
-        reference, which conditions its measurement noise on it."""
+        estimate, row k of ``track(truth)`` bit for bit, and not yet
+        ``truth_k`` while the filter converges.  One pass of
+        :func:`~puedet.tracking.track_weights` to the latest step builds each
+        map in O(k).  Raises InvalidInputError naming the step whose offset
+        is not finite; :func:`law_factor` checks the map."""
         truth = self.truth_path(self.n_steps - 1)
         motion, meas_model = self.filter_models()
         init = initial_estimate(truth[0], meas_model, self.v_max)
-        maps = track_weights(steps, motion, meas_model, init.covariance, self.step_accels(self.n_steps - 1))
+        maps = track_weights(steps, motion, meas_model, init.covariance, truth, self.step_accels(self.n_steps - 1))
         out = {}
-        for k, (m, c) in maps.items():
-            weights = m[:2].copy()
-            offset = weights @ truth[: k + 1].ravel() + c[:2]
-            if not (np.isfinite(weights).all() and np.isfinite(offset).all()):
-                raise InvalidInputError(f"filter weights at step {k} left the finite range")
+        for k, (state, weights) in maps.items():
+            offset = state[:2]
+            if not np.isfinite(offset).all():
+                raise InvalidInputError(f"estimate law at step {k} left the finite range")
             out[k] = (truth[k], weights, offset)
         return out
 
@@ -261,12 +249,16 @@ class Scenario:
         return acc
 
 
-def law_factor(covariance: np.ndarray, step: int) -> np.ndarray:
-    """The lower Cholesky factor L of a 2x2 estimate covariance at `step`, so
-    that ``L @ eta`` for eta ~ N(0, I_2) has that covariance.  A zero
-    covariance is a point mass, L = 0.  Any other singular one raises
-    NumericalDegeneracyError, and one that is not finite InvalidInputError,
-    both naming the step."""
+def law_factor(weights: np.ndarray, step: int) -> np.ndarray:
+    """The lower Cholesky factor L of ``weights @ weights.T``, the unit-noise
+    covariance of the estimate that the map `weights` of
+    :meth:`Scenario.estimate_weights` gives at `step`, so that ``L @ eta``
+    for eta ~ N(0, I_2) has that covariance.  A zero covariance is a point
+    mass, L = 0.  Any other singular one raises NumericalDegeneracyError, and
+    one that is not finite InvalidInputError, both naming the step."""
+    # An overflowing product is reported by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = weights @ weights.T
     if not np.isfinite(covariance).all():
         raise InvalidInputError(f"estimate covariance at step {step} left the finite range")
     if not covariance.any():

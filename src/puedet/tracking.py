@@ -6,19 +6,17 @@ so concurrent use is safe.
 
 :func:`predict` and :func:`update` take one step.  :func:`track` runs a whole
 sequence through the same state formulas and returns the states as one
-(n, 4) array.  :func:`track_moments` gives the law of that estimate under
-white measurement noise, in O(k): the noiseless state and the unit-noise
-error covariance ``S_k = F_k S_{k-1} F_k^T + G_k G_k^T``, with
-``F_k = (I - G_k C) A`` (Bar-Shalom, Li & Kirubarajan 2001, sec. 5.2).
-:func:`track_weights` states the same filter in linear form, at O(k^2): the
-estimate at step k as a fixed map of the measurements plus a fixed offset.
-The covariance recursion does not depend on the data, so all three consume
-one gain sequence, in which the gain is reused, not recomputed, once the
-covariance reaches its exact floating-point fixed point (it returns itself
-bit for bit; step 132 for the stock tracker).  This is not an
-approximation: every state equals the per-step route's bit for bit.  A model
-with no fixed point, such as one with zero process noise, runs the full
-recursion at every step.
+(n, 4) array, and :func:`track_weights` states the same filter in linear
+form: the estimate at step k as a fixed map W of the measurements about the
+noiseless run, built in O(k) by one backward pass over the gains, so its
+law under white measurement noise is ``N(state[:2], sigma**2 W W^T)``
+(Bar-Shalom, Li & Kirubarajan 2001, sec. 5.2).  The covariance recursion
+does not depend on the data, so both consume one gain sequence, in which the
+gain is reused, not recomputed, once the covariance reaches its exact
+floating-point fixed point (it returns itself bit for bit; step 132 for the
+stock tracker).  This is not an approximation: every state equals the
+per-step route's bit for bit.  A model with no fixed point, such as one with
+zero process noise, runs the full recursion at every step.
 """
 
 from __future__ import annotations
@@ -92,14 +90,10 @@ class MotionModel:
         a[0, 2] = a[1, 3] = self.dt
         return a
 
-    def control_matrix(self) -> np.ndarray:
-        """4x2 map from a planar acceleration to state increments."""
-        dt = self.dt
-        h = 0.5 * dt * dt
-        return np.array([[h, 0.0], [0.0, h], [dt, 0.0], [0.0, dt]])
-
     def process_noise(self) -> np.ndarray:
-        """Acceleration noise lifted to state space: B diag(s_wx2, s_wy2) B^T."""
+        """Acceleration noise lifted to state space: B diag(s_wx2, s_wy2) B^T,
+        with B = [[h, 0], [0, h], [dt, 0], [0, dt]] and h = dt^2 / 2 the map
+        from a planar acceleration to state increments."""
         dt = self.dt
         h = 0.5 * dt * dt
         sx, sy = self.sigma_wx2, self.sigma_wy2
@@ -218,9 +212,9 @@ def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
     reproduce, and the product must round as the matrix definition does.
     (``ndarray.dot`` reaches the same kernel with less call overhead than
     ``@``.)  Q and the symmetrization are applied entry by entry.  Shared by
-    :func:`predict` and the gain sequence of :func:`track`,
-    :func:`track_moments` and :func:`track_weights`.  Raises
-    InvalidInputError if the result is not finite.
+    :func:`predict` and the gain sequence of :func:`track` and
+    :func:`track_weights`.  Raises InvalidInputError if the result is not
+    finite.
     """
     a = model.transition_matrix()
     # An overflowing product is reported by the finiteness check below.
@@ -401,95 +395,7 @@ def track(
     return states
 
 
-def _wanted_steps(steps: Sequence[int], n: int) -> set:
-    """`steps` as a set, each an integer in [0, n); InvalidInputError otherwise."""
-    wanted = set(steps)
-    if not wanted or not all(isinstance(k, (int, np.integer)) and 0 <= k < n for k in wanted):
-        raise InvalidInputError(f"steps must be integers in [0, {n}), got {steps!r}")
-    return wanted
-
-
 def track_weights(
-    steps: Sequence[int],
-    model: MotionModel,
-    meas_model: MeasurementModel,
-    init_covariance: np.ndarray,
-    accels: Sequence,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """:func:`track` in linear form: ``{k: (m, c)}`` in step order, so that
-    the state estimate at step k is ``m @ z + c`` for the measurements z of
-    steps 0..k flattened to length 2(k + 1), with m of shape (4, 2(k + 1)).
-
-    The gains do not depend on the data; c comes from ``accels[1..k]``.  The
-    start is at z_0 with zero velocity and `init_covariance` (see
-    :func:`initial_estimate`).  One recursion runs to the latest step, each
-    of which must index a row of `accels`, and is snapshotted at every step.
-    """
-    wanted = _wanted_steps(steps, len(accels))
-    last = max(wanted)
-    us = _finite_rows(accels[1 : last + 1], "acceleration", first=1)
-    a = model.transition_matrix()
-    b = model.control_matrix()
-    # Step 0 takes its position from z_0 and has zero velocity.  m only gains
-    # columns, so the operands of step k have the same shapes whatever step
-    # the recursion runs to.
-    m = np.eye(4, 2)
-    c = np.zeros(4)
-    out = {0: (m, c)} if 0 in wanted else {}
-    for k, u, g in zip(range(1, last + 1), us, _gains(init_covariance, model, meas_model)):
-        # Predict then update: x <- (I - G C)(A x + B u) + G z_k.
-        g = np.array(g).reshape(4, 2)
-        i_gc = np.eye(4)
-        i_gc[:, :2] -= g
-        f = i_gc @ a
-        m = np.concatenate((f @ m, g), axis=1)
-        c = f @ c + i_gc @ (b @ u)
-        if k in wanted:
-            out[k] = (m, c)
-    return out
-
-
-def _moment_step(s: tuple, g: tuple, dt: float) -> tuple:
-    """One step of the unit-noise error covariance S, as the 10 floats of its
-    upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33):
-    ``S <- M A S A^T M^T + G G^T`` with ``M = I - G C``, the Joseph form of
-    the posterior under measurement noise I, for the gain ``g`` (8 row-major
-    floats).  S is kept for (position, dt * velocity), the motion per step,
-    so that its entries keep the scale of the position's at any dt: A then
-    adds each velocity to its position, and the velocity rows of the gain are
-    taken times dt.  The position block is S's own.  No entry is checked.
-    """
-    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = s
-    g00, g01, g10, g11, g20, g21, g30, g31 = g
-    g20, g21, g30, g31 = dt * g20, dt * g21, dt * g30, dt * g31
-    # T = A S A^T.
-    t02, t03, t12, t13 = s02 + s22, s03 + s23, s12 + s23, s13 + s33
-    t00, t01, t11 = (s00 + s02) + t02, (s01 + s12) + t03, (s11 + s13) + t13
-    # V = M T: v_ij = t_ij - (g_i0 t_0j + g_i1 t_1j), for the entries read below.
-    v00, v01 = t00 - (g00 * t00 + g01 * t01), t01 - (g00 * t01 + g01 * t11)
-    v02, v03 = t02 - (g00 * t02 + g01 * t12), t03 - (g00 * t03 + g01 * t13)
-    v10, v11 = t01 - (g10 * t00 + g11 * t01), t11 - (g10 * t01 + g11 * t11)
-    v12, v13 = t12 - (g10 * t02 + g11 * t12), t13 - (g10 * t03 + g11 * t13)
-    v20, v21 = t02 - (g20 * t00 + g21 * t01), t12 - (g20 * t01 + g21 * t11)
-    v22, v23 = s22 - (g20 * t02 + g21 * t12), s23 - (g20 * t03 + g21 * t13)
-    v30, v31 = t03 - (g30 * t00 + g31 * t01), t13 - (g30 * t01 + g31 * t11)
-    v33 = s33 - (g30 * t03 + g31 * t13)
-    # Upper triangle of V M^T + G G^T: entry (i, j) = v_ij - (v_i0 g_j0 + v_i1 g_j1) + (g_i0 g_j0 + g_i1 g_j1).
-    return (
-        v00 - (v00 * g00 + v01 * g01) + (g00 * g00 + g01 * g01),
-        v01 - (v00 * g10 + v01 * g11) + (g00 * g10 + g01 * g11),
-        v02 - (v00 * g20 + v01 * g21) + (g00 * g20 + g01 * g21),
-        v03 - (v00 * g30 + v01 * g31) + (g00 * g30 + g01 * g31),
-        v11 - (v10 * g10 + v11 * g11) + (g10 * g10 + g11 * g11),
-        v12 - (v10 * g20 + v11 * g21) + (g10 * g20 + g11 * g21),
-        v13 - (v10 * g30 + v11 * g31) + (g10 * g30 + g11 * g31),
-        v22 - (v20 * g20 + v21 * g21) + (g20 * g20 + g21 * g21),
-        v23 - (v20 * g30 + v21 * g31) + (g20 * g30 + g21 * g31),
-        v33 - (v30 * g30 + v31 * g31) + (g30 * g30 + g31 * g31),
-    )
-
-
-def track_moments(
     steps: Sequence[int],
     model: MotionModel,
     meas_model: MeasurementModel,
@@ -497,44 +403,50 @@ def track_moments(
     measurements: Sequence,
     accels: Sequence,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The first two moments of :func:`track`'s estimate under measurement
-    noise, ``{k: (state, p)}`` in step order: for the measurements
-    ``measurements + sigma * xi`` of steps 0..k, with xi standard normal,
-    the position estimate at step k is ``N(state[:2], sigma**2 * p)``.
+    """:func:`track` in linear form, ``{k: (state, w)}`` in step order: for
+    the measurements ``measurements + e`` of steps 0..k, the position
+    estimate at step k is ``state[:2] + w @ e.ravel()``.
 
-    ``state`` (4,) is row k of :func:`track` over the noiseless
-    `measurements`, advanced by the same state formulas, so it equals it bit
-    for bit.  ``p`` (2, 2) is the position block of the unit-noise error
-    covariance S, which equals ``m[:2] @ m[:2].T`` for the map m of
-    :func:`track_weights`: one recursion (:func:`_moment_step`) costs O(k),
-    where the map costs O(k^2).  ``S_0 = diag(1, 1, 0, 0)``, as the start is
-    at z_0 with zero velocity (see :func:`initial_estimate`).  Once the gain
-    has reached its fixed point (a gain that ``is`` the one before it, see
-    :func:`_gains`) and a step returns the S it was given, bit for bit, S is
-    reused, not recomputed.  Nothing is checked for finiteness: a caller
-    reads the moments at its steps.  `measurements` and `accels` have one row
-    per step, and each of `steps` must index one.
+    ``state`` (4,) is row k of :func:`track` over `measurements`, bit for
+    bit, as it is advanced by the same state formulas.  ``w`` (2, 2(k + 1))
+    is built in O(k) by one backward pass in plain floats from ``R = C``:
+    the weight of z_j is ``R G_j``, then ``R <- R (I - G_j C) A``; z_0, the
+    start's position (see :func:`initial_estimate`), weighs what R keeps of
+    the position.  One pass over :func:`_gains` serves every step.  Nothing
+    is checked for finiteness.  `measurements` and `accels` have one row per
+    step, and each of `steps` must index one.
     """
     if len(accels) != len(measurements):
         raise InvalidInputError("accels must have one entry per measurement")
-    wanted = _wanted_steps(steps, len(measurements))
+    wanted = set(steps)
+    if not wanted or not all(isinstance(k, (int, np.integer)) and 0 <= k < len(measurements) for k in wanted):
+        raise InvalidInputError(f"steps must be integers in [0, {len(measurements)}), got {steps!r}")
     last = max(wanted)
     zs = _finite_rows(measurements[: last + 1], "measurement").tolist()
     us = _finite_rows(accels[1 : last + 1], "acceleration", first=1).tolist()
     dt = model.dt
     x = (*zs[0], 0.0, 0.0)
-    s = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    out = {0: (np.array(x), np.eye(2))} if 0 in wanted else {}
-    steady, g_prev = False, None
+    states, gains = [x], []
     # The gain sequence last, so that zip never asks it for a step past the end.
-    for k, (ux, uy), (zx, zy), g in zip(range(1, last + 1), us, zs[1:], _gains(init_covariance, model, meas_model)):
+    for (ux, uy), (zx, zy), g in zip(us, zs[1:], _gains(init_covariance, model, meas_model)):
         x = _corrected_state(_predicted_state(x, dt, ux, uy), g, zx, zy)
-        if not steady:
-            s_new = _moment_step(s, g, dt)
-            steady = g is g_prev and s_new == s and np.array(s_new).tobytes() == np.array(s).tobytes()
-            s, g_prev = s_new, g
-        if k in wanted:
-            out[k] = (np.array(x), np.array([[s[0], s[1]], [s[1], s[4]]]))
+        states.append(x)
+        gains.append(g)
+    out = {}
+    for k in sorted(wanted):
+        # The rows (a, b) of R, and each row's weights from step k back to 0.
+        a0, a1, a2, a3, b0, b1, b2, b3 = 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0
+        wa, wb = [], []
+        for g00, g01, g10, g11, g20, g21, g30, g31 in reversed(gains[:k]):
+            ga0, ga1 = a0 * g00 + a1 * g10 + a2 * g20 + a3 * g30, a0 * g01 + a1 * g11 + a2 * g21 + a3 * g31
+            gb0, gb1 = b0 * g00 + b1 * g10 + b2 * g20 + b3 * g30, b0 * g01 + b1 * g11 + b2 * g21 + b3 * g31
+            wa += (ga1, ga0)
+            wb += (gb1, gb0)
+            a0, a1, b0, b1 = a0 - ga0, a1 - ga1, b0 - gb0, b1 - gb1
+            a2, a3, b2, b3 = a2 + dt * a0, a3 + dt * a1, b2 + dt * b0, b3 + dt * b1
+        wa += (a1, a0)
+        wb += (b1, b0)
+        out[k] = (np.array(states[k]), np.array([wa[::-1], wb[::-1]]))
     return out
 
 
@@ -543,11 +455,9 @@ def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel) -> I
     end, from the covariance `p` of step 0.
 
     Once a step returns the covariance it was given, bit for bit, every later
-    step would too, so its gain is yielded from then on, as one and the same
-    tuple object: a consumer sees the fixed point as a gain that ``is`` the
-    one before it.  Only two outputs of the recursion are compared, never
-    `p`, whose layout the caller chose; as bytes, since == equates -0.0 and
-    0.0.
+    step would too, so its gain is yielded from then on.  Only two outputs of
+    the recursion are compared, never `p`, whose layout the caller chose; as
+    bytes, since == equates -0.0 and 0.0.
     """
     g, p = _gain_and_posterior(predict_covariance(p, model), meas_model)
     while True:

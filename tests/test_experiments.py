@@ -142,6 +142,23 @@ class TestRunTrials:
         with pytest.raises(InvalidInputError):
             reference_trial(scen, cfg, 1, 0, "bogus")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+    def test_seeds_and_trial_indices_are_typed_on_every_route(self, seed):
+        scen = collinear_scenario(sigma_z=5.0, sigma_db=2.0)
+        cfg = DetectorConfig(10.0)
+        routes = [
+            lambda: cell_streams(seed),
+            lambda: run_cell(scen, np.zeros(3, dtype=bool), np.zeros((3, 2)), seed),
+            lambda: run_trials(scen, cfg, 3, 0.5, seed),
+            lambda: reference_trial(scen, cfg, seed, 0),
+            lambda: sweep_distance(scen, [30.0], [0.0], cfg, 3, seed, snr_calibration=0.15),
+        ]
+        for route in routes:
+            with pytest.raises(InvalidInputError, match="master_seed must be a non-negative integer"):
+                route()
+        with pytest.raises(InvalidInputError, match="trial_index must be a non-negative integer"):
+            reference_trial(scen, cfg, 1, seed)
+
     def test_trial_counts_must_be_integers(self):
         scen = collinear_scenario()
         with pytest.raises(InvalidInputError, match="n_trials"):
@@ -195,7 +212,7 @@ class TestBatchedEngineMatchesReference:
             (dict(meas_noise_std=0.0, process_noise_std=0.5), "single"),
             (dict(anchors=SQUARE_ANCHORS), "or"),
             # Velocity gains near 1/dt = 1e155: an error covariance kept in
-            # m/s squares them past the float range; the reference's W does not.
+            # m/s would square them past the float range; W squares none.
             (dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60), "single"),
         ],
         ids=["eval_step", "dt_0.5", "dt_2", "no_process_noise", "process_noise_1",
@@ -403,59 +420,51 @@ class TestExactLaw:
         assert 0 < np.count_nonzero(residual >= 25.0) < n
 
     def test_singular_laws(self, monkeypatch):
-        # A zero covariance is a point mass at the offset; a singular one that
-        # is not zero is a typed error on both routes, never a LinAlgError.
-        # The engine reads the law's covariance, the reference W W^T.
+        # A zero map is a point mass at the offset; a map of rank one is a
+        # typed error on both routes, never a LinAlgError.  Both routes read
+        # the map through Scenario.estimate_weights, so it is patched there.
         scen = default_scenario(n_steps=20, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(2.0))
-        truth, weights, offset = scen.estimate_weights((19,))[19]
+        _, weights, offset = scen.estimate_weights((19,))[19]
+        state = np.array([*offset, 0.0, 0.0])
         n = 50
-        rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
         cfg = DetectorConfig(25.0, "or")
-
-        def moments(covariance):
-            return lambda steps, *args: {19: (np.array([*offset, 0.0, 0.0]), covariance)}
-
-        monkeypatch.setattr(scenario_module, "track_moments", moments(np.zeros((2, 2))))
-        cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
-        assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (n, 4)))
-        monkeypatch.setattr(scenario_module, "track_moments", moments(rank_one))
-        with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
-            run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
-
-        zero = np.zeros_like(weights)
-        single_row = weights.copy()
-        single_row[1] = 0.0
-        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, zero, offset)})
-        assert reference_trial(scen, cfg, 4, 3).scheduled == PU
-        monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, single_row, offset)})
-        with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
-            reference_trial(scen, cfg, 4, 3)
+        rank_one = np.zeros_like(weights)
+        rank_one[:, 0] = (1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(scenario_module, "track_weights", lambda steps, *args: {19: (state, 0.0 * weights)})
+            cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
+            assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (n, 4)))
+            assert reference_trial(scen, cfg, 4, 3).scheduled == PU
+            monkeypatch.setattr(scenario_module, "track_weights", lambda steps, *args: {19: (state, rank_one)})
+            with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
+                run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 4)
+            with pytest.raises(NumericalDegeneracyError, match="step 19 is singular"):
+                reference_trial(scen, cfg, 4, 3)
 
     def test_law_that_is_not_finite_is_typed_on_both_routes(self, monkeypatch):
         # No valid config was found whose law leaves the float range (the
         # nearest, the tiny_dt case of test_dual_route_off_the_stock_path,
-        # keeps both routes finite), so the inputs are patched: the engine's
-        # moments, and weights whose W W^T overflows.
+        # keeps both routes finite), so the map is patched: one whose W W^T
+        # overflows or is NaN, and an offset that is not finite.
         scen = default_scenario(n_steps=20, rss_noise=NoiseModel(2.0))
-        truth, weights, offset = scen.estimate_weights((19,))[19]
+        _, weights, offset = scen.estimate_weights((19,))[19]
         cfg = DetectorConfig(25.0)
         state = np.array([*offset, 0.0, 0.0])
         cases = [
-            ({19: (state, np.array([[np.inf, 0.0], [0.0, 1.0]]))}, "estimate covariance at step 19"),
-            ({19: (state, np.full((2, 2), np.nan))}, "estimate covariance at step 19"),
-            ({19: (np.array([np.inf, 0.0, 0.0, 0.0]), np.eye(2))}, "estimate law at step 19"),
+            ((state, weights * 1e200), "estimate covariance at step 19 left the finite range"),
+            ((state, np.full_like(weights, np.nan)), "estimate covariance at step 19 left the finite range"),
+            ((np.array([np.inf, 0.0, 0.0, 0.0]), weights), "estimate law at step 19 left the finite range"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for moments, message in cases:
-                monkeypatch.setattr(scenario_module, "track_moments", lambda steps, *args: moments)
+            for law, message in cases:
+                monkeypatch.setattr(scenario_module, "track_weights", lambda steps, *args: {19: law})
                 with pytest.raises(InvalidInputError, match=message):
                     run_trials(scen, cfg, 10, 0.5, 1)
-            huge = weights * 1e200
-            monkeypatch.setattr(Scenario, "estimate_weights", lambda self, steps: {19: (truth, huge, offset)})
-            with pytest.raises(InvalidInputError, match="estimate covariance at step 19 left the finite range"):
-                reference_trial(scen, cfg, 1, 0)
+                with pytest.raises(InvalidInputError, match=message):
+                    reference_trial(scen, cfg, 1, 0)
 
 
 class TestMetrics:

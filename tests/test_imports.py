@@ -53,7 +53,7 @@ def test_guard_recognizes_private_imports(source, flagged):
 def test_experiments_reach_the_tracker_only_through_the_scenario(module):
     """The scenario owns its tracker: the Monte Carlo engine takes the law of
     the filter's estimate from ``Scenario.estimate_law``, the reference route
-    alone takes the weight map W from ``Scenario.estimate_weights`` and its
+    takes the same weight map W from ``Scenario.estimate_weights`` and its
     states from ``Scenario.track``, the detector takes a position, and
     neither imports anything from ``puedet.tracking`` itself."""
     tree = ast.parse((ROOT / "src" / "puedet" / module).read_text(encoding="utf-8"))

@@ -366,12 +366,19 @@ class TestScenarioTrack:
                 scen.track(zs)
 
 
+TINY_DT = dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60)
+
+
 class TestEstimateWeights:
-    @pytest.mark.parametrize("process_noise_std", [0.2, 0.0])
-    def test_weight_form_equals_track(self, process_noise_std):
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(process_noise_std=0.2), dict(process_noise_std=0.0), dict(n_steps=2000, dt=0.1), TINY_DT],
+        ids=["0.2", "0.0", "K_1999_dt_0.1", "tiny_dt"],
+    )
+    def test_weight_form_equals_track(self, overrides):
         # At steps 0, 1 and 5 the filter is still converging from its
         # zero-velocity start, so the offset is not the truth there.
-        scen = default_scenario(process_noise_std=process_noise_std)
+        scen = default_scenario(**overrides)
         k_last = scen.n_steps - 1
         sigma_z = scen.meas_noise_std
         truth = scen.truth_path(k_last)
@@ -384,7 +391,26 @@ class TestEstimateWeights:
             assert weights.shape == (2, 2 * (k + 1)) and weights.flags.c_contiguous
             got = sigma_z * weights @ noise[: k + 1].ravel() + offset
             assert np.abs(got - estimates[k, :2]).max() <= 1e-9, k
-        assert np.abs(maps[1][2] - maps[1][0]).max() > 0.1
+        # At tiny_dt the PU moves less than a unit in the last place per step.
+        if (truth[1] != truth[0]).any():
+            assert np.abs(maps[1][2] - maps[1][0]).max() > 0.1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(eval_step=57), dict(process_noise_std=0.0), dict(dt=0.5), TINY_DT],
+        ids=["eval_step_57", "no_process_noise", "dt_0.5", "tiny_dt"],
+    )
+    def test_map_is_the_impulse_response_of_track(self, overrides):
+        # Column j of W is what a unit change of measurement entry j moves
+        # track's estimate at step k by.
+        scen = default_scenario(n_steps=60, **overrides)
+        k = scen.evaluation_step
+        truth = scen.truth_path(k)
+        _, weights, _ = scen.estimate_weights((k,))[k]
+        base = scen.track(truth)[k, :2]
+        units = np.eye(2 * (k + 1)).reshape(-1, k + 1, 2)
+        columns = np.array([scen.track(truth + e)[k, :2] - base for e in units]).T
+        assert np.abs(columns - weights).max() <= 1e-11
 
     def test_one_recursion_equals_single_steps_bit_for_bit(self):
         scen = default_scenario()
@@ -423,8 +449,8 @@ class TestEstimateLaw:
         ids=["stock", "eval_step_57", "K_1999_dt_0.1", "no_process_noise", "four_anchors"],
     )
     def test_law_is_the_weight_map_contracted(self, overrides):
-        # factor factor^T against W W^T and offset against W truth + c, both
-        # within 1e-12 relative; the offset is track's noiseless row bit for bit.
+        # The law is the map reduced: factor factor^T against W W^T within
+        # 1e-12 relative, and the map's offset, track's noiseless row bit for bit.
         scen = default_scenario(**overrides)
         k = scen.evaluation_step
         truth_k, factor, offset = scen.estimate_law((k,))[k]
