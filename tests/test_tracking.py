@@ -364,6 +364,61 @@ class TestTrack:
             track_weights((5,), MotionModel(1.0, 0.04, 0.04), mm, p0, zs, accels[:9])
 
 
+
+class TestTrackMoments:
+    """The mean and covariance of track's position estimate under unit
+    measurement noise, as read from track_weights: the state and W W^T."""
+
+    @pytest.mark.parametrize(
+        "model", [MotionModel(1.0, 0.04, 0.04), MotionModel(1.0), MotionModel(0.1, 0.04, 0.04)]
+    )
+    def test_moments_are_the_weight_map_contracted(self, model):
+        # The mean is track's row bit for bit; W W^T is the position block of
+        # the error covariance S of a forward recursion over the gains of
+        # predict and update: S_0 = diag(1, 1, 0, 0), and with M = (I - G C) A
+        # S <- M S M^T + G G^T, within 1e-12 relative.
+        rng = np.random.default_rng(12)
+        mm = MeasurementModel.isotropic(5.0)
+        n = 300
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        init = initial_estimate(zs[0], mm, 10.0)
+        expected = track(zs, model, mm, init, accels)
+        steps = (n - 1, 140, 1, 0)
+        maps = track_weights(steps, model, mm, init.covariance, zs, accels)
+        assert list(maps) == [0, 1, 140, n - 1]
+        a, c = model.transition_matrix(), np.eye(2, 4)
+        s, p = np.diag([1.0, 1.0, 0.0, 0.0]), init.covariance
+        want = {0: s[:2, :2]}
+        for k in range(1, n):
+            p = predict(est([0, 0, 0, 0], p), model).covariance
+            g = gain(p, mm)
+            p = update(est([0, 0, 0, 0], p), mm, (0.0, 0.0)).covariance
+            m = (np.eye(4) - g @ c) @ a
+            s = m @ s @ m.T + g @ g.T
+            want[k] = s[:2, :2]
+        for k, (state, w) in maps.items():
+            assert np.array_equal(state, expected[k]), k
+            ww = w @ w.T
+            assert np.abs(ww - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+    def test_rejects_bad_input(self):
+        mm = MeasurementModel.isotropic(5.0)
+        model = MotionModel(1.0, 0.04, 0.04)
+        p0 = initial_estimate(np.zeros(2), mm, 10.0).covariance
+        zs = np.zeros((10, 2))
+        for steps in ((), (-1,), (10,), (3.0,)):
+            with pytest.raises(InvalidInputError, match="steps"):
+                track_weights(steps, model, mm, p0, zs, zs)
+        with pytest.raises(InvalidInputError, match="one entry per measurement"):
+            track_weights((5,), model, mm, p0, zs, zs[:9])
+        bad = zs.copy()
+        bad[4] = (np.nan, 0.0)
+        with pytest.raises(InvalidInputError, match="acceleration 4"):
+            track_weights((9,), model, mm, p0, zs, bad)
+        with pytest.raises(InvalidInputError, match="measurement 4"):
+            track_weights((9,), model, mm, p0, bad, zs)
+
 def test_initial_estimate_covariance():
     mm = MeasurementModel.isotropic(2.0)
     e = initial_estimate((1.0, 2.0), mm, v_max=4.0)
