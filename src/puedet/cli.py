@@ -27,6 +27,7 @@ from .config import (
 )
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import cell_streams
+from .propagation import check_ranging_noise, sigma_from_snr
 from .svgplot import line_chart
 
 
@@ -38,7 +39,7 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
     """The text of CSV file `name` as a function that writes it to a file:
     `rows` (lists or a 2-D array) under `header`, each column in its %-spec of
     `specs`, an absent (None) cell empty.  Every value is checked finite here,
-    before any file is opened; rows are formatted a block at a time."""
+    before any file is opened; each block of rows is formatted by one %."""
     table = np.array(rows, dtype=float).reshape(len(rows), len(specs))  # an absent cell reads as nan
     absent = ~np.isfinite(table)
     if any(rows[i][j] is not None for i, j in np.argwhere(absent)):
@@ -52,7 +53,8 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            fh.write("".join(map(str.__mod__, formats[block], map(tuple, table[block].tolist()))))
+            # One % per block: each row's format takes exactly len(specs) values.
+            fh.write("".join(formats[block]) % tuple(table[block].ravel().tolist()))
 
     return write
 
@@ -78,6 +80,14 @@ def _chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
         if points:
             kept.append((label, *zip(*points)))
     return line_chart(kept, title, xlabel, ylabel) if kept else None
+
+
+def _check_ranging(cfg: ExperimentConfig, scenario) -> None:
+    """Refuse, naming its keys, a link whose RSS noise at some SNR of the
+    sweep fails ranging whatever the draws (see check_ranging_noise)."""
+    with _config_decides("[link] alpha, snr_calibration, [sweep] snr_db"):
+        for snr in cfg.sweep.snr_db:
+            check_ranging_noise(scenario.link, sigma_from_snr(snr, cfg.link.snr_calibration))
 
 
 def _resolve_detector(cfg: ExperimentConfig, scenario):
@@ -133,6 +143,7 @@ def _per_snr_series(reports, snr_list, x_of, y_of):
 
 def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
+    _check_ranging(cfg, scenario)
     detector = _resolve_detector(cfg, scenario)
     reports = experiments.sweep_distance(
         scenario,
@@ -165,6 +176,7 @@ def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
 
 def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
     scenario = build_scenario(cfg)
+    _check_ranging(cfg, scenario)
     reports = experiments.sweep_roc(
         scenario,
         cfg.sweep.roc_distance,

@@ -103,6 +103,22 @@ def distance_from_rss(link: LinkModel, pr_db: float) -> float:
     return d
 
 
+def check_ranging_noise(link: LinkModel, noise: NoiseModel) -> None:
+    """Refuse dB noise of which a draw of one standard deviation already
+    scales the RSS-implied distance, by ``10^(sigma_db / (10 alpha))``, past
+    the float range: a run would then fail in ranging whatever its draws.
+    Fainter tails are left to the draw (see :func:`distance_from_rss`)."""
+    try:
+        factor = 10.0 ** (noise.sigma_db / (10.0 * link.alpha))
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise InvalidInputError(
+            f"RSS noise of {noise.sigma_db:g} dB at alpha = {link.alpha:g} scales the RSS-implied "
+            "distance beyond the float range at one standard deviation"
+        )
+
+
 def sigma_from_snr(snr_db: float, calibration: float) -> NoiseModel:
     """Map an SNR setting to a dB-domain noise level: sigma = c * 10^(-snr/20).
 

@@ -89,6 +89,8 @@ class Trajectory:
             times.append(times[-1] + dur)
         waypoints = (np.array(times), *np.array(states).swapaxes(0, 1), np.array(self.segments)[:, 1:])
         for name, values in zip(("times", "positions", "velocities", "accels"), waypoints):
+            # Contiguous copies, not views: each step query fancy-indexes them.
+            values = np.ascontiguousarray(values)
             if not np.isfinite(values).all():
                 raise InvalidInputError("trajectory values must be finite")
             values.flags.writeable = False
@@ -234,7 +236,7 @@ class Scenario:
 
     def step_times(self, upto: int) -> np.ndarray:
         """Time of every step 0..upto."""
-        return self._states(np.arange(self._check_step(upto) + 1))[0]
+        return np.arange(self._check_step(upto) + 1) * self.dt
 
     def truth_path(self, upto: int) -> np.ndarray:
         """True PU position at every step 0..upto, shape (upto + 1, 2); row k

@@ -114,8 +114,8 @@ def line_chart(
 
     for i, (xs, ys) in enumerate(points):
         color = PALETTE[i % len(PALETTE)]
-        # "%.2f" rounds exactly as _fmt does.
-        coords = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
+        # "%.2f" rounds exactly as _fmt does; one % over the interleaved x, y.
+        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack((sx(xs), sy(ys))).ravel().tolist())
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
 
     lx, ly = _ML + plot_w - 170, _MT + 10

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from math import isfinite
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -375,20 +375,21 @@ def track(
         raise InvalidInputError("measurement sequence must be non-empty")
     if accels is not None and len(accels) != n:
         raise InvalidInputError("accels must have one entry per measurement")
-    zs = _finite_rows(measurements, "measurement").tolist()
+    # Column lists: the loop unpacks no row tuples.
+    zx, zy = _finite_rows(measurements, "measurement")[1:].T.tolist()
     if accels is None:
-        us = [(0.0, 0.0)] * (n - 1)
+        ux = uy = [0.0] * (n - 1)
     else:
-        us = _finite_rows(accels[1:], "acceleration", first=1).tolist()
+        ux, uy = _finite_rows(accels[1:], "acceleration", first=1).T.tolist()
 
     dt = model.dt
     s = tuple(init.state)
     out = [s]
     # The gain sequence last, so that zip never asks it for a step past the end.
-    for (ux, uy), (zx, zy), g in zip(us, zs[1:], _gains(init.covariance, model, meas_model)):
-        s = _corrected_state(_predicted_state(s, dt, ux, uy), g, zx, zy)
+    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx, zy, _gains(init.covariance, model, meas_model)):
+        s = _corrected_state(_predicted_state(s, dt, ux_k, uy_k), g, zx_k, zy_k)
         out.append(s)
-    states = np.array(out)
+    states = np.fromiter(chain.from_iterable(out), float, 4 * n).reshape(n, 4)
     if not np.isfinite(states).all():
         k = int(np.isfinite(states).all(axis=1).argmin())
         raise InvalidInputError(f"target state at step {k} must be finite, got {out[k]}")
@@ -422,14 +423,14 @@ def track_weights(
     if not wanted or not all(isinstance(k, (int, np.integer)) and 0 <= k < len(measurements) for k in wanted):
         raise InvalidInputError(f"steps must be integers in [0, {len(measurements)}), got {steps!r}")
     last = max(wanted)
-    zs = _finite_rows(measurements[: last + 1], "measurement").tolist()
-    us = _finite_rows(accels[1 : last + 1], "acceleration", first=1).tolist()
+    zx, zy = _finite_rows(measurements[: last + 1], "measurement").T.tolist()
+    ux, uy = _finite_rows(accels[1 : last + 1], "acceleration", first=1).T.tolist()
     dt = model.dt
-    x = (*zs[0], 0.0, 0.0)
+    x = (zx[0], zy[0], 0.0, 0.0)
     states, gains = [x], []
     # The gain sequence last, so that zip never asks it for a step past the end.
-    for (ux, uy), (zx, zy), g in zip(us, zs[1:], _gains(init_covariance, model, meas_model)):
-        x = _corrected_state(_predicted_state(x, dt, ux, uy), g, zx, zy)
+    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], _gains(init_covariance, model, meas_model)):
+        x = _corrected_state(_predicted_state(x, dt, ux_k, uy_k), g, zx_k, zy_k)
         states.append(x)
         gains.append(g)
     out = {}

@@ -154,6 +154,38 @@ class TestSweepDistance:
             assert row[ipfa] == ""
             assert all(cell for i, cell in enumerate(row) if i != ipfa)
 
+    def test_block_format_equals_per_row_format(self, tmp_path, monkeypatch):
+        # The writer formats a block of 4096 rows with one %.  The oracle is
+        # the per-row form: one format and one tuple per row.  5000 planted
+        # rows cross the block boundary with absent cells on both sides of
+        # it, and hold signed zeros, extremes, values just below powers of
+        # ten (which %.9g rounds up) and large counts in the %d columns.
+        specials = [-0.0, 1e-300, 1e300, -1e300, 9.9999999996, 0.99999999996, 99999.99999,
+                    999999999.7, 9.9999999996e-5, 123.456, 0.0]
+        reports = []
+        for i in range(5000):
+            v = specials[i % len(specials)]
+            # Not 5 dB, the config's only SNR, so no row reaches a chart.
+            coords = SweepCoords(v, specials[(i + 3) % len(specials)], specials[(i + 5) % len(specials)])
+            absent = i % 7 == 0 or 4093 <= i <= 4098
+            pd = None if absent else v
+            pfa = None if i % 3 == 0 or i == 4096 else 1.0 - v
+            pm = None if absent else specials[(i + 1) % len(specials)]
+            reports.append(MetricsReport(pd, pfa, pm, (i * 7919) % 10**6, 10**15 + i, coords))
+        monkeypatch.setattr(experiments, "sweep_distance", lambda *args, **kwargs: reports)
+        config = SMALL_SWEEP.replace("distances = 30 90", "distances = 30").replace("snr_db = -5 5", "snr_db = 5")
+        rc, out = run_cli(tmp_path, "sweep-distance", config)
+        assert rc == 0
+        specs = ["%.9g"] * 3 + ["%d"] * 2 + ["%.9g"] * 3
+        rows = [[*r.sweep_coords, r.n_attack_trials, r.n_legit_trials, r.pd, r.pfa, r.pm] for r in reports]
+        formats = [",".join("%.0s" if v is None else s for v, s in zip(row, specs)) + "\n" for row in rows]
+        table = np.array(rows, dtype=float)
+        expected = "d_pu_pue_m,snr_db,tau_m,n_attack,n_legit,pd,pfa,pm\n" + "".join(
+            map(str.__mod__, formats, map(tuple, table.tolist()))
+        )
+        assert (out / "sweep_distance.csv").read_text() == expected
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "sweep_distance.csv"]
+
 
 class TestSweepRoc:
     def test_columns_and_targets(self, tmp_path):
@@ -396,6 +428,21 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("puedet: error: [") and key in err, err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc", "compare-baseline"])
+    @pytest.mark.parametrize("link", ["alpha = 1e-300", "snr_calibration = 1e150", "snr_calibration = 1e300"])
+    def test_ranging_overflow_names_its_keys(self, tmp_path, capsys, command, link):
+        # A one-sigma dB draw scales the RSS-implied distance past the float
+        # range, so the sweeps refuse the config before any cell runs.
+        # compare-baseline ranges without RSS noise and runs.
+        rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n[link]\n{link}\n", "--trials", "40")
+        err = capsys.readouterr().err
+        if command == "compare-baseline":
+            assert rc == 0, err
+            return
+        assert rc == 1
+        assert err.startswith("puedet: error: [link] alpha, snr_calibration, [sweep] snr_db: "), err
         assert list(out.iterdir()) == []
 
     def test_negative_seed_rejected(self, tmp_path, capsys):

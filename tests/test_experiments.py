@@ -214,9 +214,13 @@ class TestBatchedEngineMatchesReference:
             # Velocity gains near 1/dt = 1e155: an error covariance kept in
             # m/s would square them past the float range; W squares none.
             (dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60), "single"),
+            # The same step at the stock noise, where a wrong map shows
+            # above the tolerance: dt * v_max = 0.1 m a step gives the
+            # velocity terms weight.
+            (dict(dt=1e-155, v_max=1e154), "single"),
         ],
         ids=["eval_step", "dt_0.5", "dt_2", "no_process_noise", "process_noise_1",
-             "no_meas_noise", "or4", "tiny_dt"],
+             "no_meas_noise", "or4", "tiny_dt", "tiny_dt_visible_noise"],
     )
     def test_dual_route_off_the_stock_path(self, overrides, fusion):
         scen = default_scenario(n_steps=50, rss_noise=NoiseModel(2.0), **overrides)

@@ -85,7 +85,9 @@ class TestTrajectory:
         assert traj.positions[2].tolist() == [27.5, 30.0]
         assert traj.velocities[2].tolist() == [6.0, 2.0]
         assert traj.accels.tolist() == [[0.0, 0.0], [1.0, 0.0]]
-        assert not any(a.flags.writeable for a in (traj.times, traj.positions, traj.velocities, traj.accels))
+        waypoints = (traj.times, traj.positions, traj.velocities, traj.accels)
+        assert not any(a.flags.writeable for a in waypoints)
+        assert all(a.flags.c_contiguous for a in waypoints)
         # A value of its segments: equal segments, equal trajectories.
         assert traj == Trajectory((0.0, 0.0), (1.0, 2.0), ((10.0, 0.0, 0.0), (5.0, 1.0, 0.0)))
         assert hash(traj) == hash(Trajectory.from_segments((0, 0), (1, 2), [(10, 0, 0), (5, 1, 0)]))
@@ -367,13 +369,19 @@ class TestScenarioTrack:
 
 
 TINY_DT = dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60)
+# The same step with the stock 5 m noise.  A velocity spread of v_max moves
+# the position by dt * v_max = 0.1 m a step, so the map's velocity terms
+# carry weight over a run; at v_max = 1e100 they sit 55 orders below the
+# noise, and a wrong dt in them could not show.
+TINY_DT_VISIBLE = dict(dt=1e-155, v_max=1e154)
 
 
 class TestEstimateWeights:
     @pytest.mark.parametrize(
         "overrides",
-        [dict(process_noise_std=0.2), dict(process_noise_std=0.0), dict(n_steps=2000, dt=0.1), TINY_DT],
-        ids=["0.2", "0.0", "K_1999_dt_0.1", "tiny_dt"],
+        [dict(process_noise_std=0.2), dict(process_noise_std=0.0), dict(n_steps=2000, dt=0.1), TINY_DT,
+         TINY_DT_VISIBLE],
+        ids=["0.2", "0.0", "K_1999_dt_0.1", "tiny_dt", "tiny_dt_visible_noise"],
     )
     def test_weight_form_equals_track(self, overrides):
         # At steps 0, 1 and 5 the filter is still converging from its

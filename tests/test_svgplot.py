@@ -78,3 +78,26 @@ def test_array_series_equal_list_series_byte_for_byte():
     as_lists = [("a", xs.tolist(), ys.tolist()), ("b", [0, 1, 2], [-0.5, 0.25, 1e-3])]
     as_arrays = [("a", xs, ys), ("b", np.arange(3), np.array([-0.5, 0.25, 1e-3]))]
     assert line_chart(as_arrays, "t", "x", "y") == line_chart(as_lists, "t", "x", "y")
+
+
+def test_polyline_equals_per_point_format():
+    # Each polyline is formatted by one % over its interleaved x, y.  The
+    # oracle scales the points as the chart does, into its plot area
+    # x in [70, 616] and y in [40, 424] with the y span padded by 5% on each
+    # side, and formats them one point at a time.
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([rng.normal(0.0, 300.0, 3000), [-0.0, 1e-300, 0.0, -1e-300]])
+    ys = np.concatenate([rng.normal(0.0, 1e-3, 3000), [0.0, -0.0, 1e-300, 5e-3]])
+    series = [("a", xs, ys), ("b", xs[::-1] / 3.0, np.sin(xs) * 1e-3)]
+    svg = line_chart(series, "t", "x", "y")
+    x_lo, x_hi = min(x.min() for _, x, _ in series), max(x.max() for _, x, _ in series)
+    y_lo, y_hi = min(y.min() for _, _, y in series), max(y.max() for _, _, y in series)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    polylines = ET.fromstring(svg).findall(f"{SVG_NS}polyline")
+    assert len(polylines) == 2
+    for polyline, (_, series_xs, series_ys) in zip(polylines, series):
+        px = 70 + (series_xs - x_lo) / (x_hi - x_lo) * 546
+        py = 40 + (y_hi - series_ys) / (y_hi - y_lo) * 384
+        expected = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+        assert polyline.get("points") == expected

@@ -278,6 +278,18 @@ class TestTrack:
         # The case reaches the covariance's fixed point, or never does.
         assert (expected[-1].covariance.tobytes() == expected[-2].covariance.tobytes()) is steady
 
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_states_are_one_c_contiguous_float_array(self, n):
+        # With no accelerations the predict uses zero input.
+        mm = MeasurementModel.isotropic(5.0)
+        zs = np.arange(2.0 * n).reshape(n, 2)
+        init = initial_estimate(zs[0], mm, 10.0)
+        model = MotionModel(1.0, 0.04, 0.04)
+        for accels in (None, np.zeros((n, 2))):
+            out = track(zs, model, mm, init, accels)
+            assert out.shape == (n, 4) and out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(track(zs, model, mm, init), out)
+
     def test_rejects_bad_sequences(self):
         mm = MeasurementModel.isotropic(1.0)
         init = initial_estimate(np.zeros(2), mm, 10.0)
