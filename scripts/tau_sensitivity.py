@@ -25,7 +25,7 @@ def run() -> int:
     scen = default_scenario(rss_noise=sigma_from_snr(snr, LinkConfig.snr_calibration))
     is_pue = np.arange(TRIALS) < TRIALS // 2
     # one cell, scored at every threshold in one pass; the trial streams are shared
-    cell = run_cell(scen, is_pue, attacker_positions(scen, distance, TRIALS), SEED)
+    cell = run_cell(scen, is_pue, attacker_positions(scen, distance), SEED)
     configs = [DetectorConfig(tau) for tau in (5.0, 10.0, 15.0, 20.0, 25.0, 35.0, 50.0, 75.0, 100.0)]
 
     print(f"snr = {snr:g} dB, d_pu_pue = {distance:g} m, {TRIALS} trials")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .detection import SINGLE_ANCHOR, DetectorConfig
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
-from .propagation import LinkModel, NoiseModel, sigma_from_snr
+from .propagation import LinkModel, NoiseModel, check_path_loss, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
 from .tracking import initial_estimate, predict, update
 
@@ -187,6 +187,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         scenario = build_scenario(cfg)
     except InvalidInputError as exc:
         raise ConfigError(f"[scenario/link]: {exc}") from exc
+    try:
+        check_path_loss(scenario.link)
+    except InvalidInputError as exc:
+        raise ConfigError(f"[link] alpha: {exc}") from exc
     # Noise levels and v_max with finite squares can still overflow inside
     # the filter; its first step, from the start, shows it.
     motion, meas_model = scenario.filter_models()

@@ -13,11 +13,14 @@ The engine reads the law from :meth:`Scenario.estimate_law`, W reduced to
 the lower Cholesky factor L of ``W @ W.T``, and draws the estimate from it:
 two standard normals eta per trial, mapped as ``offset + meas_noise_std * L
 @ eta`` one coordinate column at a time, instead of 2(K + 1) measurement
-normals.  Each sweep reads the law once for all of its cells.  Ranging and
-its checks run once over the whole cell.  :func:`run_cell` returns a
-:class:`Cell` of per-trial arrays, which is scored at any threshold without
-re-running it.  The sweeps run their cells one after another, in cell
-order, so the first failing cell decides the error.
+normals.  Each sweep reads the law once for all of its cells.  A cell has
+few transmitter sites, the PU's true position and the attacker's k sites,
+so each site is ranged to each anchor once and every trial reads its own
+site's path loss; the readings are checked once over the whole cell.
+:func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is
+scored at any threshold without re-running it.  The sweeps run their cells
+one after another, in cell order, so the first failing cell decides the
+error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
 same procedure.  It reads the same map W and factor L, and conditions the
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -99,26 +103,35 @@ class BaselineComparison:
     baseline: MetricsReport
 
 
-def _count(is_pue: np.ndarray, flags: np.ndarray, sweep_coords: SweepCoords | None) -> MetricsReport:
+def _count(is_pue: np.ndarray, flags: np.ndarray, coords: Sequence[SweepCoords | None]) -> list[MetricsReport]:
     """Detection / false-alarm / miss probabilities from per-trial schedule
-    labels (True = attacker transmits) and attacker verdicts."""
+    labels (True = attacker transmits) and a matrix of attacker verdicts, one
+    row per report, each row with its sweep coordinates; every row is counted
+    in one pass."""
     if is_pue.size == 0:
         raise InvalidInputError("need at least one trial outcome")
     n_attack = int(np.count_nonzero(is_pue))
     n_legit = is_pue.size - n_attack
-    detections = int(np.count_nonzero(flags & is_pue))
-    false_alarms = int(np.count_nonzero(flags & ~is_pue))
-    pd = detections / n_attack if n_attack else None
-    pm = (n_attack - detections) / n_attack if n_attack else None
-    pfa = false_alarms / n_legit if n_legit else None
-    return MetricsReport(pd, pfa, pm, n_attack, n_legit, sweep_coords)
+    detections = np.count_nonzero(flags & is_pue, axis=1).tolist()
+    false_alarms = np.count_nonzero(flags & ~is_pue, axis=1).tolist()
+    return [
+        MetricsReport(
+            det / n_attack if n_attack else None,
+            fa / n_legit if n_legit else None,
+            (n_attack - det) / n_attack if n_attack else None,
+            n_attack,
+            n_legit,
+            c,
+        )
+        for det, fa, c in zip(detections, false_alarms, coords, strict=True)
+    ]
 
 
 def metrics(outcomes: Sequence[TrialOutcome], sweep_coords: SweepCoords | None = None) -> MetricsReport:
     """Count outcomes into detection / false-alarm / miss probabilities."""
     is_pue = np.array([o.scheduled == PUE for o in outcomes], dtype=bool)
-    flags = np.array([o.verdict == ATTACKER for o in outcomes], dtype=bool)
-    return _count(is_pue, flags, sweep_coords)
+    flags = np.array([[o.verdict == ATTACKER for o in outcomes]], dtype=bool)
+    return _count(is_pue, flags, [sweep_coords])[0]
 
 
 def _check_index(value: int, name: str) -> None:
@@ -173,8 +186,9 @@ class Cell:
         """Per-trial residual |d_kf - d_rss|: the designated (first) anchor's
         under single fusion, the largest across anchors under or-fusion."""
         check_fusion(fusion)
-        res = np.abs(self.d_kf - self.d_rss)
-        return res.max(axis=1) if fusion == OR_ACROSS_ANCHORS else res[:, 0]
+        if fusion == OR_ACROSS_ANCHORS:
+            return reduce(np.maximum, np.abs(self.d_kf - self.d_rss).T)
+        return np.abs(self.d_kf[:, 0] - self.d_rss[:, 0])
 
     def _verdicts(self, configs: Sequence[DetectorConfig]) -> tuple[np.ndarray, np.ndarray]:
         """The per-trial residuals under the fusion mode that `configs` share,
@@ -194,11 +208,14 @@ class Cell:
         self, configs: Sequence[DetectorConfig], coords: Sequence[SweepCoords | None] | None = None
     ) -> list[MetricsReport]:
         """Detection / false-alarm / miss probabilities at each of `configs`,
-        from one residual pass and one compare; `coords` gives each report's
-        sweep coordinates."""
+        from one residual pass, one compare and one count; `coords`, if
+        given, holds each report's sweep coordinates."""
+        if coords is None:
+            coords = [None] * len(configs)
+        elif len(coords) != len(configs):
+            raise InvalidInputError(f"need one sweep coordinate per config, got {len(coords)} for {len(configs)}")
         _, flags = self._verdicts(configs)
-        coords = coords or [None] * len(configs)
-        return [_count(self.is_pue, row, c) for row, c in zip(flags, coords, strict=True)]
+        return _count(self.is_pue, flags, coords)
 
     def score(self, config: DetectorConfig, coords: SweepCoords | None = None) -> MetricsReport:
         """Detection / false-alarm / miss probabilities at `config`."""
@@ -220,9 +237,10 @@ def run_cell(
     master_seed: int,
     law: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Cell:
-    """Run one cell's trials, vectorized: trial i transmits from
-    ``attacker_xy[i]`` at the evaluation step if ``is_pue[i]``, else from the
-    PU's true position.
+    """Run one cell's trials, vectorized: trial i transmits at the evaluation
+    step from attacker site ``attacker_xy[i % k]`` if ``is_pue[i]``, else
+    from the PU's true position.  `attacker_xy` holds k >= 1 sites, shape
+    (k, 2); an (n, 2) array gives every trial a site of its own.
 
     Per trial, the cell's position generator yields two standard normals,
     which set the estimate from its exact law, and the RSS generator one per
@@ -231,16 +249,19 @@ def run_cell(
     evaluation step, ``(truth, factor, offset)``, passed in by sweeps that
     share it across cells and computed here otherwise.  :func:`cell_streams`
     refuses a `master_seed` that is not a non-negative integer.
-    The estimate and the transmitter position are computed one coordinate
-    column at a time, with the same float operations per row whatever the
-    cell's size.  Ranging and its checks (every anchor's readings, in anchor
-    order, before any inversion) run once over the cell.
+    The estimate is computed one coordinate column at a time, with the same
+    float operations per row whatever the cell's size.  Each transmitter
+    site, the PU's true position or an attacker site, is ranged to each
+    anchor once, and each trial reads its site's path-loss term before its
+    own RSS noise is added.  Every reading is checked before any inversion;
+    a failure is named in anchor order, and only a site that some trial
+    uses can coincide with an anchor.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
     n = len(is_pue)
-    if n < 1 or attacker_xy.shape != (n, 2):
-        raise InvalidInputError("need n >= 1 schedule labels and n x 2 attacker positions")
+    if n < 1 or attacker_xy.ndim != 2 or attacker_xy.shape[0] < 1 or attacker_xy.shape[1] != 2:
+        raise InvalidInputError("need n >= 1 schedule labels and k >= 1 attacker sites, shape (k, 2)")
     truth, factor, offset = law if law is not None else _eval_law(scenario)
     (f00, f01), (f10, f11) = factor.tolist()
     link = scenario.link
@@ -255,26 +276,31 @@ def run_cell(
     sigma_z = scenario.meas_noise_std
     est_x = (e0 * f00 + e1 * f01) * sigma_z + offset[0]
     est_y = (e0 * f10 + e1 * f11) * sigma_z + offset[1]
-
-    # Range every trial at every anchor; the checks report any limit hit.
-    tx_x = np.where(is_pue, attacker_xy[:, 0], truth[0])
-    tx_y = np.where(is_pue, attacker_xy[:, 1], truth[1])
     ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
     d_kf = np.hypot(est_x[:, None] - ax, est_y[:, None] - ay)
+
+    # Site 0 is the PU's true position and site 1 + s attacker site s.  Each
+    # is ranged once; trial i reads site 1 + i % k if the attacker transmits.
+    sites = np.concatenate(([truth[:2]], attacker_xy))
+    site = np.where(is_pue, np.arange(n) % len(attacker_xy) + 1, 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_tx = np.hypot(tx_x[:, None] - ax, tx_y[:, None] - ay)
-        pr = -10.0 * link.alpha * np.log10(d_tx) + a_link + scenario.rss_noise.sigma_db * rss_noise
+        d_site = np.hypot(sites[:, :1] - ax, sites[:, 1:] - ay)
+        pr_site = -10.0 * link.alpha * np.log10(d_site) + a_link
+        pr = pr_site.take(site, axis=0) + scenario.rss_noise.sigma_db * rss_noise
         d_rss = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
 
-    # Every reading is checked, in anchor order, before any inversion.
-    for j, anchor in enumerate(scenario.anchors):
-        if (d_tx[:, j] <= 0.0).any():
-            raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
-        bad = ~np.isfinite(pr[:, j])
-        if bad.any():
-            raise InvalidInputError(f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}")
-    bad = ~np.isfinite(d_rss).all(axis=0)
-    if bad.any():
+    # A transmitter on an anchor reads an infinite power, so one finiteness
+    # test covers every reading; the loop only names the first failure.
+    if not np.isfinite(pr).all():
+        used = d_site[np.unique(site)]
+        for j, anchor in enumerate(scenario.anchors):
+            if (used[:, j] <= 0.0).any():
+                raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
+            bad = ~np.isfinite(pr[:, j])
+            if bad.any():
+                raise InvalidInputError(f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}")
+    if not np.isfinite(d_rss).all():
+        bad = ~np.isfinite(d_rss).all(axis=0)
         raise NumericalDegeneracyError(
             f"anchor {scenario.anchors[bad.argmax()].id!r}: RSS-implied distance left the finite range"
         )
@@ -306,8 +332,7 @@ def run_trials(
     which transmitter emits there."""
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
-    attacker_xy = np.tile(np.asarray(scenario_template.attacker_pos, float), (n_trials, 1))
-    return run_cell(scenario_template, is_pue, attacker_xy, master_seed).outcomes(config)
+    return run_cell(scenario_template, is_pue, [scenario_template.attacker_pos], master_seed).outcomes(config)
 
 
 def reference_trial(
@@ -357,13 +382,13 @@ def reference_trial(
 def attacker_positions(
     scenario: Scenario,
     distance: float,
-    n_trials: int,
     bearings: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Attacker position of each of `n_trials` trials, shape (n_trials, 2):
+    """The attacker sites, shape (k, 2), one per bearing in the order given:
     `distance` from the PU's true position at the evaluation step, at the
-    given absolute bearings (rad) in turn.  Raises InvalidInputError unless
-    `distance` is finite and >= 0 and every bearing is finite.
+    given absolute bearings (rad).  :func:`run_cell` gives trial i site
+    ``i % k``.  Raises InvalidInputError unless `distance` is finite and >= 0
+    and every bearing is finite.
 
     No bearings means the collinear pair toward / away from the designated
     anchor.  Off-axis bearings shrink the observable residual below the true
@@ -379,8 +404,7 @@ def attacker_positions(
         anchor = scenario.anchors[0]
         theta = math.atan2(anchor.y - pu.y, anchor.x - pu.x)
         bearings = (theta, theta + math.pi)
-    pos = np.array([(pu.x + distance * math.cos(b), pu.y + distance * math.sin(b)) for b in bearings])
-    return pos[np.arange(n_trials) % len(bearings)]
+    return np.array([(pu.x + distance * math.cos(b), pu.y + distance * math.sin(b)) for b in bearings])
 
 
 def sweep_distance(
@@ -400,7 +424,7 @@ def sweep_distance(
     _validate_run_args(n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     # Every argument is checked before the first cell runs.
-    positions = [attacker_positions(base, d, n_trials, bearings) for d in distances]
+    positions = [attacker_positions(base, d, bearings) for d in distances]
     noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
     law = _eval_law(base)
     return [
@@ -441,17 +465,14 @@ def sweep_roc(
         raise InvalidInputError(f"n_calibration must be an integer >= 1, got {n_cal!r}")
 
     is_pue = _schedule_labels(n_trials, schedule_mix)
-    attacker_xy = attacker_positions(base, d_pu_pue, n_trials, bearings)
+    attacker_xy = attacker_positions(base, d_pu_pue, bearings)
     noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
     law = _eval_law(base)
     reports = []
     # Each SNR's calibration cell, then its evaluation cell.
     for j, (snr, noise) in enumerate(zip(snr_db_list, noises)):
         cell_scenario = replace(base, rss_noise=noise)
-        cal = run_cell(
-            cell_scenario, np.zeros(n_cal, dtype=bool), np.zeros((n_cal, 2)),
-            child_seed(master_seed, 1, j, 0), law,
-        )
+        cal = run_cell(cell_scenario, np.zeros(n_cal, dtype=bool), attacker_xy, child_seed(master_seed, 1, j, 0), law)
         eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), law)
         configs = calibrate_taus(cal.residuals(fusion), pfa_targets, fusion)
         reports += eval_cell.scores(configs, [SweepCoords(float(d_pu_pue), float(snr), c.tau) for c in configs])
@@ -493,7 +514,6 @@ def compare_baseline(
     anchor_xy = np.array([[a.x, a.y] for a in base.anchors])
     d_ref = np.hypot(reference[0] - anchor_xy[:, 0], reference[1] - anchor_xy[:, 1])
     is_pue = _schedule_labels(n_trials, schedule_mix)
-    attacker_xy = np.tile(np.asarray(base.attacker_pos, float), (n_trials, 1))
 
     eval_steps = baseline_eval_steps(base, distances)
     # One recursion up to the latest evaluation step, snapshotted at each.
@@ -501,7 +521,7 @@ def compare_baseline(
 
     rows = []
     for i, (d, k) in enumerate(zip(distances, eval_steps)):
-        cell = run_cell(replace(base, eval_step=k), is_pue, attacker_xy, child_seed(master_seed, 2, i), laws[k])
+        cell = run_cell(replace(base, eval_step=k), is_pue, [base.attacker_pos], child_seed(master_seed, 2, i), laws[k])
         pos = laws[k][0]
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.
@@ -523,8 +543,5 @@ def calibrated_config(
     """Fit tau on legitimate-only trials of the given scenario."""
     _validate_run_args(n_trials, 0.0, master_seed)
     check_fusion(fusion)
-    cal = run_cell(
-        base, np.zeros(n_trials, dtype=bool), np.zeros((n_trials, 2)),
-        child_seed(master_seed, 3),
-    )
+    cal = run_cell(base, np.zeros(n_trials, dtype=bool), [base.attacker_pos], child_seed(master_seed, 3))
     return calibrate_tau(cal.residuals(fusion), target_pfa, fusion)

@@ -103,6 +103,20 @@ def distance_from_rss(link: LinkModel, pr_db: float) -> float:
     return d
 
 
+def check_path_loss(link: LinkModel) -> None:
+    """Refuse a path-loss exponent at which noiseless ranging loses the
+    distance: one so small that ``-10 alpha log10(d)`` vanishes against the
+    link constant, so that every distance ranges to about 1 m, or so large
+    that the received power leaves the float range.  Ranging 100 m and back
+    must hold to 1e-6 relative."""
+    try:
+        ranged = distance_from_rss(link, received_power_db(link, 100.0))
+    except (InvalidInputError, NumericalDegeneracyError) as exc:
+        raise InvalidInputError(f"noiseless ranging of 100 m fails at alpha = {link.alpha:g}: {exc}") from None
+    if abs(ranged / 100.0 - 1.0) > 1e-6:
+        raise InvalidInputError(f"noiseless ranging of 100 m returns {ranged:.6g} m at alpha = {link.alpha:g}")
+
+
 def check_ranging_noise(link: LinkModel, noise: NoiseModel) -> None:
     """Refuse dB noise of which a draw of one standard deviation already
     scales the RSS-implied distance, by ``10^(sigma_db / (10 alpha))``, past

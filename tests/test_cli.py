@@ -435,15 +435,32 @@ class TestErrors:
     def test_ranging_overflow_names_its_keys(self, tmp_path, capsys, command, link):
         # A one-sigma dB draw scales the RSS-implied distance past the float
         # range, so the sweeps refuse the config before any cell runs.
-        # compare-baseline ranges without RSS noise and runs.
+        # compare-baseline ranges without RSS noise and runs.  At alpha =
+        # 1e-300 even noiseless ranging returns 1 m at every distance, so
+        # config validation refuses it first, on every command.
         rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n[link]\n{link}\n", "--trials", "40")
         err = capsys.readouterr().err
+        if link.startswith("alpha"):
+            assert rc == 1
+            assert err.startswith("puedet: error: [link] alpha: noiseless ranging of 100 m returns 1 m"), err
+            assert not out.exists()
+            return
         if command == "compare-baseline":
             assert rc == 0, err
             return
         assert rc == 1
         assert err.startswith("puedet: error: [link] alpha, snr_calibration, [sweep] snr_db: "), err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-12"])
+    def test_path_loss_that_loses_the_distance_fails_writing_nothing(self, tmp_path, capsys, command, alpha):
+        # At 1e-300 every distance ranges to 1 m, so compare-baseline would
+        # report P_fa = 1 in both arms; at 1e-12, 100 m ranges to 99.96 m.
+        rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n[link]\nalpha = {alpha}\n", "--trials", "40")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("puedet: error: [link] alpha: noiseless ranging of 100 m ")
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")

@@ -173,6 +173,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             loads_config(text)
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-17", "1e-12", "1e308"])
+    def test_path_loss_that_loses_the_distance_names_alpha(self, alpha):
+        # Noiseless ranging of 100 m returns 1 m at 1e-300 and 1e-17, and is
+        # off by 4e-4 at 1e-12; at 1e308 the received power is not finite.
+        with pytest.raises(ConfigError, match=r"^\[link\] alpha: noiseless ranging of 100 m "):
+            loads_config(f"[link]\nalpha = {alpha}\n")
+
+    @pytest.mark.parametrize("alpha", ["1e-10", "0.01", "2.0", "1e300"])
+    def test_path_loss_that_keeps_the_distance_loads(self, alpha):
+        # 1e-10 ranges 100 m to within 4e-7, inside the 1e-6 bound.
+        assert loads_config(f"[link]\nalpha = {alpha}\n").link.alpha == float(alpha)
+
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             loads_config("[run]\ntrials = 0\n")

@@ -190,7 +190,7 @@ class TestBatchedEngineMatchesReference:
         n = 20
         fixed = np.tile((300.0, 300.0), (n, 1))
         # The last case places each trial's attacker apart, as the sweeps do.
-        per_trial = attacker_positions(base, 40.0, n, bearings=(0.3, 2.2, 4.1))
+        per_trial = attacker_positions(base, 40.0, bearings=(0.3, 2.2, 4.1))[np.arange(n) % 3]
         for anchors, xy in ((SQUARE_ANCHORS[:2], fixed), (SQUARE_ANCHORS, fixed), (SQUARE_ANCHORS, per_trial)):
             scen = replace(base, anchors=anchors)
             batched = run_cell(scen, np.arange(n) < 10, xy, 55).outcomes(cfg)
@@ -332,7 +332,7 @@ class TestBatchedEngineMatchesReference:
         cfg = DetectorConfig(25.0, fusion)
         n = len(is_pue)
         is_pue = np.array(is_pue)
-        xy = attacker_positions(scen, distance, n, bearings=(0.3, 2.2, 4.1))
+        xy = attacker_positions(scen, distance, bearings=(0.3, 2.2, 4.1))[np.arange(n) % 3]
 
         def engine(m):
             return run_cell(scen, is_pue[:m], xy[:m], seed).outcomes(cfg)
@@ -408,7 +408,7 @@ class TestExactLaw:
         scen = default_scenario(n_steps=60, eval_step=41, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(3.0))
         n = 1500
         is_pue = np.arange(n) % 3 == 1
-        xy = attacker_positions(scen, 35.0, n, bearings=(0.3, 2.2, 4.1))
+        xy = attacker_positions(scen, 35.0, bearings=(0.3, 2.2, 4.1))[np.arange(n) % 3]
         long = run_cell(scen, is_pue, xy, 21)
         short = run_cell(scen, is_pue[:37], xy[:37], 21)
         for name in ("is_pue", "d_kf", "d_rss"):
@@ -523,7 +523,7 @@ class TestCell:
         base = default_scenario(n_steps=30, rss_noise=NoiseModel(3.0))
         scen = replace(base, anchors=SQUARE_ANCHORS[:n_anchors])
         n = 300
-        cell = run_cell(scen, np.arange(n) < 120, attacker_positions(scen, 40.0, n), 19)
+        cell = run_cell(scen, np.arange(n) < 120, attacker_positions(scen, 40.0), 19)
         residuals = cell.residuals(fusion)
         assert residuals.shape == (n,)
         i_tie = int(np.argsort(residuals)[n // 2])
@@ -574,12 +574,100 @@ class TestCell:
         with pytest.raises(InvalidInputError, match="share one fusion mode"):
             cell.scores([])
 
+    def test_scores_of_one_sided_cells(self):
+        # A cell without attack trials has no P_d or P_m, one without
+        # legitimate trials no P_fa; each config is still counted on its own.
+        d_kf = np.array([[1.0, 9.0], [4.0, 0.0], [2.5, 2.5], [30.0, 1.0]])
+        d_rss = np.array([[0.0, 4.0], [4.0, 2.5], [0.0, 30.0], [1.0, 1.0]])
+        taus = (0.0, 2.5, 5.0, 100.0)
+        for is_pue in (np.zeros(4, dtype=bool), np.ones(4, dtype=bool), np.array([True, False, False, True])):
+            cell = experiments.Cell(is_pue, d_kf, d_rss, 0)
+            for fusion in ("single", "or"):
+                configs = [DetectorConfig(tau, fusion) for tau in taus]
+                res = cell.residuals(fusion)
+                expected = [
+                    metrics([
+                        TrialOutcome(PUE if p else PU, ATTACKER if r >= tau else LEGITIMATE, r, 0)
+                        for p, r in zip(is_pue.tolist(), res.tolist())
+                    ])
+                    for tau in taus
+                ]
+                assert cell.scores(configs) == expected
+                assert [cell.score(c) for c in configs] == expected
+
+    def test_scores_refuse_coords_that_do_not_match_the_configs(self):
+        cell = experiments.Cell(np.array([True, False]), np.ones((2, 1)), np.zeros((2, 1)), 0)
+        configs = [DetectorConfig(1.0), DetectorConfig(2.0)]
+        for coords in ([], [SweepCoords(None, None, 1.0)], [None] * 3):
+            with pytest.raises(InvalidInputError, match="one sweep coordinate per config"):
+                cell.scores(configs, coords)
+        assert cell.scores(configs, [None, None]) == cell.scores(configs)
+
+    @pytest.mark.parametrize("n_anchors", [1, 2, 3, 4, 5])
+    def test_or_residual_is_the_largest_across_anchors(self, n_anchors):
+        # Column maxima against the row maximum, with ties and equal rows.
+        rng = np.random.default_rng(n_anchors)
+        d_kf = rng.choice([0.0, 1.0, 2.5, 1e300], size=(200, n_anchors)) + rng.random((200, n_anchors))
+        d_rss = rng.choice([0.0, 1.0, 2.5], size=(200, n_anchors)) * rng.integers(0, 2, (200, n_anchors))
+        cell = experiments.Cell(np.arange(200) < 100, d_kf, d_rss, 0)
+        expected = np.abs(d_kf - d_rss).max(axis=1)
+        assert cell.residuals("or").tobytes() == expected.tobytes()
+
     def test_rejects_mismatched_inputs(self):
+        # No schedule label, no attacker site, or sites that are not points.
+        # Any k >= 1 sites fit any n trials: trial i uses site i % k.
         scen = collinear_scenario()
-        with pytest.raises(InvalidInputError):
-            run_cell(scen, np.zeros(0, dtype=bool), np.zeros((0, 2)), 1)
-        with pytest.raises(InvalidInputError):
-            run_cell(scen, np.zeros(3, dtype=bool), np.zeros((2, 2)), 1)
+        for labels, sites in (
+            (np.zeros(0, dtype=bool), np.zeros((0, 2))),
+            (np.zeros(3, dtype=bool), np.zeros((0, 2))),
+            (np.zeros(3, dtype=bool), np.zeros((3, 3))),
+            (np.zeros(3, dtype=bool), np.zeros((3, 1))),
+            (np.zeros(3, dtype=bool), np.zeros(2)),
+            (np.zeros(3, dtype=bool), np.zeros((3, 2, 1))),
+        ):
+            with pytest.raises(InvalidInputError, match="attacker sites"):
+                run_cell(scen, labels, sites, 1)
+
+
+class TestAttackerSites:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n_anchors", [1, 4])
+    def test_cycled_sites_equal_the_tiled_array(self, k, n_anchors):
+        # n = 301 is a multiple of none of k = 2, 3; labels mixed.
+        scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:n_anchors], rss_noise=NoiseModel(3.0))
+        n = 301
+        is_pue = np.arange(n) % 5 < 3
+        sites = attacker_positions(scen, 40.0, bearings=(0.3, 2.2, 4.1)[:k])
+        assert sites.shape == (k, 2)
+        cycled = run_cell(scen, is_pue, sites, 31)
+        tiled = run_cell(scen, is_pue, sites[np.arange(n) % k], 31)
+        for name in ("is_pue", "d_kf", "d_rss"):
+            assert getattr(cycled, name).tobytes() == getattr(tiled, name).tobytes(), name
+        for fusion in ("single", "or"):
+            assert cycled.residuals(fusion).tobytes() == tiled.residuals(fusion).tobytes(), fusion
+
+    def test_default_sites_face_the_designated_anchor_and_away(self):
+        scen = collinear_scenario(n_steps=40)
+        pu = truth_at(scen, scen.evaluation_step).position
+        sites = attacker_positions(scen, 30.0)
+        assert np.allclose(sites, [(pu[0] + 30.0, 0.0), (pu[0] - 30.0, 0.0)], rtol=0.0, atol=1e-12)
+
+    def test_only_a_used_site_can_coincide_with_an_anchor(self):
+        scen = replace(default_scenario(n_steps=30, anchors=SQUARE_ANCHORS), rss_noise=NoiseModel(2.0))
+        on_anchor = (SQUARE_ANCHORS[2].x, SQUARE_ANCHORS[2].y)
+        sites = np.array([(300.0, 300.0), (320.0, 280.0), on_anchor])
+        n = 10
+        # A legitimate-only cell whose placeholder site sits on an anchor.
+        legit = run_cell(scen, np.zeros(n, dtype=bool), [on_anchor], 2)
+        assert np.isfinite(legit.d_rss).all()
+        # Site 2 serves trials 2, 5 and 8; none of them is an attack trial.
+        unused = run_cell(scen, np.arange(n) % 3 != 2, sites, 2)
+        assert np.isfinite(unused.d_rss).all()
+        with pytest.raises(InvalidInputError, match="transmitter coincides with anchor 'a3'"):
+            run_cell(scen, np.arange(n) == 5, sites, 2)
+        # An unused site on a1 does not take the error from the used one on a3.
+        with pytest.raises(InvalidInputError, match="transmitter coincides with anchor 'a3'"):
+            run_cell(scen, np.arange(n) == 1, [(SQUARE_ANCHORS[0].x, SQUARE_ANCHORS[0].y), on_anchor], 2)
 
 
 class TestSweepDistance:
@@ -765,7 +853,7 @@ class TestSweepsMatchSerialCells:
         serial = [
             run_cell(
                 replace(scen, rss_noise=sigma_from_snr(snr, cal)), is_pue,
-                attacker_positions(scen, d, n), child_seed(seed, 0, i, j),
+                attacker_positions(scen, d), child_seed(seed, 0, i, j),
             ).score(cfg, SweepCoords(d, snr, cfg.tau))
             for i, d in enumerate(distances)
             for j, snr in enumerate(snrs)
@@ -786,7 +874,7 @@ class TestSweepsMatchSerialCells:
             legit = run_cell(
                 cell_scen, np.zeros(n_cal, bool), np.zeros((n_cal, 2)), child_seed(seed, 1, j, 0)
             )
-            cell = run_cell(cell_scen, is_pue, attacker_positions(scen, d, n), child_seed(seed, 1, j, 1))
+            cell = run_cell(cell_scen, is_pue, attacker_positions(scen, d), child_seed(seed, 1, j, 1))
             for target in targets:
                 tuned = calibrate_tau(legit.residuals("or"), target, "or")
                 serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
@@ -809,7 +897,7 @@ class TestSweepsMatchSerialCells:
                 cell_scen = replace(scen, rss_noise=sigma_from_snr(snr, cal))
                 legit = run_cell(cell_scen, np.zeros(n_cal, bool), np.zeros((n_cal, 2)), child_seed(seed, 1, j, 0))
                 cell = run_cell(
-                    cell_scen, np.arange(n) < n // 2, attacker_positions(scen, d, n), child_seed(seed, 1, j, 1)
+                    cell_scen, np.arange(n) < n // 2, attacker_positions(scen, d), child_seed(seed, 1, j, 1)
                 )
                 for target in targets:
                     tuned = calibrate_tau(legit.residuals(fusion), target, fusion)
@@ -844,7 +932,7 @@ class TestSweepsMatchSerialCells:
         n = 3000
         bearings = (math.pi,) * (n - 1) + (0.0,)
         d = anchor.x - pu[0]
-        assert attacker_positions(scen, d, n, bearings)[-1].tolist() == [anchor.x, anchor.y]
+        assert attacker_positions(scen, d, bearings)[-1].tolist() == [anchor.x, anchor.y]
         kwargs = dict(n_calibration=10, bearings=bearings, schedule_mix=1.0)
         with pytest.raises(InvalidInputError, match="coincides with anchor 'a1'"):
             sweep_roc(scen, d, (0.0, -40.0), (0.1,), n, 3, 1.0, **kwargs)
@@ -865,7 +953,7 @@ def test_calibrated_config_hits_target_roughly():
 def test_attacker_positions_reject_non_finite_bearings(bearing):
     scen = collinear_scenario()
     with pytest.raises(InvalidInputError, match="bearings must be finite"):
-        attacker_positions(scen, 30.0, 4, bearings=(0.0, bearing))
+        attacker_positions(scen, 30.0, bearings=(0.0, bearing))
     with pytest.raises(InvalidInputError, match="bearings must be finite"):
         sweep_distance(scen, [30.0], [0.0], DetectorConfig(10.0), 4, 1, 0.15, bearings=(bearing,))
 

@@ -285,10 +285,10 @@ class TestEmissions:
 
 
 def place_attacker(traj, eval_step, d, bearing):
-    """The attacker position `attacker_positions` gives one trial whose
+    """The attacker site `attacker_positions` gives at `bearing` when the
     evaluation step is `eval_step`."""
     scen = replace(simple_scenario(traj, n_steps=51), eval_step=eval_step)
-    return tuple(attacker_positions(scen, d, 1, bearings=(bearing,))[0].tolist())
+    return tuple(attacker_positions(scen, d, bearings=(bearing,))[0].tolist())
 
 
 class TestAttackerPlacement:
