@@ -2,14 +2,20 @@
 self-rendered SVG charts, and a manifest that reproduces the run exactly.
 
 Subcommands: track, sweep-distance, sweep-roc, compare-baseline.  Each one
-returns its files by name, every table checked and every chart rendered, and
-only then is any file written, so a failing command writes none.
+returns its files by name, every table checked and every chart built, each as
+a function that formats and writes it, and only then is any file written, so a
+failing command writes none.  A file that formats at least _FORK_VALUES values,
+while those listed after it format as many, is written by a forked child as
+the parent writes the rest (in practice a long track's chart); without
+os.fork every file is written in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +27,7 @@ from .config import (
     ExperimentConfig,
     build_detector,
     build_scenario,
-    load_config,
+    read_config,
     serialize_config,
     validate_config,
 )
@@ -32,6 +38,9 @@ from .svgplot import line_chart
 
 
 _BLOCK_ROWS = 4096
+# Forking and reaping a child costs about 2-3 ms in a 60-80 MB numpy process
+# on a 2-CPU x86 host, the time of some 12 000 "%.2f" values.
+_FORK_VALUES = 12_000
 _SWEEP_SPECS = ["%.9g"] * 3 + ["%d"] * 2 + ["%.9g"] * 3
 
 
@@ -39,7 +48,8 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
     """The text of CSV file `name` as a function that writes it to a file:
     `rows` (lists or a 2-D array) under `header`, each column in its %-spec of
     `specs`, an absent (None) cell empty.  Every value is checked finite here,
-    before any file is opened; each block of rows is formatted by one %."""
+    before any file is opened; each block of rows is formatted by one %.  The
+    function's `values` counts the values it formats."""
     table = np.array(rows, dtype=float).reshape(len(rows), len(specs))  # an absent cell reads as nan
     absent = ~np.isfinite(table)
     if any(rows[i][j] is not None for i, j in np.argwhere(absent)):
@@ -56,6 +66,7 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
             # One % per block: each row's format takes exactly len(specs) values.
             fh.write("".join(formats[block]) % tuple(table[block].ravel().tolist()))
 
+    write.values = table.size
     return write
 
 
@@ -125,6 +136,8 @@ def cmd_track(cfg: ExperimentConfig) -> dict:
             ],
             "Primary-user tracking", "x (m)", "y (m)",
         )
+    # The chart comes first: on a long track it goes to a forked child while
+    # this process writes the table.
     return {"track.svg": chart, "track.csv": _csv("track.csv", header, table, ["%d"] + ["%.9g"] * 9)}
 
 
@@ -279,10 +292,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: Path, body) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(body) if isinstance(body, str) else body(fh)
+
+
+def _forked_name(files: dict) -> str | None:
+    """The file to write in a forked child: the first that formats at least
+    _FORK_VALUES values, when the files after it, which this process writes
+    meanwhile, format as many; None if there is none."""
+    # A manifest (str) or a chart with nothing to plot (None) formats none.
+    sizes = [getattr(body, "values", 0) for body in files.values()]
+    for i, name in enumerate(files):
+        if sizes[i] >= _FORK_VALUES and sum(sizes[i + 1:]) >= _FORK_VALUES:
+            return name
+    return None
+
+
+def _fork_write(path: Path, body) -> int | None:
+    """Fork a child that writes `body` to `path` and leaves by os._exit, never
+    returning into the caller: its exit status is 0, the errno of an OSError,
+    or 255 for any other failure.  Returns the child's pid, or None where
+    os.fork does not exist or fails, and the caller writes `body` itself."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork in a process with more than one
+        # thread, and importing numpy starts one (the BLAS pool).  The child
+        # only formats and writes: it calls no BLAS and takes no lock that
+        # thread could hold.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        try:
+            pid = fork()
+        except OSError:
+            return None
+    if pid:
+        return pid
+    status = 255
+    try:
+        _write(path, body)
+        status = 0
+    except OSError as exc:
+        if exc.errno and exc.errno < 255:
+            status = exc.errno
+    finally:
+        os._exit(status)
+
+
+def _child_error(status: int, path: Path) -> OSError:
+    """The error of a child that left writing `path` with wait status `status`."""
+    code = os.waitstatus_to_exitcode(status)
+    if 0 < code < 255:
+        return OSError(code, os.strerror(code), str(path))
+    return OSError(f"writing {path} failed in a child process (exit status {code})")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
+        # Validated once, after the command line's overrides.
+        cfg = read_config(args.config) if args.config else ExperimentConfig()
         run = cfg.run
         if args.seed is not None:
             run = replace(run, seed=args.seed)
@@ -298,13 +370,23 @@ def main(argv=None) -> int:
         files = _COMMANDS[args.command](cfg)
         # The manifest is itself a loadable config file; the command is a comment.
         files["manifest.txt"] = f"# command: {args.command}\n{serialize_config(cfg)}"
-        # Each file is dropped once written, so a chart listed before a table
-        # is not held while the table streams.
-        for name in list(files):
-            body = files.pop(name)
-            if body is not None:  # None is a chart with nothing to plot
-                with open(out / name, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(body) if isinstance(body, str) else body(fh)
+        forked, pid, status = _forked_name(files), None, 0
+        try:
+            # Each file is dropped once written or handed to the child, so a
+            # chart listed before a table is not held while the table streams.
+            for name in list(files):
+                body = files.pop(name)
+                if name == forked and (pid := _fork_write(out / name, body)):
+                    continue
+                if body is not None:  # None is a chart with nothing to plot
+                    _write(out / name, body)
+        finally:
+            # Reaped even when this process's own write fails, whose error
+            # then stands.
+            if pid is not None:
+                status = os.waitpid(pid, 0)[1]
+        if status:
+            raise _child_error(status, out / forked)
     except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError) as exc:
         print(f"puedet: error: {exc}", file=sys.stderr)
         return 1

@@ -141,25 +141,35 @@ _PARSERS = {
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config file; missing keys take their defaults."""
+    cfg = read_config(path)
+    validate_config(cfg)
+    return cfg
+
+
+def loads_config(text: str) -> ExperimentConfig:
+    """Parse and validate config text; missing keys take their defaults."""
+    cfg = _parse_config(text)
+    validate_config(cfg)
+    return cfg
+
+
+def read_config(path: str) -> ExperimentConfig:
+    """Read and parse a config file but leave it unvalidated, for a caller
+    that replaces some values and then runs `validate_config` once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return loads_config(text)
+    return _parse_config(text)
 
 
-def loads_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text; missing keys take their defaults."""
+def _parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text), source="<string>")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    return _config_from_parser(parser)
-
-
-def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     groups = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -176,9 +186,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
         groups[section] = cls(**values)
-    cfg = ExperimentConfig(**{name: groups.get(name, cls()) for name, cls in _SECTIONS.items()})
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**{name: groups.get(name, cls()) for name, cls in _SECTIONS.items()})
 
 
 def validate_config(cfg: ExperimentConfig) -> None:

@@ -1,6 +1,12 @@
 """Minimal deterministic SVG 1.1 line charts: axes, one polyline per series,
 and a legend.  No external plotting dependency, so byte-identical output for
-identical data."""
+identical data.
+
+A chart is checked and scaled when it is built and formatted when it is
+written: `line_chart` refuses a bad series or an unscalable span at once and
+returns a function that writes the document to a text file, formatting each
+polyline then, so a caller can build every chart before it opens any file and
+write a large one in another process."""
 
 from __future__ import annotations
 
@@ -38,8 +44,11 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-) -> str:
-    """Render (label, xs, ys) series, lists or arrays, to an SVG document string."""
+):
+    """The chart of (label, xs, ys) series, lists or arrays, as a function
+    that writes its SVG document to a text file.  The series are checked and
+    scaled here; the polylines are formatted when the chart is written.  The
+    function's `values` counts the numbers its polylines format."""
     if not series:
         raise InvalidInputError("need at least one series")
     points = []
@@ -112,11 +121,8 @@ def line_chart(
         f'text-anchor="middle" transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
-    for i, (xs, ys) in enumerate(points):
-        color = PALETTE[i % len(PALETTE)]
-        # "%.2f" rounds exactly as _fmt does; one % over the interleaved x, y.
-        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack((sx(xs), sy(ys))).ravel().tolist())
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
+    polylines = [(PALETTE[i % len(PALETTE)], sx(xs), sy(ys)) for i, (xs, ys) in enumerate(points)]
+    n_head = len(out)  # the polylines are written between head and legend
 
     lx, ly = _ML + plot_w - 170, _MT + 10
     out.append(
@@ -132,4 +138,15 @@ def line_chart(
         )
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    head, tail = "\n".join(out[:n_head]) + "\n", "\n".join(out[n_head:]) + "\n"
+
+    def write(fh) -> None:
+        fh.write(head)
+        for color, px, py in polylines:
+            # "%.2f" rounds exactly as _fmt does; one % over the interleaved x, y.
+            coords = " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
+            fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>\n')
+        fh.write(tail)
+
+    write.values = 2 * sum(len(px) for _, px, _ in polylines)
+    return write

@@ -1,12 +1,14 @@
 import csv
 import math
+import os
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from puedet import experiments
+from puedet import cli, config, experiments
 from puedet.cli import main
 from puedet.config import build_scenario, loads_config
 from puedet.experiments import MetricsReport, SweepCoords, cell_streams
@@ -466,3 +468,131 @@ class TestErrors:
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1
         assert "seed" in capsys.readouterr().err
+
+
+# The stock trajectory at 2500 steps, whose chart formats 6 x 2500 = 15 000
+# values and whose table 25 000: above the gate at which the chart is written
+# by a forked child.
+LONG_TRACK = "[scenario]\nsteps = 2500\ndt = 0.08\n\n[run]\nseed = 5\n"
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """os.fork, recording in the parent the pid of each child it starts."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def refuse_fork(monkeypatch):
+    def refused():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+class TestForkedWrite:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch, counted_forks):
+        rc, out = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 0 and len(counted_forks) == 1
+        forked = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(forked) == ["manifest.txt", "track.csv", "track.svg"]
+        for p in out.iterdir():
+            p.unlink()
+        monkeypatch.delattr(os, "fork")
+        rc, out = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == forked
+
+    def test_fork_warns_of_nothing(self, tmp_path, counted_forks):
+        # Python >= 3.12 warns on fork in a process with a second thread, as
+        # numpy's BLAS pool is; the CLI's fork is silent.  Under the suite's
+        # "error" filter os.fork would swallow the raised warning, so the
+        # warnings are recorded instead.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _ = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 0 and len(counted_forks) == 1
+        assert [str(w.message) for w in caught] == []
+
+    def test_chart_span_fails_before_any_fork(self, tmp_path, capsys, monkeypatch):
+        refuse_fork(monkeypatch)
+        rc, out = run_cli(tmp_path, "track", LONG_TRACK.replace("dt =", "start_x = 1e150\ndt ="))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("puedet: error: [scenario] start_x, start_y: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["track.svg", "track.csv"])
+    def test_unwritable_file_is_one_error_line_on_either_route(self, tmp_path, capsys, monkeypatch, counted_forks, blocked):
+        # The child writes track.svg and this process track.csv; either one
+        # failing reports that file's OSError, as an in-process write does.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        rc, _ = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 1 and len(counted_forks) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error: ") and err.count("\n") == 1, err
+        assert blocked in err and "Traceback" not in err
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(tmp_path, "track", LONG_TRACK)[0] == 1
+        assert capsys.readouterr().err == err
+
+    def test_child_failure_other_than_os_error(self, tmp_path, capsys, monkeypatch, counted_forks):
+        line_chart = cli.line_chart
+
+        def broken_chart(*args):
+            def write(fh):
+                raise RuntimeError("planted")
+
+            write.values = line_chart(*args).values
+            return write
+
+        monkeypatch.setattr(cli, "line_chart", broken_chart)
+        rc, out = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 1 and len(counted_forks) == 1
+        err = capsys.readouterr().err
+        assert err == f"puedet: error: writing {out / 'track.svg'} failed in a child process (exit status 255)\n"
+
+    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
+    def test_stock_outputs_are_written_in_process(self, tmp_path, monkeypatch, command):
+        # Stock track's chart formats 1 200 values, and a sweep's far fewer.
+        refuse_fork(monkeypatch)
+        assert main([command, "--trials", "50", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestValidation:
+    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
+    def test_config_is_validated_once_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return validate(cfg)
+
+        validate = config.validate_config
+        monkeypatch.setattr(config, "validate_config", counted)
+        monkeypatch.setattr(cli, "validate_config", counted)
+        rc, _ = run_cli(tmp_path, command, "[scenario]\nsteps = 30\n", "--trials", "100", "--seed", "3")
+        assert rc == 0
+        assert len(calls) == 1 and calls[0].run.trials == 100
+
+    def test_override_is_validated(self, tmp_path, capsys):
+        rc, _ = run_cli(tmp_path, "track", "", "--trials", "0")
+        assert rc == 1
+        assert capsys.readouterr().err == "puedet: error: [run] trials: must be >= 1, got 0\n"
+        # The override replaces the file's value before the one validation.
+        rc, _ = run_cli(tmp_path, "track", "[run]\ntrials = 0\n", "--trials", "5")
+        assert rc == 0

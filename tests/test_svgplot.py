@@ -1,3 +1,4 @@
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,8 +10,15 @@ from puedet.svgplot import line_chart
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
+def render(series, title, xlabel, ylabel):
+    """The SVG document of a chart, written to a string."""
+    buffer = io.StringIO()
+    line_chart(series, title, xlabel, ylabel)(buffer)
+    return buffer.getvalue()
+
+
 def test_valid_xml_with_one_polyline_per_series():
-    svg = line_chart(
+    svg = render(
         [("a", [0, 1, 2], [0.0, 0.5, 1.0]), ("b", [0, 1, 2], [1.0, 0.5, 0.0])],
         "title", "x", "y",
     )
@@ -24,16 +32,16 @@ def test_valid_xml_with_one_polyline_per_series():
 
 def test_deterministic_output():
     series = [("s", [0.0, 10.0], [3.0, 4.0])]
-    assert line_chart(series, "t", "x", "y") == line_chart(series, "t", "x", "y")
+    assert render(series, "t", "x", "y") == render(series, "t", "x", "y")
 
 
 def test_constant_series_renders():
-    svg = line_chart([("flat", [0, 1, 2], [0.5, 0.5, 0.5])], "t", "x", "y")
+    svg = render([("flat", [0, 1, 2], [0.5, 0.5, 0.5])], "t", "x", "y")
     ET.fromstring(svg)
 
 
 def test_labels_are_escaped():
-    svg = line_chart([("a<b&c", [0, 1], [0, 1])], "t<", "x&", "y>")
+    svg = render([("a<b&c", [0, 1], [0, 1])], "t<", "x&", "y>")
     ET.fromstring(svg)  # would raise on raw < or &
 
 
@@ -42,7 +50,7 @@ def test_escape_matches_xml_saxutils():
     from xml.sax.saxutils import escape
 
     text = 'a & b < c > d "e"'
-    svg = line_chart([(text, [0, 1], [0, 1])], text, text, text)
+    svg = render([(text, [0, 1], [0, 1])], text, text, text)
     assert svg.count(f">{escape(text)}</text>") == 4
 
 
@@ -77,7 +85,7 @@ def test_array_series_equal_list_series_byte_for_byte():
     xs, ys = rng.normal(0.0, 300.0, (2, 500))
     as_lists = [("a", xs.tolist(), ys.tolist()), ("b", [0, 1, 2], [-0.5, 0.25, 1e-3])]
     as_arrays = [("a", xs, ys), ("b", np.arange(3), np.array([-0.5, 0.25, 1e-3]))]
-    assert line_chart(as_arrays, "t", "x", "y") == line_chart(as_lists, "t", "x", "y")
+    assert render(as_arrays, "t", "x", "y") == render(as_lists, "t", "x", "y")
 
 
 def test_polyline_equals_per_point_format():
@@ -89,7 +97,7 @@ def test_polyline_equals_per_point_format():
     xs = np.concatenate([rng.normal(0.0, 300.0, 3000), [-0.0, 1e-300, 0.0, -1e-300]])
     ys = np.concatenate([rng.normal(0.0, 1e-3, 3000), [0.0, -0.0, 1e-300, 5e-3]])
     series = [("a", xs, ys), ("b", xs[::-1] / 3.0, np.sin(xs) * 1e-3)]
-    svg = line_chart(series, "t", "x", "y")
+    svg = render(series, "t", "x", "y")
     x_lo, x_hi = min(x.min() for _, x, _ in series), max(x.max() for _, x, _ in series)
     y_lo, y_hi = min(y.min() for _, _, y in series), max(y.max() for _, _, y in series)
     pad = 0.05 * (y_hi - y_lo)
@@ -101,3 +109,17 @@ def test_polyline_equals_per_point_format():
         py = 40 + (y_hi - series_ys) / (y_hi - y_lo) * 384
         expected = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         assert polyline.get("points") == expected
+
+
+def test_values_count_the_numbers_the_polylines_format():
+    # The count is known when the chart is built; writing it twice gives the
+    # same document.
+    series = [("a", [0, 1, 2], [0.0, 0.5, 1.0]), ("b", np.arange(5), np.ones(5))]
+    chart = line_chart(series, "t", "x", "y")
+    assert chart.values == 16
+    first, second = io.StringIO(), io.StringIO()
+    chart(first)
+    chart(second)
+    assert first.getvalue() == second.getvalue()
+    polylines = ET.fromstring(first.getvalue()).findall(f"{SVG_NS}polyline")
+    assert sum(len(p.get("points").replace(",", " ").split()) for p in polylines) == chart.values
