@@ -14,7 +14,6 @@ from .detection import (
     DetectorConfig,
     Verdict,
     anchor_distance,
-    calibrate_tau,
     calibrate_taus,
     decide,
     detect_step,

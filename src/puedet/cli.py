@@ -387,7 +387,7 @@ def main(argv=None) -> int:
                 status = os.waitpid(pid, 0)[1]
         if status:
             raise _child_error(status, out / forked)
-    except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError) as exc:
+    except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError, MemoryError) as exc:
         print(f"puedet: error: {exc}", file=sys.stderr)
         return 1
     return 0

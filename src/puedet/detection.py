@@ -128,24 +128,8 @@ def calibrate_taus(
     One sort of the sample serves every target.  When no residual meets a
     target -- the largest is tied, or the sample has fewer than 1 / target
     residuals -- its tau is the largest residual, and a warning names the
-    cause and the rate it yields.
+    cause and the rate it yields, at the line that called this function.
     """
-    return _calibrate(legitimate_residuals, targets, fusion)
-
-
-def calibrate_tau(
-    legitimate_residuals: Sequence[float],
-    target_pfa: float,
-    fusion: str = SINGLE_ANCHOR,
-) -> DetectorConfig:
-    """:func:`calibrate_taus` for the one target `target_pfa`.  Pass several
-    targets to that function instead, and one sort serves them all."""
-    return _calibrate(legitimate_residuals, [target_pfa], fusion)[0]
-
-
-def _calibrate(legitimate_residuals: Sequence[float], targets: Sequence[float], fusion: str) -> list[DetectorConfig]:
-    """:func:`calibrate_taus`, called by both public functions so that a
-    warning names the line that called either of them."""
     residuals = np.asarray(legitimate_residuals, dtype=float)
     if residuals.size == 0:
         raise InvalidInputError("need a non-empty residual sample")
@@ -169,7 +153,7 @@ def _calibrate(legitimate_residuals: Sequence[float], targets: Sequence[float], 
                 f"calibrated tau={ranked[-1]:.6g} yields false-alarm rate {rates[-1]:.4f} on the "
                 f"calibration sample, above the target {target:.4f} ({cause})",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         configs.append(DetectorConfig(tau=float(ranked[min(i, n - 1)]), fusion=fusion))
     return configs

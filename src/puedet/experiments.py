@@ -8,27 +8,29 @@ run of n trials is a prefix of a longer run, and the cell's seed and i name
 the trial.  The filter's gains do not depend on the data, so its estimate at
 the evaluation step K is Gaussian: ``N(offset, meas_noise_std**2 * W @
 W.T)``, with ``offset`` the noiseless estimate and W the filter's weight map
-over the measurements (:meth:`Scenario.estimate_weights`, built in O(K)).
-The engine reads the law from :meth:`Scenario.estimate_law`, W reduced to
-the lower Cholesky factor L of ``W @ W.T``, and draws the estimate from it:
-two standard normals eta per trial, mapped as ``offset + meas_noise_std * L
-@ eta`` one coordinate column at a time, instead of 2(K + 1) measurement
-normals.  Each sweep reads the law once for all of its cells.  A cell has
-few transmitter sites, the PU's true position and the attacker's k sites,
-so each site is ranged to each anchor once and every trial reads its own
-site's path loss; the readings are checked once over the whole cell.
+over the measurements.  Both routes read that law as one
+:class:`~puedet.scenario.EstimateLaw` from :meth:`Scenario.estimate_law`
+(built in O(K)), which also holds the lower Cholesky factor L of ``W @
+W.T``.  The engine draws the estimate from it: two standard normals eta per
+trial, mapped as ``offset + meas_noise_std * L @ eta`` one coordinate column
+at a time, instead of 2(K + 1) measurement normals.  Each sweep reads the
+law once for all of its cells.  A cell has few transmitter sites, the PU's
+true position and the attacker's k sites, so each site is ranged to each
+anchor once and every trial reads its own site's path loss; the readings are
+checked once over the whole cell.
 :func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is
 scored at any threshold without re-running it.  The sweeps run their cells
 one after another, in cell order, so the first failing cell decides the
 error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
-same procedure.  It reads the same map W and factor L, and conditions the
-2(K + 1) measurement normals on the trial's draw, ``xi = W⁺ L eta + (I - W⁺
-W) zeta`` with zeta from a stream of the trial's own, which gives ``W @ xi
-= L eta`` and leaves xi standard normal.  It then runs the filter step by
-step over ``truth + meas_noise_std * xi``, so a wrong W or offset shows as
-a disagreement with the engine: tests hold the two routes together.
+same procedure.  It reads the map W and factor L of the same law, and
+conditions the 2(K + 1) measurement normals on the trial's draw, ``xi = W⁺
+L eta + (I - W⁺ W) zeta`` with zeta from a stream of the trial's own, which
+gives ``W @ xi = L eta`` and leaves xi standard normal.  It then runs the
+filter step by step over ``truth + meas_noise_std * xi``, so a wrong W or
+offset shows as a disagreement with the engine: tests hold the two routes
+together.
 """
 
 from __future__ import annotations
@@ -47,21 +49,13 @@ from .detection import (
     OR_ACROSS_ANCHORS,
     SINGLE_ANCHOR,
     DetectorConfig,
-    calibrate_tau,
     calibrate_taus,
     check_fusion,
     detect_step,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import sigma_from_snr
-from .scenario import (
-    PU,
-    PUE,
-    Scenario,
-    emit_rss,
-    law_factor,
-    truth_at,
-)
+from .scenario import PU, PUE, EstimateLaw, Scenario, emit_rss, truth_at
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -163,7 +157,7 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _eval_law(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eval_law(scenario: Scenario) -> EstimateLaw:
     """The scenario's :meth:`Scenario.estimate_law` at its evaluation step."""
     k_eval = scenario.evaluation_step
     return scenario.estimate_law((k_eval,))[k_eval]
@@ -200,10 +194,6 @@ class Cell:
         res = self.residuals(fusions.pop())
         return res, res >= np.array([[c.tau] for c in configs])
 
-    def flags(self, config: DetectorConfig) -> np.ndarray:
-        """Per-trial attacker verdict at `config`."""
-        return self._verdicts([config])[1][0]
-
     def scores(
         self, configs: Sequence[DetectorConfig], coords: Sequence[SweepCoords | None] | None = None
     ) -> list[MetricsReport]:
@@ -235,7 +225,7 @@ def run_cell(
     is_pue: np.ndarray,
     attacker_xy: np.ndarray,
     master_seed: int,
-    law: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    law: EstimateLaw | None = None,
 ) -> Cell:
     """Run one cell's trials, vectorized: trial i transmits at the evaluation
     step from attacker site ``attacker_xy[i % k]`` if ``is_pue[i]``, else
@@ -245,10 +235,11 @@ def run_cell(
     Per trial, the cell's position generator yields two standard normals,
     which set the estimate from its exact law, and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `law` is the scenario's :meth:`Scenario.estimate_law` entry for the
-    evaluation step, ``(truth, factor, offset)``, passed in by sweeps that
-    share it across cells and computed here otherwise.  :func:`cell_streams`
-    refuses a `master_seed` that is not a non-negative integer.
+    `law` is the scenario's :class:`~puedet.scenario.EstimateLaw` at the
+    evaluation step, passed in by sweeps that share it across cells and read
+    by :func:`_eval_law` otherwise; the cell uses its ``truth``, ``factor``
+    and ``offset``.  :func:`cell_streams` refuses a `master_seed` that is
+    not a non-negative integer.
     The estimate is computed one coordinate column at a time, with the same
     float operations per row whatever the cell's size.  Each transmitter
     site, the PU's true position or an attacker site, is ranged to each
@@ -262,8 +253,8 @@ def run_cell(
     n = len(is_pue)
     if n < 1 or attacker_xy.ndim != 2 or attacker_xy.shape[0] < 1 or attacker_xy.shape[1] != 2:
         raise InvalidInputError("need n >= 1 schedule labels and k >= 1 attacker sites, shape (k, 2)")
-    truth, factor, offset = law if law is not None else _eval_law(scenario)
-    (f00, f01), (f10, f11) = factor.tolist()
+    law = law if law is not None else _eval_law(scenario)
+    (f00, f01), (f10, f11) = law.factor.tolist()
     link = scenario.link
     a_link = link.link_constant_db
     _, pos_gen, rss_gen = cell_streams(master_seed)
@@ -274,14 +265,14 @@ def run_cell(
     # row's value does not depend on how many rows the cell has.
     e0, e1 = eta[:, 0], eta[:, 1]
     sigma_z = scenario.meas_noise_std
-    est_x = (e0 * f00 + e1 * f01) * sigma_z + offset[0]
-    est_y = (e0 * f10 + e1 * f11) * sigma_z + offset[1]
+    est_x = (e0 * f00 + e1 * f01) * sigma_z + law.offset[0]
+    est_y = (e0 * f10 + e1 * f11) * sigma_z + law.offset[1]
     ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
     d_kf = np.hypot(est_x[:, None] - ax, est_y[:, None] - ay)
 
     # Site 0 is the PU's true position and site 1 + s attacker site s.  Each
     # is ranged once; trial i reads site 1 + i % k if the attacker transmits.
-    sites = np.concatenate(([truth[:2]], attacker_xy))
+    sites = np.concatenate(([law.truth], attacker_xy))
     site = np.where(is_pue, np.arange(n) % len(attacker_xy) + 1, 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d_site = np.hypot(sites[:, :1] - ax, sites[:, 1:] - ay)
@@ -312,9 +303,16 @@ def _schedule_labels(n_trials: int, schedule_mix: float) -> np.ndarray:
     return np.arange(n_trials) < n_pue
 
 
-def _validate_run_args(n_trials: int, schedule_mix: float, master_seed: int) -> None:
+def _validate_run_args(
+    scenario: Scenario, n_trials: int, schedule_mix: float, master_seed: int, name: str = "n_trials"
+) -> None:
     if not (isinstance(n_trials, (int, np.integer)) and n_trials >= 1):
-        raise InvalidInputError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {n_trials!r}")
+    # A cell draws n_trials rows of max(2, anchors) float64 values; numpy
+    # cannot even size an array of more bytes than an intp holds.
+    limit = np.iinfo(np.intp).max // (8 * max(2, len(scenario.anchors)))
+    if n_trials > limit:
+        raise InvalidInputError(f"{name} must be at most {limit}, got {n_trials}")
     if not 0.0 <= schedule_mix <= 1.0:
         raise InvalidInputError(f"schedule_mix must be in [0, 1], got {schedule_mix}")
     _check_index(master_seed, "master_seed")
@@ -330,7 +328,7 @@ def run_trials(
     """Run independent detection trials; each is a full tracking run evaluated
     at the scenario's designated step, with the trial's schedule label deciding
     which transmitter emits there."""
-    _validate_run_args(n_trials, schedule_mix, master_seed)
+    _validate_run_args(scenario_template, n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     return run_cell(scenario_template, is_pue, [scenario_template.attacker_pos], master_seed).outcomes(config)
 
@@ -367,9 +365,8 @@ def reference_trial(
     rss_gen.standard_normal((trial_index, len(scenario.anchors)))
     zeta = null_gen.standard_normal(2 * (k_eval + 1))
 
-    _, weights, _ = scenario.estimate_weights((k_eval,))[k_eval]
-    factor = law_factor(weights, k_eval)
-    xi = zeta + np.linalg.pinv(weights) @ (factor @ eta - weights @ zeta)
+    law = _eval_law(scenario)
+    xi = zeta + np.linalg.pinv(law.weights) @ (law.factor @ eta - law.weights @ zeta)
     zs = scenario.truth_path(k_eval) + scenario.meas_noise_std * xi.reshape(k_eval + 1, 2)
     position = scenario.track(zs)[k_eval, :2]
 
@@ -397,10 +394,10 @@ def attacker_positions(
     """
     if not (math.isfinite(distance) and distance >= 0.0):
         raise InvalidInputError(f"attacker distance must be >= 0, got {distance}")
-    if bearings and not all(math.isfinite(b) for b in bearings):
+    if bearings is not None and not all(math.isfinite(b) for b in bearings):
         raise InvalidInputError(f"attacker bearings must be finite, got {tuple(bearings)}")
     pu = truth_at(scenario, scenario.evaluation_step)
-    if not bearings:
+    if bearings is None or len(bearings) == 0:
         anchor = scenario.anchors[0]
         theta = math.atan2(anchor.y - pu.y, anchor.x - pu.x)
         bearings = (theta, theta + math.pi)
@@ -419,9 +416,9 @@ def sweep_distance(
     schedule_mix: float = SweepSettings.schedule_mix,
 ) -> list[MetricsReport]:
     """One MetricsReport per (attacker distance, SNR) cell, distance-major."""
-    if not distances or not snr_db_list:
+    if len(distances) == 0 or len(snr_db_list) == 0:
         raise InvalidInputError("distances and snr_db_list must be non-empty")
-    _validate_run_args(n_trials, schedule_mix, master_seed)
+    _validate_run_args(base, n_trials, schedule_mix, master_seed)
     is_pue = _schedule_labels(n_trials, schedule_mix)
     # Every argument is checked before the first cell runs.
     positions = [attacker_positions(base, d, bearings) for d in distances]
@@ -454,15 +451,14 @@ def sweep_roc(
     evaluated on held-out trials.  One sort of the calibration residuals
     serves every target, and one compare of the held-out residuals with
     every tau scores them all."""
-    if not snr_db_list or not pfa_targets:
+    if len(snr_db_list) == 0 or len(pfa_targets) == 0:
         raise InvalidInputError("snr_db_list and pfa_targets must be non-empty")
     if any(not 0.0 < t < 1.0 for t in pfa_targets):
         raise InvalidInputError("pfa targets must lie in (0, 1)")
     check_fusion(fusion)
-    _validate_run_args(n_trials, schedule_mix, master_seed)
+    _validate_run_args(base, n_trials, schedule_mix, master_seed)
     n_cal = n_calibration if n_calibration is not None else n_trials
-    if not (isinstance(n_cal, (int, np.integer)) and n_cal >= 1):
-        raise InvalidInputError(f"n_calibration must be an integer >= 1, got {n_cal!r}")
+    _validate_run_args(base, n_cal, schedule_mix, master_seed, "n_calibration")
 
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, bearings)
@@ -507,9 +503,9 @@ def compare_baseline(
     same RSS samples); the baseline's reference stays at the PU's initial
     position for the whole run.
     """
-    if not distances:
+    if len(distances) == 0:
         raise InvalidInputError("distances must be non-empty")
-    _validate_run_args(n_trials, schedule_mix, master_seed)
+    _validate_run_args(base, n_trials, schedule_mix, master_seed)
     reference = np.array(base.trajectory.start)
     anchor_xy = np.array([[a.x, a.y] for a in base.anchors])
     d_ref = np.hypot(reference[0] - anchor_xy[:, 0], reference[1] - anchor_xy[:, 1])
@@ -522,7 +518,7 @@ def compare_baseline(
     rows = []
     for i, (d, k) in enumerate(zip(distances, eval_steps)):
         cell = run_cell(replace(base, eval_step=k), is_pue, [base.attacker_pos], child_seed(master_seed, 2, i), laws[k])
-        pos = laws[k][0]
+        pos = laws[k].truth
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.
         baseline = replace(cell, d_kf=np.broadcast_to(d_ref, cell.d_kf.shape))
@@ -541,7 +537,7 @@ def calibrated_config(
     fusion: str = SINGLE_ANCHOR,
 ) -> DetectorConfig:
     """Fit tau on legitimate-only trials of the given scenario."""
-    _validate_run_args(n_trials, 0.0, master_seed)
+    _validate_run_args(base, n_trials, 0.0, master_seed)
     check_fusion(fusion)
     cal = run_cell(base, np.zeros(n_trials, dtype=bool), [base.attacker_pos], child_seed(master_seed, 3))
-    return calibrate_tau(cal.residuals(fusion), target_pfa, fusion)
+    return calibrate_taus(cal.residuals(fusion), [target_pfa], fusion)[0]

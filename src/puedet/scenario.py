@@ -3,11 +3,11 @@ world, and the synthetic measurements (positions and RSS) fed to the tracker
 and detector.
 
 :meth:`Scenario.track` runs the world's tracker.
-:meth:`Scenario.estimate_weights` states its estimate in linear form, a
-weight map W over the measurements about the noiseless run, and
-:meth:`Scenario.estimate_law` reduces each map to the law of the estimate,
-which the Monte Carlo engine samples; the per-trial reference route reads the
-same map to condition its measurement noise.
+:meth:`Scenario.estimate_law` states its estimate at a step as an
+:class:`EstimateLaw`: a weight map W over the measurements about the
+noiseless run, and the Cholesky factor of W W^T.  The Monte Carlo engine
+samples the estimate through the factor; the per-trial reference route reads
+the map and the factor to condition its measurement noise.
 
 A :class:`Trajectory` is its segments of constant acceleration; one step
 evaluator of :class:`Scenario` answers :func:`truth_at` and the array queries
@@ -110,6 +110,28 @@ class Trajectory:
         return cls(tuple(map(float, start)), tuple(map(float, velocity)), tuple(tuple(map(float, s)) for s in segments))
 
 
+@dataclass(frozen=True, eq=False)
+class EstimateLaw:
+    """The law of the position estimate of :meth:`Scenario.track` at one step
+    k, over the measurements ``truth + meas_noise_std * noise`` of steps
+    0..k with standard normal noise.
+
+    The estimate is ``meas_noise_std * weights @ noise.ravel() + offset``,
+    with ``weights`` C-contiguous of shape (2, 2(k + 1)).  So it is
+    distributed as ``offset + meas_noise_std * factor @ eta`` for eta ~
+    N(0, I_2), with ``factor`` the (2, 2) lower Cholesky factor of ``weights
+    @ weights.T``, zero for a point mass.  ``truth`` is the PU's true
+    position at step k, and ``offset`` the noiseless estimate, row k of
+    ``track(truth)`` bit for bit, which differs from ``truth`` while the
+    filter converges.
+    """
+
+    truth: np.ndarray
+    weights: np.ndarray
+    factor: np.ndarray
+    offset: np.ndarray
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One experiment world: who moves where, who listens, and how noisy it is.
@@ -181,40 +203,34 @@ class Scenario:
         init = initial_estimate(measurements[0], meas_model, self.v_max)
         return track(measurements, motion, meas_model, init, accels)
 
-    def estimate_law(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The law of the position estimate of :meth:`track` at each of
-        `steps`, ``{k: (truth_k, factor, offset)}``: over the measurements
-        ``truth + meas_noise_std * noise`` of steps 0..k, with standard normal
-        noise, the estimate is ``offset + meas_noise_std * factor @ eta`` for
-        eta ~ N(0, I_2).  This is :meth:`estimate_weights` with each map W
-        reduced to its :func:`law_factor`, the Cholesky factor of W W^T."""
-        return {
-            k: (truth_k, law_factor(weights, k), offset)
-            for k, (truth_k, weights, offset) in self.estimate_weights(steps).items()
-        }
-
-    def estimate_weights(self, steps: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The position estimate of :meth:`track` at each of `steps` in weight
-        form, ``{k: (truth_k, weights, offset)}``: over the measurements
-        ``truth + meas_noise_std * noise`` of steps 0..k it is
-        ``meas_noise_std * weights @ noise.ravel() + offset``, with ``weights``
-        C-contiguous of shape (2, 2(k + 1)).  ``offset`` is the noiseless
-        estimate, row k of ``track(truth)`` bit for bit, and not yet
-        ``truth_k`` while the filter converges.  One pass of
-        :func:`~puedet.tracking.track_weights` to the latest step builds each
-        map in O(k).  Raises InvalidInputError naming the step whose offset
-        is not finite; :func:`law_factor` checks the map."""
+    def estimate_law(self, steps: Sequence[int]) -> dict[int, EstimateLaw]:
+        """The :class:`EstimateLaw` of :meth:`track` at each of `steps`, from
+        one pass of :func:`~puedet.tracking.track_weights` to the latest step,
+        which builds each map in O(k).  Raises InvalidInputError naming the
+        step whose offset or covariance is not finite, and
+        NumericalDegeneracyError naming one whose covariance is singular but
+        not zero."""
         truth = self.truth_path(self.n_steps - 1)
         motion, meas_model = self.filter_models()
         init = initial_estimate(truth[0], meas_model, self.v_max)
         maps = track_weights(steps, motion, meas_model, init.covariance, truth, self.step_accels(self.n_steps - 1))
-        out = {}
+        laws = {}
         for k, (state, weights) in maps.items():
             offset = state[:2]
             if not np.isfinite(offset).all():
                 raise InvalidInputError(f"estimate law at step {k} left the finite range")
-            out[k] = (truth[k], weights, offset)
-        return out
+            # An overflowing product is reported by the finiteness check below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                covariance = weights @ weights.T
+            if not np.isfinite(covariance).all():
+                raise InvalidInputError(f"estimate covariance at step {k} left the finite range")
+            try:
+                # A zero covariance is a point mass.
+                factor = np.linalg.cholesky(covariance) if covariance.any() else np.zeros((2, 2))
+            except np.linalg.LinAlgError:
+                raise NumericalDegeneracyError(f"estimate covariance at step {k} is singular") from None
+            laws[k] = EstimateLaw(truth[k], weights, factor, offset)
+        return laws
 
     def _check_step(self, step: int) -> int:
         if not (isinstance(step, (int, np.integer)) and 0 <= step < self.n_steps):
@@ -249,26 +265,6 @@ class Scenario:
         acc = np.zeros((self._check_step(eval_step) + 1, 2))
         acc[1:] = self._states(np.arange(eval_step))[3]
         return acc
-
-
-def law_factor(weights: np.ndarray, step: int) -> np.ndarray:
-    """The lower Cholesky factor L of ``weights @ weights.T``, the unit-noise
-    covariance of the estimate that the map `weights` of
-    :meth:`Scenario.estimate_weights` gives at `step`, so that ``L @ eta``
-    for eta ~ N(0, I_2) has that covariance.  A zero covariance is a point
-    mass, L = 0.  Any other singular one raises NumericalDegeneracyError, and
-    one that is not finite InvalidInputError, both naming the step."""
-    # An overflowing product is reported by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        covariance = weights @ weights.T
-    if not np.isfinite(covariance).all():
-        raise InvalidInputError(f"estimate covariance at step {step} left the finite range")
-    if not covariance.any():
-        return np.zeros((2, 2))
-    try:
-        return np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(f"estimate covariance at step {step} is singular") from None
 
 
 def truth_at(scenario: Scenario, step: int) -> TargetState:

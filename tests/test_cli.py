@@ -464,6 +464,30 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("puedet: error: [link] alpha: noiseless ranging of 100 m ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, setting, trials",
+        [
+            ("sweep-distance", "", "100000000000000000000"),
+            ("sweep-roc", "", "100000000000000000000"),
+            ("compare-baseline", "", "100000000000000000000"),
+            ("sweep-roc", "[sweep]\ncalibration_trials = 100000000000000000000", "40"),
+            ("sweep-distance", "[sweep]\ncalibration_trials = 100000000000000000000\n[detector]\ntarget_pfa = 0.1", "40"),
+            # 2**45 trials pass the count check, and the first array of them
+            # fails to allocate (256 TiB) before any memory is touched.
+            ("sweep-distance", "", str(2**45)),
+            ("sweep-roc", "", str(2**45)),
+            ("compare-baseline", "", str(2**45)),
+        ],
+        ids=["distance-1e20", "roc-1e20", "baseline-1e20", "roc-calibration-1e20", "distance-calibration-1e20",
+             "distance-2**45", "roc-2**45", "baseline-2**45"],
+    )
+    def test_trial_count_beyond_memory_is_one_error_line(self, tmp_path, capsys, command, setting, trials):
+        rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n{setting}\n", "--trials", trials)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("puedet: error:") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1

@@ -14,7 +14,6 @@ from puedet.detection import (
     OR_ACROSS_ANCHORS,
     DetectorConfig,
     anchor_distance,
-    calibrate_tau,
     calibrate_taus,
     decide,
     detect_step,
@@ -179,31 +178,31 @@ def sorting_oracle(sample, target):
 class TestCalibrateTau:
     def test_quantile_on_one_to_hundred(self):
         residuals = np.arange(1.0, 101.0)
-        cfg = calibrate_tau(residuals, 0.10)
+        (cfg,) = calibrate_taus(residuals, [0.10])
         assert cfg.tau == 91.0
         assert np.mean(residuals >= cfg.tau) == pytest.approx(0.10)
 
     def test_tiny_target_picks_maximum(self):
         residuals = np.arange(1.0, 101.0)
         with pytest.warns(RuntimeWarning, match="a sample of 100 resolves no rate below 1/100"):
-            cfg = calibrate_tau(residuals, 1e-9)
+            (cfg,) = calibrate_taus(residuals, [1e-9])
         assert cfg.tau == 100.0
         # only the maximum itself fires under the >= rule
         assert np.sum(residuals >= cfg.tau) == 1
 
     def test_degenerate_constant_sample_reported(self):
         with pytest.warns(RuntimeWarning, match="above the target.*tied residuals"):
-            cfg = calibrate_tau(np.full(50, 3.0), 0.2)
+            (cfg,) = calibrate_taus(np.full(50, 3.0), [0.2])
         assert cfg.tau == 3.0
         assert np.mean(np.full(50, 3.0) >= cfg.tau) == 1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
-            calibrate_tau([], 0.1)
+            calibrate_taus([], [0.1])
         with pytest.raises(InvalidInputError):
-            calibrate_tau([1.0], 0.0)
+            calibrate_taus([1.0], [0.0])
         with pytest.raises(InvalidInputError):
-            calibrate_tau([1.0, np.nan], 0.1)
+            calibrate_taus([1.0, np.nan], [0.1])
 
     @given(
         sample=st.lists(st.floats(0, 1e6), min_size=1, max_size=400),
@@ -213,7 +212,7 @@ class TestCalibrateTau:
     def test_matches_sorting_oracle(self, sample, target):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cfg = calibrate_tau(sample, target)
+            (cfg,) = calibrate_taus(sample, [target])
         assert cfg.tau == sorting_oracle(sample, target)
 
     @pytest.mark.parametrize("n, targets", [(50, (0.05,)), (4096, SweepSettings.pfa_targets)])
@@ -224,7 +223,7 @@ class TestCalibrateTau:
         for target in targets:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tau = calibrate_tau(residuals, target).tau
+                tau = calibrate_taus(residuals, [target])[0].tau
             assert np.mean(residuals >= tau) <= target
             # The next residual down would overshoot: tau is the smallest that meets it.
             assert np.mean(residuals >= tau - 0.25) > target
@@ -251,7 +250,7 @@ class TestCalibrateTaus:
         unmet = [t for t in targets if np.mean(np.asarray(sample) >= sorting_oracle(sample, t)) > t]
         assert len([w for w in caught if w.category is RuntimeWarning]) == len(unmet)
 
-    def test_each_target_equals_calibrate_tau(self):
+    def test_each_target_equals_its_own_calibration(self):
         residuals = np.random.default_rng(3).exponential(10.0, 999).round(1)  # tied values
         targets = [0.2, 0.01, 0.2, 0.5, 0.0005, 0.07]
         with warnings.catch_warnings(record=True) as many:
@@ -259,19 +258,14 @@ class TestCalibrateTaus:
             configs = calibrate_taus(residuals, targets)
         with warnings.catch_warnings(record=True) as one_by_one:
             warnings.simplefilter("always")
-            singles = [calibrate_tau(residuals, t) for t in targets]
+            singles = [calibrate_taus(residuals, [t])[0] for t in targets]
         assert configs == singles
         assert [str(w.message) for w in many] == [str(w.message) for w in one_by_one]
         assert len(many) == 1 and "resolves no rate below 1/999" in str(many[0].message)
 
-    @pytest.mark.parametrize(
-        "calibrate",
-        [lambda r: calibrate_tau(r, 0.5), lambda r: calibrate_taus(r, [0.5])],
-        ids=["calibrate_tau", "calibrate_taus"],
-    )
-    def test_warning_names_the_calling_line(self, calibrate):
+    def test_warning_names_the_calling_line(self):
         with pytest.warns(RuntimeWarning) as caught:
-            calibrate([1.0])
+            calibrate_taus([1.0], [0.5])
         assert caught[0].filename == __file__
 
     def test_rejects_any_bad_target(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from puedet import experiments
 from puedet import scenario as scenario_module
 from puedet.config import default_scenario
-from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_tau, rss_baseline_decide
+from puedet.detection import ATTACKER, LEGITIMATE, DetectorConfig, calibrate_taus, rss_baseline_decide
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.experiments import (
     MetricsReport,
@@ -165,6 +165,60 @@ class TestRunTrials:
             run_trials(scen, DetectorConfig(10.0), 2.5, 0.5, 1)
         with pytest.raises(InvalidInputError, match="n_calibration"):
             sweep_roc(scen, 30.0, [0.0], [0.1], 10, 1, snr_calibration=0.15, n_calibration=2.5)
+
+    @pytest.mark.parametrize("n_anchors", [1, 4])
+    def test_trial_counts_numpy_cannot_size_are_refused(self, n_anchors):
+        # A cell draws n rows of max(2, anchors) float64 values; the smallest
+        # count whose bytes pass the largest intp is refused on every route
+        # before any array is built, as is 10**20.
+        scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:n_anchors])
+        cfg = DetectorConfig(25.0)
+        for n in (np.iinfo(np.intp).max // (8 * max(2, n_anchors)) + 1, 10**20):
+            routes = {
+                "n_trials": [
+                    lambda: run_trials(scen, cfg, n, 0.5, 1),
+                    lambda: sweep_distance(scen, [30.0], [0.0], cfg, n, 1, snr_calibration=0.15),
+                    lambda: sweep_roc(scen, 30.0, [0.0], [0.1], n, 1, snr_calibration=0.15),
+                    lambda: compare_baseline(scen, cfg, n, 1, [20.0]),
+                    lambda: calibrated_config(scen, 0.1, n, 1),
+                ],
+                "n_calibration": [lambda: sweep_roc(scen, 30.0, [0.0], [0.1], 10, 1, 0.15, n_calibration=n)],
+            }
+            for name, calls in routes.items():
+                for call in calls:
+                    with pytest.raises(InvalidInputError, match=f"{name} must be at most .*, got {n}"):
+                        call()
+
+    def test_numpy_arrays_serve_as_sequences(self):
+        # An array argument gives what the same values as a tuple give, and
+        # an empty array is refused as an empty tuple is.
+        scen = default_scenario(n_steps=60, anchors=SQUARE_ANCHORS[:2], rss_noise=NoiseModel(3.0))
+        cfg = DetectorConfig(25.0)
+        assert np.array_equal(
+            attacker_positions(scen, 30.0, np.array([0.1, 0.2])), attacker_positions(scen, 30.0, (0.1, 0.2))
+        )
+        assert np.array_equal(attacker_positions(scen, 30.0, np.array([])), attacker_positions(scen, 30.0))
+        distances, snrs, bearings, targets = (30.0, 50.0), (-5.0, 5.0), (0.3, 2.0), (0.05, 0.2)
+        tuples = [
+            sweep_distance(scen, distances, snrs, cfg, 60, 5, 0.15, bearings),
+            sweep_roc(scen, 40.0, snrs, targets, 60, 5, 0.15, bearings=bearings),
+            compare_baseline(scen, cfg, 60, 5, distances),
+        ]
+        d, snr, b, t = (np.array(values) for values in (distances, snrs, bearings, targets))
+        arrays = [
+            sweep_distance(scen, d, snr, cfg, 60, 5, 0.15, b),
+            sweep_roc(scen, 40.0, snr, t, 60, 5, 0.15, bearings=b),
+            compare_baseline(scen, cfg, 60, 5, d),
+        ]
+        assert arrays == tuples
+        empty = np.array([])
+        for call in (
+            lambda: sweep_distance(scen, empty, snr, cfg, 60, 5, 0.15),
+            lambda: sweep_roc(scen, 40.0, snr, empty, 60, 5, 0.15),
+            lambda: compare_baseline(scen, cfg, 60, 5, empty),
+        ):
+            with pytest.raises(InvalidInputError, match="non-empty"):
+                call()
 
 
 class TestBatchedEngineMatchesReference:
@@ -381,12 +435,12 @@ class TestExactLaw:
         # Bounds, fixed before the run: 5 standard errors of each difference.
         scen = default_scenario(n_steps=30, eval_step=5, meas_noise_std=5.0, anchors=SQUARE_ANCHORS)
         n = 20_000
-        _, weights, offset = scen.estimate_weights((5,))[5]
+        law = scen.estimate_law((5,))[5]
         cell = run_cell(scen, np.zeros(n, dtype=bool), np.zeros((n, 2)), 3)
         est = trilaterate(cell.d_kf, SQUARE_ANCHORS)
-        noise = np.random.default_rng(2024).standard_normal((n, weights.shape[1]))
-        full = offset + 5.0 * noise @ weights.T
-        cov = 25.0 * weights @ weights.T
+        noise = np.random.default_rng(2024).standard_normal((n, law.weights.shape[1]))
+        full = law.offset + 5.0 * noise @ law.weights.T
+        cov = 25.0 * law.weights @ law.weights.T
         var = np.diag(cov)
         assert (np.abs(est.mean(axis=0) - full.mean(axis=0)) <= 5.0 * np.sqrt(2.0 * var / n)).all()
         var_se = np.sqrt(2.0 * 2.0 * var**2 / (n - 1))
@@ -396,7 +450,7 @@ class TestExactLaw:
 
     def test_zero_measurement_noise_puts_every_estimate_at_the_offset(self):
         scen = default_scenario(n_steps=30, eval_step=5, meas_noise_std=0.0, anchors=SQUARE_ANCHORS)
-        _, _, offset = scen.estimate_weights((5,))[5]
+        offset = scen.estimate_law((5,))[5].offset
         cell = run_cell(scen, np.zeros(300, dtype=bool), np.zeros((300, 2)), 3)
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
         assert np.array_equal(cell.d_kf, np.broadcast_to(np.hypot(offset[0] - ax, offset[1] - ay), (300, 4)))
@@ -413,11 +467,11 @@ class TestExactLaw:
         short = run_cell(scen, is_pue[:37], xy[:37], 21)
         for name in ("is_pue", "d_kf", "d_rss"):
             assert getattr(short, name).tobytes() == getattr(long, name)[:37].tobytes(), name
-        _, factor, offset = scen.estimate_law((41,))[41]
+        law = scen.estimate_law((41,))[41]
         eta = cell_streams(21)[1].standard_normal((n, 2))
-        est = eta[:, :1] * factor[:, 0] + eta[:, 1:] * factor[:, 1]
+        est = eta[:, :1] * law.factor[:, 0] + eta[:, 1:] * law.factor[:, 1]
         est *= scen.meas_noise_std
-        est += offset
+        est += law.offset
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
         assert np.array_equal(long.d_kf, np.hypot(est[:, :1] - ax, est[:, 1:] - ay))
         residual = long.residuals("or")
@@ -426,9 +480,11 @@ class TestExactLaw:
     def test_singular_laws(self, monkeypatch):
         # A zero map is a point mass at the offset; a map of rank one is a
         # typed error on both routes, never a LinAlgError.  Both routes read
-        # the map through Scenario.estimate_weights, so it is patched there.
+        # the law from Scenario.estimate_law, which builds the map with
+        # track_weights, so it is patched there.
         scen = default_scenario(n_steps=20, anchors=SQUARE_ANCHORS, rss_noise=NoiseModel(2.0))
-        _, weights, offset = scen.estimate_weights((19,))[19]
+        stock = scen.estimate_law((19,))[19]
+        weights, offset = stock.weights, stock.offset
         state = np.array([*offset, 0.0, 0.0])
         n = 50
         ax, ay = np.array([(a.x, a.y) for a in SQUARE_ANCHORS]).T
@@ -453,7 +509,8 @@ class TestExactLaw:
         # keeps both routes finite), so the map is patched: one whose W W^T
         # overflows or is NaN, and an offset that is not finite.
         scen = default_scenario(n_steps=20, rss_noise=NoiseModel(2.0))
-        _, weights, offset = scen.estimate_weights((19,))[19]
+        stock = scen.estimate_law((19,))[19]
+        weights, offset = stock.weights, stock.offset
         cfg = DetectorConfig(25.0)
         state = np.array([*offset, 0.0, 0.0])
         cases = [
@@ -537,7 +594,7 @@ class TestCell:
             assert cell.score(cfg, coords) == metrics(cell.outcomes(cfg), coords)
         # A residual equal to tau is an attack; just above it, it is not.
         assert cell.outcomes(DetectorConfig(tie, fusion))[i_tie].verdict == ATTACKER
-        assert not cell.flags(DetectorConfig(float(np.nextafter(tie, np.inf)), fusion))[i_tie]
+        assert cell.outcomes(DetectorConfig(float(np.nextafter(tie, np.inf)), fusion))[i_tie].verdict == LEGITIMATE
 
     @given(
         data=st.data(),
@@ -876,7 +933,7 @@ class TestSweepsMatchSerialCells:
             )
             cell = run_cell(cell_scen, is_pue, attacker_positions(scen, d), child_seed(seed, 1, j, 1))
             for target in targets:
-                tuned = calibrate_tau(legit.residuals("or"), target, "or")
+                (tuned,) = calibrate_taus(legit.residuals("or"), [target], "or")
                 serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
         assert reports == serial
 
@@ -900,7 +957,7 @@ class TestSweepsMatchSerialCells:
                     cell_scen, np.arange(n) < n // 2, attacker_positions(scen, d), child_seed(seed, 1, j, 1)
                 )
                 for target in targets:
-                    tuned = calibrate_tau(legit.residuals(fusion), target, fusion)
+                    (tuned,) = calibrate_taus(legit.residuals(fusion), [target], fusion)
                     serial.append(cell.score(tuned, SweepCoords(d, snr, tuned.tau)))
         assert reports == serial
 

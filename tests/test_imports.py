@@ -51,11 +51,11 @@ def test_guard_recognizes_private_imports(source, flagged):
 
 @pytest.mark.parametrize("module", ["experiments.py", "detection.py"])
 def test_experiments_reach_the_tracker_only_through_the_scenario(module):
-    """The scenario owns its tracker: the Monte Carlo engine takes the law of
-    the filter's estimate from ``Scenario.estimate_law``, the reference route
-    takes the same weight map W from ``Scenario.estimate_weights`` and its
-    states from ``Scenario.track``, the detector takes a position, and
-    neither imports anything from ``puedet.tracking`` itself."""
+    """The scenario owns its tracker: the Monte Carlo engine and the
+    reference route take the same law of the filter's estimate from
+    ``Scenario.estimate_law``, the reference route takes its states from
+    ``Scenario.track``, the detector takes a position, and neither imports
+    anything from ``puedet.tracking`` itself."""
     tree = ast.parse((ROOT / "src" / "puedet" / module).read_text(encoding="utf-8"))
     found = []
     for node in ast.walk(tree):

@@ -376,7 +376,15 @@ TINY_DT = dict(dt=1e-155, v_max=1e100, meas_noise_std=1e-60)
 TINY_DT_VISIBLE = dict(dt=1e-155, v_max=1e154)
 
 
-class TestEstimateWeights:
+SQUARE_ANCHORS = (
+    AnchorNode("a1", 500.0, 0.0),
+    AnchorNode("a2", 0.0, 500.0),
+    AnchorNode("a3", 500.0, 500.0),
+    AnchorNode("a4", -200.0, -200.0),
+)
+
+
+class TestEstimateLaw:
     @pytest.mark.parametrize(
         "overrides",
         [dict(process_noise_std=0.2), dict(process_noise_std=0.0), dict(n_steps=2000, dt=0.1), TINY_DT,
@@ -392,16 +400,16 @@ class TestEstimateWeights:
         truth = scen.truth_path(k_last)
         noise = np.random.default_rng(6).standard_normal((k_last + 1, 2))
         estimates = scen.track(truth + sigma_z * noise)
-        maps = scen.estimate_weights((0, 1, 5, k_last))
-        assert list(maps) == [0, 1, 5, k_last]
-        for k, (truth_k, weights, offset) in maps.items():
-            assert np.array_equal(truth_k, truth[k])
-            assert weights.shape == (2, 2 * (k + 1)) and weights.flags.c_contiguous
-            got = sigma_z * weights @ noise[: k + 1].ravel() + offset
+        laws = scen.estimate_law((0, 1, 5, k_last))
+        assert list(laws) == [0, 1, 5, k_last]
+        for k, law in laws.items():
+            assert np.array_equal(law.truth, truth[k])
+            assert law.weights.shape == (2, 2 * (k + 1)) and law.weights.flags.c_contiguous
+            got = sigma_z * law.weights @ noise[: k + 1].ravel() + law.offset
             assert np.abs(got - estimates[k, :2]).max() <= 1e-9, k
         # At tiny_dt the PU moves less than a unit in the last place per step.
         if (truth[1] != truth[0]).any():
-            assert np.abs(maps[1][2] - maps[1][0]).max() > 0.1
+            assert np.abs(laws[1].offset - laws[1].truth).max() > 0.1
 
     @pytest.mark.parametrize(
         "overrides",
@@ -414,37 +422,12 @@ class TestEstimateWeights:
         scen = default_scenario(n_steps=60, **overrides)
         k = scen.evaluation_step
         truth = scen.truth_path(k)
-        _, weights, _ = scen.estimate_weights((k,))[k]
+        weights = scen.estimate_law((k,))[k].weights
         base = scen.track(truth)[k, :2]
         units = np.eye(2 * (k + 1)).reshape(-1, k + 1, 2)
         columns = np.array([scen.track(truth + e)[k, :2] - base for e in units]).T
         assert np.abs(columns - weights).max() <= 1e-11
 
-    def test_one_recursion_equals_single_steps_bit_for_bit(self):
-        scen = default_scenario()
-        steps = (7, 0, 150, 1, 199)
-        maps = scen.estimate_weights(steps)
-        assert list(maps) == sorted(steps)
-        for k in steps:
-            (single,) = scen.estimate_weights((k,)).values()
-            for a, b in zip(maps[k], single):
-                assert a.tobytes() == b.tobytes(), k
-
-    @pytest.mark.parametrize("steps", [(), (-1,), (200,), (3.0,), (5, 2.5)])
-    def test_rejects_bad_steps(self, steps):
-        with pytest.raises(InvalidInputError, match="steps"):
-            default_scenario().estimate_weights(steps)
-
-
-SQUARE_ANCHORS = (
-    AnchorNode("a1", 500.0, 0.0),
-    AnchorNode("a2", 0.0, 500.0),
-    AnchorNode("a3", 500.0, 500.0),
-    AnchorNode("a4", -200.0, -200.0),
-)
-
-
-class TestEstimateLaw:
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -457,29 +440,28 @@ class TestEstimateLaw:
         ids=["stock", "eval_step_57", "K_1999_dt_0.1", "no_process_noise", "four_anchors"],
     )
     def test_law_is_the_weight_map_contracted(self, overrides):
-        # The law is the map reduced: factor factor^T against W W^T within
-        # 1e-12 relative, and the map's offset, track's noiseless row bit for bit.
+        # The factor is the Cholesky factor of W W^T, bit for bit, so
+        # factor factor^T is W W^T within 1e-12 relative; the offset is
+        # track's noiseless row bit for bit.
         scen = default_scenario(**overrides)
         k = scen.evaluation_step
-        truth_k, factor, offset = scen.estimate_law((k,))[k]
-        weights_truth, weights, weights_offset = scen.estimate_weights((k,))[k]
-        assert np.array_equal(truth_k, weights_truth)
-        assert factor.shape == (2, 2) and factor[0, 1] == 0.0
-        ww = weights @ weights.T
-        assert np.abs(factor @ factor.T - ww).max() <= 1e-12 * np.abs(ww).max()
-        assert np.abs(offset - weights_offset).max() <= 1e-12 * np.abs(weights_offset).max()
-        assert np.array_equal(offset, scen.track(scen.truth_path(k))[k, :2])
+        law = scen.estimate_law((k,))[k]
+        assert law.factor.shape == (2, 2) and law.factor[0, 1] == 0.0
+        ww = law.weights @ law.weights.T
+        assert np.array_equal(law.factor, np.linalg.cholesky(ww))
+        assert np.abs(law.factor @ law.factor.T - ww).max() <= 1e-12 * np.abs(ww).max()
+        assert np.array_equal(law.offset, scen.track(scen.truth_path(k))[k, :2])
 
     def test_one_recursion_equals_single_steps_bit_for_bit(self):
         scen = default_scenario()
         steps = (7, 0, 150, 1, 199)
         laws = scen.estimate_law(steps)
         assert list(laws) == sorted(steps)
-        assert np.array_equal(laws[0][1], np.eye(2))
+        assert np.array_equal(laws[0].factor, np.eye(2))
         for k in steps:
             (single,) = scen.estimate_law((k,)).values()
-            for a, b in zip(laws[k], single):
-                assert a.tobytes() == b.tobytes(), k
+            for name in ("truth", "weights", "factor", "offset"):
+                assert getattr(laws[k], name).tobytes() == getattr(single, name).tobytes(), (k, name)
 
     @pytest.mark.parametrize("steps", [(), (-1,), (200,), (3.0,), (5, 2.5)])
     def test_law_rejects_bad_steps(self, steps):
