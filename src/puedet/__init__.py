@@ -1,7 +1,7 @@
 """Detection of primary-user-emulation attacks against a mobile primary user.
 
 A Kalman filter tracks the primary user from position measurements; received
-signal strength at anchor nodes is inverted through a free-space path-loss
+signal strength at anchor nodes is inverted through a log-distance path-loss
 model into a second distance estimate; a transmitter whose two distance
 estimates disagree by at least tau is flagged as an attacker.  A seeded Monte
 Carlo harness measures detection, false-alarm, and miss probabilities across

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .detection import SINGLE_ANCHOR, DetectorConfig
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
+from .experiments import SCHEDULE_MIX
 from .propagation import LinkModel, NoiseModel, check_path_loss, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
 from .tracking import initial_estimate, predict, update
@@ -48,10 +49,6 @@ class TrackingConfig:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    pt: float = LinkModel.pt
-    gt: float = LinkModel.gt
-    gr: float = LinkModel.gr
-    wavelength: float = LinkModel.wavelength
     alpha: float = LinkModel.alpha
     # Desk-scale default for the SNR -> dB-noise mapping; at the stock geometry
     # it keeps the -10..10 dB grid inside the detector's informative range.
@@ -72,7 +69,7 @@ class SweepSettings:
     pfa_targets: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.3)
     bearings: tuple[float, ...] = ()
     roc_distance: float = 30.0
-    schedule_mix: float = 0.5
+    schedule_mix: float = SCHEDULE_MIX
     calibration_trials: int = 0
 
 
@@ -290,7 +287,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         anchors=tuple(AnchorNode(aid, x, y) for aid, x, y in sc.anchors),
         dt=sc.dt,
         meas_noise_std=sc.meas_noise_std,
-        link=LinkModel(cfg.link.pt, cfg.link.gt, cfg.link.gr, cfg.link.wavelength, cfg.link.alpha),
+        link=LinkModel(cfg.link.alpha),
         rss_noise=NoiseModel(0.0),
         n_steps=sc.steps,
         process_noise_std=cfg.tracking.process_noise_std,

@@ -42,7 +42,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SweepSettings
 from .detection import (
     ATTACKER,
     LEGITIMATE,
@@ -56,6 +55,10 @@ from .detection import (
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .propagation import sigma_from_snr
 from .scenario import PU, PUE, EstimateLaw, Scenario, emit_rss, truth_at
+
+# The default share of a cell's trials in which the attacker transmits.
+SCHEDULE_MIX = 0.5
+
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -235,10 +238,12 @@ def run_cell(
     Per trial, the cell's position generator yields two standard normals,
     which set the estimate from its exact law, and the RSS generator one per
     anchor; :func:`reference_trial` consumes the identical rows.
-    `law` is the scenario's :class:`~puedet.scenario.EstimateLaw` at the
-    evaluation step, passed in by sweeps that share it across cells and read
-    by :func:`_eval_law` otherwise; the cell uses its ``truth``, ``factor``
-    and ``offset``.  :func:`cell_streams` refuses a `master_seed` that is
+    `law` is the :class:`~puedet.scenario.EstimateLaw` at the step the cell
+    is evaluated at, passed in by sweeps that share it across cells and by
+    :func:`compare_baseline` at each of its steps, and read by
+    :func:`_eval_law` at the scenario's evaluation step otherwise; the cell
+    uses its ``truth``, ``factor`` and ``offset``, and reads no step of the
+    scenario.  :func:`cell_streams` refuses a `master_seed` that is
     not a non-negative integer.
     The estimate is computed one coordinate column at a time, with the same
     float operations per row whatever the cell's size.  Each transmitter
@@ -256,7 +261,6 @@ def run_cell(
     law = law if law is not None else _eval_law(scenario)
     (f00, f01), (f10, f11) = law.factor.tolist()
     link = scenario.link
-    a_link = link.link_constant_db
     _, pos_gen, rss_gen = cell_streams(master_seed)
     eta = pos_gen.standard_normal((n, 2))
     rss_noise = rss_gen.standard_normal((n, len(scenario.anchors)))
@@ -276,9 +280,9 @@ def run_cell(
     site = np.where(is_pue, np.arange(n) % len(attacker_xy) + 1, 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d_site = np.hypot(sites[:, :1] - ax, sites[:, 1:] - ay)
-        pr_site = -10.0 * link.alpha * np.log10(d_site) + a_link
+        pr_site = -10.0 * link.alpha * np.log10(d_site)
         pr = pr_site.take(site, axis=0) + scenario.rss_noise.sigma_db * rss_noise
-        d_rss = 10.0 ** ((a_link - pr) / (10.0 * link.alpha))
+        d_rss = 10.0 ** (-pr / (10.0 * link.alpha))
 
     # A transmitter on an anchor reads an infinite power, so one finiteness
     # test covers every reading; the loop only names the first failure.
@@ -413,7 +417,7 @@ def sweep_distance(
     master_seed: int,
     snr_calibration: float,
     bearings: Sequence[float] | None = None,
-    schedule_mix: float = SweepSettings.schedule_mix,
+    schedule_mix: float = SCHEDULE_MIX,
 ) -> list[MetricsReport]:
     """One MetricsReport per (attacker distance, SNR) cell, distance-major."""
     if len(distances) == 0 or len(snr_db_list) == 0:
@@ -443,7 +447,7 @@ def sweep_roc(
     snr_calibration: float,
     n_calibration: int | None = None,
     bearings: Sequence[float] | None = None,
-    schedule_mix: float = SweepSettings.schedule_mix,
+    schedule_mix: float = SCHEDULE_MIX,
     fusion: str = SINGLE_ANCHOR,
 ) -> list[MetricsReport]:
     """Calibrated-threshold operating points: per SNR, tau is fitted to each
@@ -494,7 +498,7 @@ def compare_baseline(
     n_trials: int,
     master_seed: int,
     distances: Sequence[float],
-    schedule_mix: float = SweepSettings.schedule_mix,
+    schedule_mix: float = SCHEDULE_MIX,
 ) -> list[BaselineComparison]:
     """Paired evaluation of the tracking detector against the static-reference
     RSS baseline as the PU walks away from a fixed attacker.
@@ -517,7 +521,7 @@ def compare_baseline(
 
     rows = []
     for i, (d, k) in enumerate(zip(distances, eval_steps)):
-        cell = run_cell(replace(base, eval_step=k), is_pue, [base.attacker_pos], child_seed(master_seed, 2, i), laws[k])
+        cell = run_cell(base, is_pue, [base.attacker_pos], child_seed(master_seed, 2, i), laws[k])
         pos = laws[k].truth
         actual = float(np.hypot(pos[0] - base.attacker_pos[0], pos[1] - base.attacker_pos[1]))
         # The baseline reads the same RSS against its fixed reference.

@@ -1,10 +1,11 @@
-"""Free-space path-loss radio model.
+"""Log-distance path-loss radio model.
 
 Forward direction: received power in dB at a given transmitter-receiver
 distance, optionally perturbed by Gaussian dB-domain noise.  Inverse
-direction: distance recovered from a received-power reading.  The dB
-expression carries no reference-power offset; every comparison in this
-package happens in the same convention, so the offset cancels.
+direction: distance recovered from a received-power reading.  Power is
+stated relative to the power received at 1 m: the detector inverts the same
+law it forwards, so the link budget, the distance-free term of the Friis
+law, cancels in every residual and is not modelled.
 """
 
 from __future__ import annotations
@@ -19,29 +20,13 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Radio link parameters.
+    """Radio link: alpha is the path-loss exponent (2 = free space)."""
 
-    pt: transmit power (W); gt/gr: antenna gains; wavelength (m);
-    alpha: path-loss exponent (2 = free space).
-    """
-
-    pt: float = 1.0
-    gt: float = 1.0
-    gr: float = 1.0
-    wavelength: float = 0.333
     alpha: float = 2.0
 
     def __post_init__(self):
-        vals = (self.pt, self.gt, self.gr, self.wavelength, self.alpha)
-        if not all(math.isfinite(v) and v > 0.0 for v in vals):
-            raise InvalidInputError(f"link parameters must be positive and finite, got {self}")
-
-    @property
-    def link_constant_db(self) -> float:
-        """The distance-independent dB term of the path-loss law, summed as
-        logs so that no product of the parameters can overflow or underflow."""
-        logs = math.log10(self.pt) + math.log10(self.gt) + math.log10(self.gr) + 2.0 * math.log10(self.wavelength)
-        return 10.0 * logs - 20.0 * math.log10(4.0 * math.pi)
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise InvalidInputError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +52,11 @@ class RssSample:
 
 
 def received_power_db(link: LinkModel, distance: float) -> float:
-    """Noiseless received power in dB at the given distance (m)."""
+    """Noiseless received power in dB, relative to 1 m, at the given
+    distance (m)."""
     if not (math.isfinite(distance) and distance > 0.0):
         raise InvalidInputError(f"distance must be > 0, got {distance}")
-    return -10.0 * link.alpha * math.log10(distance) + link.link_constant_db
+    return -10.0 * link.alpha * math.log10(distance)
 
 
 def sample_rss(
@@ -95,7 +81,7 @@ def distance_from_rss(link: LinkModel, pr_db: float) -> float:
     if not math.isfinite(pr_db):
         raise InvalidInputError(f"pr_db must be finite, got {pr_db}")
     try:
-        d = 10.0 ** ((link.link_constant_db - pr_db) / (10.0 * link.alpha))
+        d = 10.0 ** (-pr_db / (10.0 * link.alpha))
     except OverflowError:
         d = math.inf
     if not math.isfinite(d):
@@ -104,17 +90,18 @@ def distance_from_rss(link: LinkModel, pr_db: float) -> float:
 
 
 def check_path_loss(link: LinkModel) -> None:
-    """Refuse a path-loss exponent at which noiseless ranging loses the
-    distance: one so small that ``-10 alpha log10(d)`` vanishes against the
-    link constant, so that every distance ranges to about 1 m, or so large
-    that the received power leaves the float range.  Ranging 100 m and back
-    must hold to 1e-6 relative."""
+    """Refuse a path-loss exponent at which noiseless ranging of 200 m fails:
+    one so large (about 1e308) that the received power there leaves the
+    float range, or so small (below about 1e-319) that the power is a
+    subnormal float too coarse to invert.  Ranging 200 m and back must hold
+    to 1e-6 relative; 200 m because log10(200), unlike log10(100), is not
+    exact, so the rounding of a subnormal power shows."""
     try:
-        ranged = distance_from_rss(link, received_power_db(link, 100.0))
+        ranged = distance_from_rss(link, received_power_db(link, 200.0))
     except (InvalidInputError, NumericalDegeneracyError) as exc:
-        raise InvalidInputError(f"noiseless ranging of 100 m fails at alpha = {link.alpha:g}: {exc}") from None
-    if abs(ranged / 100.0 - 1.0) > 1e-6:
-        raise InvalidInputError(f"noiseless ranging of 100 m returns {ranged:.6g} m at alpha = {link.alpha:g}")
+        raise InvalidInputError(f"noiseless ranging of 200 m fails at alpha = {link.alpha:g}: {exc}") from None
+    if abs(ranged / 200.0 - 1.0) > 1e-6:
+        raise InvalidInputError(f"noiseless ranging of 200 m returns {ranged:.6g} m at alpha = {link.alpha:g}")
 
 
 def check_ranging_noise(link: LinkModel, noise: NoiseModel) -> None:

@@ -32,11 +32,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from `lo` to `hi`."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart(

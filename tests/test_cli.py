@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,22 @@ import pytest
 
 from puedet import cli, config, experiments
 from puedet.cli import main
-from puedet.config import build_scenario, loads_config
+from puedet.config import ExperimentConfig, build_scenario, loads_config
+from puedet.errors import ConfigError
 from puedet.experiments import MetricsReport, SweepCoords, cell_streams
 from puedet.scenario import Scenario, emit_position_measurement, truth_at
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+COMMANDS = ["track", "sweep-distance", "sweep-roc", "compare-baseline"]
+# Every key that one number can set; segments, anchors, fusion and out take
+# other text.
+NUMBER_KEYS = [
+    (section.name, key.name)
+    for section in fields(ExperimentConfig)
+    for key in fields(section.default_factory)
+    if key.name not in ("segments", "anchors", "fusion", "out")
+]
+EXTREME_NUMBERS = ["1e300", "-1e300", "1e150", "1e-300", "0", "-1", "nan", "inf", "-inf"]
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 SMALL_SWEEP = """
@@ -387,11 +399,13 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc", "compare-baseline"])
     @pytest.mark.parametrize("wavelength", ["1e-300", "1e300"])
     def test_extreme_wavelength_runs_or_names_its_key(self, tmp_path, capsys, command, wavelength):
-        # The product pt * gt * gr * wavelength^2 under- or overflows; the
-        # link constant must not.
-        rc, _ = run_cli(tmp_path, command, f"[link]\nwavelength = {wavelength}\n", "--trials", "500")
-        err = capsys.readouterr().err
-        assert rc == 0 or err.startswith("puedet: error: [link] wavelength"), err
+        # The link budget cancels in every residual, so [link] dropped
+        # wavelength with pt, gt and gr.  A config that still sets it is
+        # refused by name, not run as if the setting took effect.
+        rc, out = run_cli(tmp_path, command, f"[link]\nwavelength = {wavelength}\n", "--trials", "500")
+        assert rc == 1
+        assert capsys.readouterr().err == "puedet: error: unknown key 'wavelength' in section [link]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, setting",
@@ -432,36 +446,32 @@ class TestErrors:
         assert err.startswith("puedet: error: [") and key in err, err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc", "compare-baseline"])
-    @pytest.mark.parametrize("link", ["alpha = 1e-300", "snr_calibration = 1e150", "snr_calibration = 1e300"])
+    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc", "compare-baseline", "track"])
+    @pytest.mark.parametrize(
+        "link", ["alpha = 1e-300", "alpha = 1e-12", "snr_calibration = 1e150", "snr_calibration = 1e300"]
+    )
     def test_ranging_overflow_names_its_keys(self, tmp_path, capsys, command, link):
         # A one-sigma dB draw scales the RSS-implied distance past the float
         # range, so the sweeps refuse the config before any cell runs.
-        # compare-baseline ranges without RSS noise and runs.  At alpha =
-        # 1e-300 even noiseless ranging returns 1 m at every distance, so
-        # config validation refuses it first, on every command.
+        # track does not range, and compare-baseline ranges without RSS
+        # noise, so both run.
         rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n[link]\n{link}\n", "--trials", "40")
         err = capsys.readouterr().err
-        if link.startswith("alpha"):
-            assert rc == 1
-            assert err.startswith("puedet: error: [link] alpha: noiseless ranging of 100 m returns 1 m"), err
-            assert not out.exists()
-            return
-        if command == "compare-baseline":
+        if command in ("compare-baseline", "track"):
             assert rc == 0, err
             return
         assert rc == 1
         assert err.startswith("puedet: error: [link] alpha, snr_calibration, [sweep] snr_db: "), err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
-    @pytest.mark.parametrize("alpha", ["1e-300", "1e-12"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e308"])
     def test_path_loss_that_loses_the_distance_fails_writing_nothing(self, tmp_path, capsys, command, alpha):
-        # At 1e-300 every distance ranges to 1 m, so compare-baseline would
-        # report P_fa = 1 in both arms; at 1e-12, 100 m ranges to 99.96 m.
+        # The received power at 200 m is subnormal, so 200 m ranges to
+        # 199.5 m, or it is not finite.
         rc, out = run_cli(tmp_path, command, f"[scenario]\nsteps = 30\n[link]\nalpha = {alpha}\n", "--trials", "40")
         assert rc == 1
-        assert capsys.readouterr().err.startswith("puedet: error: [link] alpha: noiseless ranging of 100 m ")
+        assert capsys.readouterr().err.startswith("puedet: error: [link] alpha: noiseless ranging of 200 m ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -492,6 +502,32 @@ class TestErrors:
         rc, _ = run_cli(tmp_path, "track", "", "--seed", "-1")
         assert rc == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", NUMBER_KEYS, ids=[f"{s}-{k}" for s, k in NUMBER_KEYS])
+    def test_extreme_number_is_refused_or_runs_clean(self, tmp_path, capsys, section, key):
+        # A value the config refuses is a ConfigError; one it accepts runs
+        # every command to rc 0, or to one config-named error line and an
+        # output directory with nothing in it.
+        for value in EXTREME_NUMBERS:
+            settings = {"scenario": {"steps": "30"}}
+            settings.setdefault(section, {})[key] = value
+            text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in settings.items())
+            try:
+                loads_config(text)
+            except ConfigError:
+                continue
+            for command in COMMANDS:
+                run_dir = tmp_path / f"{value}-{command}"
+                run_dir.mkdir()
+                with warnings.catch_warnings():
+                    # Five calibration trials resolve no false-alarm rate below 1/5.
+                    warnings.filterwarnings("ignore", "calibrated tau=", RuntimeWarning)
+                    rc, out = run_cli(run_dir, command, text, "--trials", "5")
+                err = capsys.readouterr().err
+                case = f"{key} = {value}, {command}: {err}"
+                if rc != 0:
+                    assert rc == 1 and err.startswith("puedet: error: [") and err.count("\n") == 1, case
+                    assert not out.exists() or list(out.iterdir()) == [], case
 
 
 # The stock trajectory at 2500 steps, whose chart formats 6 x 2500 = 15 000
@@ -590,7 +626,7 @@ class TestForkedWrite:
         err = capsys.readouterr().err
         assert err == f"puedet: error: writing {out / 'track.svg'} failed in a child process (exit status 255)\n"
 
-    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_stock_outputs_are_written_in_process(self, tmp_path, monkeypatch, command):
         # Stock track's chart formats 1 200 values, and a sweep's far fewer.
         refuse_fork(monkeypatch)
@@ -598,7 +634,7 @@ class TestForkedWrite:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("command", ["track", "sweep-distance", "sweep-roc", "compare-baseline"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_config_is_validated_once_per_run(self, tmp_path, monkeypatch, command):
         calls = []
 

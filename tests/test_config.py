@@ -33,10 +33,6 @@ process_noise_std = 0.3
 v_max = 12
 
 [link]
-pt = 2.0
-gt = 1.1
-gr = 0.9
-wavelength = 0.125
 alpha = 2.2
 snr_calibration = 0.2
 
@@ -173,16 +169,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             loads_config(text)
 
-    @pytest.mark.parametrize("alpha", ["1e-300", "1e-17", "1e-12", "1e308"])
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e-320", "1e308"])
     def test_path_loss_that_loses_the_distance_names_alpha(self, alpha):
-        # Noiseless ranging of 100 m returns 1 m at 1e-300 and 1e-17, and is
-        # off by 4e-4 at 1e-12; at 1e308 the received power is not finite.
-        with pytest.raises(ConfigError, match=r"^\[link\] alpha: noiseless ranging of 100 m "):
+        # At 5e-324 200 m ranges to 199.5 m, and at 1e-320 it is off by
+        # 2e-5: the power is subnormal.  At 1e308 it is not finite.
+        with pytest.raises(ConfigError, match=r"^\[link\] alpha: noiseless ranging of 200 m "):
             loads_config(f"[link]\nalpha = {alpha}\n")
 
-    @pytest.mark.parametrize("alpha", ["1e-10", "0.01", "2.0", "1e300"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-17", "1e-12", "1e-10", "0.01", "2.0", "1e300"])
     def test_path_loss_that_keeps_the_distance_loads(self, alpha):
-        # 1e-10 ranges 100 m to within 4e-7, inside the 1e-6 bound.
+        # The power is relative to 1 m, so no constant term swamps
+        # -10 alpha log10(d), even at an alpha of 1e-300.
         assert loads_config(f"[link]\nalpha = {alpha}\n").link.alpha == float(alpha)
 
     def test_zero_trials(self):

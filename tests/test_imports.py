@@ -24,6 +24,23 @@ def private_imports(tree: ast.AST) -> list[str]:
     return found
 
 
+def imports_of(module: str, targets: tuple[str, ...]) -> list[str]:
+    """The lines of package module `module` that import one of the modules
+    `targets`, or a name from one of them."""
+    tree = ast.parse((ROOT / "src" / "puedet" / module).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] in targets for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
 def test_sources_were_found():
     assert any(p.name == "experiments.py" for p in SOURCES)
 
@@ -56,15 +73,12 @@ def test_experiments_reach_the_tracker_only_through_the_scenario(module):
     ``Scenario.estimate_law``, the reference route takes its states from
     ``Scenario.track``, the detector takes a position, and neither imports
     anything from ``puedet.tracking`` itself."""
-    tree = ast.parse((ROOT / "src" / "puedet" / module).read_text(encoding="utf-8"))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        if any(name.split(".")[-1] == "tracking" for name in names):
-            found.append(f"line {node.lineno}")
-    assert found == []
+    assert imports_of(module, ("tracking",)) == []
+
+
+@pytest.mark.parametrize("module", ["scenario", "tracking", "propagation", "detection", "experiments", "svgplot"])
+def test_library_reaches_neither_config_nor_cli(module):
+    """The library modules sit below the config file and the command line:
+    a default that a config section shares lives in the library, and the
+    section reads it from there."""
+    assert imports_of(f"{module}.py", ("config", "cli")) == []

@@ -15,27 +15,15 @@ from puedet.propagation import (
     sigma_from_snr,
 )
 
-links = st.builds(
-    LinkModel,
-    pt=st.floats(1e-3, 1e3),
-    gt=st.floats(0.1, 100),
-    gr=st.floats(0.1, 100),
-    wavelength=st.floats(1e-3, 10),
-    alpha=st.floats(0.5, 6),
-)
+links = st.builds(LinkModel, alpha=st.floats(0.5, 6))
 distances = st.floats(1e-3, 1e6)
 
 
 class TestLinkModel:
-    def test_link_constant_matches_definition(self):
-        link = LinkModel(pt=2.0, gt=1.5, gr=0.8, wavelength=0.125, alpha=3.0)
-        expected = 10 * math.log10(2.0 * 1.5 * 0.8 * 0.125**2) - 20 * math.log10(4 * math.pi)
-        assert abs(link.link_constant_db - expected) <= 1e-9
-
     def test_rejects_nonpositive_parameters(self):
-        for kwargs in ({"pt": 0.0}, {"gt": -1.0}, {"wavelength": 0.0}, {"alpha": 0.0}):
+        for alpha in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidInputError):
-                LinkModel(**kwargs)
+                LinkModel(alpha=alpha)
 
 
 class TestReceivedPower:
@@ -45,17 +33,17 @@ class TestReceivedPower:
             drop = received_power_db(link, d) - received_power_db(link, 2 * d)
             assert drop == pytest.approx(20 * math.log10(2), abs=1e-9)
 
-    def test_unit_distance_returns_link_constant(self):
-        link = LinkModel(pt=3.0, wavelength=0.5)
-        assert received_power_db(link, 1.0) == link.link_constant_db
+    @pytest.mark.parametrize("alpha", [1e-300, 0.5, 2.0, 1e300])
+    def test_unit_distance_is_the_zero_db_reference(self, alpha):
+        assert received_power_db(LinkModel(alpha=alpha), 1.0) == 0.0
 
     def test_matches_linear_domain_oracle(self):
-        # Independent route: evaluate the linear free-space law and convert
-        # to dB, instead of using the dB-domain expression.
-        link = LinkModel(pt=1.0, gt=1.0, gr=1.0, wavelength=0.333, alpha=2.0)
-        d = 100.0
-        pr_linear = link.pt * link.gt * link.gr * link.wavelength**2 / (4 * math.pi * d) ** 2
-        assert received_power_db(link, d) == pytest.approx(10 * math.log10(pr_linear), abs=1e-9)
+        # Independent route: evaluate the linear law d**-alpha, the power
+        # relative to 1 m, and convert to dB, instead of using the dB-domain
+        # expression.
+        for alpha, d in ((2.0, 100.0), (3.5, 0.25), (0.5, 4e5)):
+            pr = received_power_db(LinkModel(alpha=alpha), d)
+            assert pr == pytest.approx(10 * math.log10(d**-alpha), abs=1e-9)
 
     def test_rejects_nonpositive_distance(self):
         link = LinkModel()
@@ -76,13 +64,21 @@ class TestRoundTrip:
         back = distance_from_rss(link, received_power_db(link, d))
         assert back == pytest.approx(d, rel=1e-9)
 
-    def test_link_constant_maps_to_one_meter(self):
-        link = LinkModel()
-        assert distance_from_rss(link, link.link_constant_db) == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("alpha", [1e-300, 0.5, 2.0, 1e300])
+    def test_zero_db_maps_to_one_meter(self, alpha):
+        assert distance_from_rss(LinkModel(alpha=alpha), 0.0) == 1.0
 
     def test_forty_db_is_two_decades_at_alpha_two(self):
         link = LinkModel(alpha=2.0)
-        assert distance_from_rss(link, link.link_constant_db - 40.0) == pytest.approx(100.0, rel=1e-12)
+        assert distance_from_rss(link, -40.0) == pytest.approx(100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 1e300])
+    def test_extreme_exponent_keeps_the_distance(self, alpha):
+        # No constant term sits beside -10 alpha log10(d), so ranging
+        # returns the distance it was given at either extreme of alpha.
+        link = LinkModel(alpha=alpha)
+        for d in (0.5, 100.0, 1e6):
+            assert distance_from_rss(link, received_power_db(link, d)) == pytest.approx(d, rel=1e-12)
 
 
 class TestSampleRss:
