@@ -14,14 +14,22 @@ over the measurements.  Both routes read that law as one
 W.T``.  The engine draws the estimate from it: two standard normals eta per
 trial, mapped as ``offset + meas_noise_std * L @ eta`` one coordinate column
 at a time, instead of 2(K + 1) measurement normals.  Each sweep reads the
-law once for all of its cells.  A cell has few transmitter sites, the PU's
-true position and the attacker's k sites, so each site is ranged to each
-anchor once and every trial reads its own site's path loss; the readings are
-checked once over the whole cell.
-:func:`run_cell` returns a :class:`Cell` of per-trial arrays, which is
-scored at any threshold without re-running it.  The sweeps run their cells
-one after another, in cell order, so the first failing cell decides the
-error.
+law once for all of its cells.
+
+A cell runs in two stages.  The site stage ranges each transmitter site, the
+PU's true position and the attacker's k sites, to each anchor once and gives
+every trial its own site's noiseless received power; a used site on an
+anchor is recorded, not raised.  The trial stage draws the cell's streams,
+adds each trial's RSS noise, inverts, and raises the recorded error before
+checking the readings once over the whole cell.  :func:`run_cell` runs the
+two stages once and returns a :class:`Cell` of per-trial arrays, which is
+scored at any threshold without re-running it.  A sweep builds a site
+table once for the cells that share it, one per distance in
+:func:`sweep_distance` and one for each label set in :func:`sweep_roc`, and
+:func:`sweep_distance` counts the verdicts of all of its cells in one pass,
+since they share their labels.  The sweeps run their cells one after
+another, in cell order, and a table's error surfaces at the first cell that
+reads it, so the first failing cell decides the error.
 
 :func:`reference_trial` is the plain one-trial-at-a-time statement of the
 same procedure.  It reads the map W and factor L of the same law, and
@@ -223,6 +231,75 @@ class Cell:
         ]
 
 
+class _Sites(NamedTuple):
+    """A cell's site stage: the schedule labels, the noiseless received power
+    of each trial's transmitter at each anchor, shape (n_trials, n_anchors),
+    and the error of a used site that sits on an anchor, raised by the trial
+    stage, not here."""
+
+    is_pue: np.ndarray
+    pr: np.ndarray
+    error: InvalidInputError | None
+
+
+def _site_stage(scenario: Scenario, truth: np.ndarray, attacker_xy: np.ndarray, is_pue: np.ndarray) -> _Sites:
+    """Range each transmitter site to each anchor once, and give trial i the
+    path-loss row of attacker site ``i % k`` if ``is_pue[i]``, else of the
+    PU's true position `truth`."""
+    n = len(is_pue)
+    ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
+    # Site 0 is the PU's true position and site 1 + s attacker site s.
+    sites = np.concatenate(([truth], attacker_xy))
+    site = np.where(is_pue, np.arange(n) % len(attacker_xy) + 1, 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_site = np.hypot(sites[:, :1] - ax, sites[:, 1:] - ay)
+        pr_site = -10.0 * scenario.link.alpha * np.log10(d_site)
+    error = None
+    if (d_site <= 0.0).any():
+        # Only a site that some trial uses can coincide with an anchor.
+        on_anchor = (d_site[np.unique(site)] <= 0.0).any(axis=0)
+        if on_anchor.any():
+            error = InvalidInputError(f"transmitter coincides with anchor {scenario.anchors[on_anchor.argmax()].id!r}")
+    return _Sites(is_pue, pr_site.take(site, axis=0), error)
+
+
+def _trial_stage(scenario: Scenario, sites: _Sites, sigma_db: float, master_seed: int, law: EstimateLaw) -> Cell:
+    """The :class:`Cell` of the trials of `sites` under RSS noise `sigma_db`
+    and the cell's streams from `master_seed`.  Raises the error that `sites`
+    recorded, then any reading or inversion that is not finite, named in
+    anchor order."""
+    _, pos_gen, rss_gen = cell_streams(master_seed)
+    if sites.error is not None:
+        raise sites.error
+    n, n_anchors = sites.pr.shape
+    (f00, f01), (f10, f11) = law.factor.tolist()
+    eta = pos_gen.standard_normal((n, 2))
+    rss_noise = rss_gen.standard_normal((n, n_anchors))
+
+    # est = offset + sigma_z * L @ eta per row, written elementwise so that a
+    # row's value does not depend on how many rows the cell has.
+    e0, e1 = eta[:, 0], eta[:, 1]
+    sigma_z = scenario.meas_noise_std
+    est_x = (e0 * f00 + e1 * f01) * sigma_z + law.offset[0]
+    est_y = (e0 * f10 + e1 * f11) * sigma_z + law.offset[1]
+    ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
+    d_kf = np.hypot(est_x[:, None] - ax, est_y[:, None] - ay)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pr = sites.pr + sigma_db * rss_noise
+        d_rss = 10.0 ** (-pr / (10.0 * scenario.link.alpha))
+    if not np.isfinite(pr).all():
+        j = (~np.isfinite(pr).all(axis=0)).argmax()
+        bad = ~np.isfinite(pr[:, j])
+        raise InvalidInputError(f"pr_db must be finite, got {pr[bad, j][0]} at anchor {scenario.anchors[j].id!r}")
+    if not np.isfinite(d_rss).all():
+        bad = ~np.isfinite(d_rss).all(axis=0)
+        raise NumericalDegeneracyError(
+            f"anchor {scenario.anchors[bad.argmax()].id!r}: RSS-implied distance left the finite range"
+        )
+    return Cell(sites.is_pue, d_kf, d_rss, int(master_seed))
+
+
 def run_cell(
     scenario: Scenario,
     is_pue: np.ndarray,
@@ -235,9 +312,19 @@ def run_cell(
     from the PU's true position.  `attacker_xy` holds k >= 1 sites, shape
     (k, 2); an (n, 2) array gives every trial a site of its own.
 
-    Per trial, the cell's position generator yields two standard normals,
-    which set the estimate from its exact law, and the RSS generator one per
-    anchor; :func:`reference_trial` consumes the identical rows.
+    The cell is :func:`_site_stage` followed by :func:`_trial_stage`, the
+    two stages that the sweeps run too, with one site table for all the cells
+    that share it.  The site stage ranges each transmitter site, the PU's
+    true position or an attacker site, to each anchor once, and gives each
+    trial its site's path-loss term; a used site that sits on an anchor is
+    recorded, not raised.  Per trial, the trial stage draws two standard
+    normals from the cell's position generator, which set the estimate from
+    its exact law, and one per anchor from the RSS generator, which it adds
+    to the path-loss term before the inversion; :func:`reference_trial`
+    consumes the identical rows.  The estimate is computed one coordinate
+    column at a time, with the same float operations per row whatever the
+    cell's size.  The trial stage raises the site table's error first, then
+    any reading or inversion that is not finite, named in anchor order.
     `law` is the :class:`~puedet.scenario.EstimateLaw` at the step the cell
     is evaluated at, passed in by sweeps that share it across cells and by
     :func:`compare_baseline` at each of its steps, and read by
@@ -245,13 +332,6 @@ def run_cell(
     uses its ``truth``, ``factor`` and ``offset``, and reads no step of the
     scenario.  :func:`cell_streams` refuses a `master_seed` that is
     not a non-negative integer.
-    The estimate is computed one coordinate column at a time, with the same
-    float operations per row whatever the cell's size.  Each transmitter
-    site, the PU's true position or an attacker site, is ranged to each
-    anchor once, and each trial reads its site's path-loss term before its
-    own RSS noise is added.  Every reading is checked before any inversion;
-    a failure is named in anchor order, and only a site that some trial
-    uses can coincide with an anchor.
     """
     is_pue = np.array(is_pue, dtype=bool)
     attacker_xy = np.asarray(attacker_xy, dtype=float)
@@ -259,47 +339,8 @@ def run_cell(
     if n < 1 or attacker_xy.ndim != 2 or attacker_xy.shape[0] < 1 or attacker_xy.shape[1] != 2:
         raise InvalidInputError("need n >= 1 schedule labels and k >= 1 attacker sites, shape (k, 2)")
     law = law if law is not None else _eval_law(scenario)
-    (f00, f01), (f10, f11) = law.factor.tolist()
-    link = scenario.link
-    _, pos_gen, rss_gen = cell_streams(master_seed)
-    eta = pos_gen.standard_normal((n, 2))
-    rss_noise = rss_gen.standard_normal((n, len(scenario.anchors)))
-
-    # est = offset + sigma_z * L @ eta per row, written elementwise so that a
-    # row's value does not depend on how many rows the cell has.
-    e0, e1 = eta[:, 0], eta[:, 1]
-    sigma_z = scenario.meas_noise_std
-    est_x = (e0 * f00 + e1 * f01) * sigma_z + law.offset[0]
-    est_y = (e0 * f10 + e1 * f11) * sigma_z + law.offset[1]
-    ax, ay = np.array([(a.x, a.y) for a in scenario.anchors]).T
-    d_kf = np.hypot(est_x[:, None] - ax, est_y[:, None] - ay)
-
-    # Site 0 is the PU's true position and site 1 + s attacker site s.  Each
-    # is ranged once; trial i reads site 1 + i % k if the attacker transmits.
-    sites = np.concatenate(([law.truth], attacker_xy))
-    site = np.where(is_pue, np.arange(n) % len(attacker_xy) + 1, 0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_site = np.hypot(sites[:, :1] - ax, sites[:, 1:] - ay)
-        pr_site = -10.0 * link.alpha * np.log10(d_site)
-        pr = pr_site.take(site, axis=0) + scenario.rss_noise.sigma_db * rss_noise
-        d_rss = 10.0 ** (-pr / (10.0 * link.alpha))
-
-    # A transmitter on an anchor reads an infinite power, so one finiteness
-    # test covers every reading; the loop only names the first failure.
-    if not np.isfinite(pr).all():
-        used = d_site[np.unique(site)]
-        for j, anchor in enumerate(scenario.anchors):
-            if (used[:, j] <= 0.0).any():
-                raise InvalidInputError(f"transmitter coincides with anchor {anchor.id!r}")
-            bad = ~np.isfinite(pr[:, j])
-            if bad.any():
-                raise InvalidInputError(f"pr_db must be finite, got {pr[bad, j][0]} at anchor {anchor.id!r}")
-    if not np.isfinite(d_rss).all():
-        bad = ~np.isfinite(d_rss).all(axis=0)
-        raise NumericalDegeneracyError(
-            f"anchor {scenario.anchors[bad.argmax()].id!r}: RSS-implied distance left the finite range"
-        )
-    return Cell(is_pue, d_kf, d_rss, int(master_seed))
+    sites = _site_stage(scenario, law.truth, attacker_xy, is_pue)
+    return _trial_stage(scenario, sites, scenario.rss_noise.sigma_db, master_seed, law)
 
 
 def _schedule_labels(n_trials: int, schedule_mix: float) -> np.ndarray:
@@ -426,15 +467,17 @@ def sweep_distance(
     is_pue = _schedule_labels(n_trials, schedule_mix)
     # Every argument is checked before the first cell runs.
     positions = [attacker_positions(base, d, bearings) for d in distances]
-    noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
+    sigmas = [sigma_from_snr(snr, snr_calibration).sigma_db for snr in snr_db_list]
     law = _eval_law(base)
-    return [
-        run_cell(
-            replace(base, rss_noise=noise), is_pue, attacker_xy, child_seed(master_seed, 0, i, j), law
-        ).score(config, SweepCoords(float(d), float(snr), config.tau))
-        for i, (d, attacker_xy) in enumerate(zip(distances, positions))
-        for j, (snr, noise) in enumerate(zip(snr_db_list, noises))
-    ]
+    # The cells share their labels, so every cell's verdicts are counted at once.
+    flags, coords = [], []
+    for i, (d, attacker_xy) in enumerate(zip(distances, positions)):
+        sites = _site_stage(base, law.truth, attacker_xy, is_pue)
+        for j, (snr, sigma_db) in enumerate(zip(snr_db_list, sigmas)):
+            cell = _trial_stage(base, sites, sigma_db, child_seed(master_seed, 0, i, j), law)
+            flags.append(cell._verdicts([config])[1])
+            coords.append(SweepCoords(float(d), float(snr), config.tau))
+    return _count(is_pue, np.concatenate(flags), coords)
 
 
 def sweep_roc(
@@ -466,14 +509,15 @@ def sweep_roc(
 
     is_pue = _schedule_labels(n_trials, schedule_mix)
     attacker_xy = attacker_positions(base, d_pu_pue, bearings)
-    noises = [sigma_from_snr(snr, snr_calibration) for snr in snr_db_list]
+    sigmas = [sigma_from_snr(snr, snr_calibration).sigma_db for snr in snr_db_list]
     law = _eval_law(base)
+    cal_sites = _site_stage(base, law.truth, attacker_xy, np.zeros(n_cal, dtype=bool))
+    eval_sites = _site_stage(base, law.truth, attacker_xy, is_pue)
     reports = []
     # Each SNR's calibration cell, then its evaluation cell.
-    for j, (snr, noise) in enumerate(zip(snr_db_list, noises)):
-        cell_scenario = replace(base, rss_noise=noise)
-        cal = run_cell(cell_scenario, np.zeros(n_cal, dtype=bool), attacker_xy, child_seed(master_seed, 1, j, 0), law)
-        eval_cell = run_cell(cell_scenario, is_pue, attacker_xy, child_seed(master_seed, 1, j, 1), law)
+    for j, (snr, sigma_db) in enumerate(zip(snr_db_list, sigmas)):
+        cal = _trial_stage(base, cal_sites, sigma_db, child_seed(master_seed, 1, j, 0), law)
+        eval_cell = _trial_stage(base, eval_sites, sigma_db, child_seed(master_seed, 1, j, 1), law)
         configs = calibrate_taus(cal.residuals(fusion), pfa_targets, fusion)
         reports += eval_cell.scores(configs, [SweepCoords(float(d_pu_pue), float(snr), c.tau) for c in configs])
     return reports

@@ -901,21 +901,28 @@ class TestSweepsMatchSerialCells:
     cell order."""
 
     def test_sweep_distance(self):
-        scen = default_scenario(n_steps=30)
-        cfg = DetectorConfig(25.0)
         n, seed, cal = 300, 5, 0.15
         distances, snrs = (20.0, 60.0), (-10.0, 0.0, 10.0)
-        reports = sweep_distance(scen, distances, snrs, cfg, n, seed, cal, schedule_mix=0.5)
         is_pue = np.arange(n) < n // 2
-        serial = [
-            run_cell(
-                replace(scen, rss_noise=sigma_from_snr(snr, cal)), is_pue,
-                attacker_positions(scen, d), child_seed(seed, 0, i, j),
-            ).score(cfg, SweepCoords(d, snr, cfg.tau))
-            for i, d in enumerate(distances)
-            for j, snr in enumerate(snrs)
+        cases = [
+            ({}, "single", None),
+            # Or-fusion over four anchors, three bearings and a non-final
+            # evaluation step: the sweep's one count holds under every fusion.
+            (dict(anchors=SQUARE_ANCHORS, eval_step=17), "or", (0.3, 2.0, 4.1)),
         ]
-        assert reports == serial
+        for overrides, fusion, bearings in cases:
+            scen = default_scenario(n_steps=30, **overrides)
+            cfg = DetectorConfig(25.0, fusion)
+            reports = sweep_distance(scen, distances, snrs, cfg, n, seed, cal, bearings=bearings, schedule_mix=0.5)
+            serial = [
+                run_cell(
+                    replace(scen, rss_noise=sigma_from_snr(snr, cal)), is_pue,
+                    attacker_positions(scen, d, bearings), child_seed(seed, 0, i, j),
+                ).score(cfg, SweepCoords(d, snr, cfg.tau))
+                for i, d in enumerate(distances)
+                for j, snr in enumerate(snrs)
+            ]
+            assert reports == serial
 
     def test_sweep_roc(self):
         scen = default_scenario(n_steps=30, anchors=SQUARE_ANCHORS[:2])
@@ -996,6 +1003,17 @@ class TestSweepsMatchSerialCells:
         # The cells of SNR -40 alone raise their own error.
         with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
             sweep_roc(scen, d, (-40.0,), (0.1,), n, 3, 1.0, **kwargs)
+        # With SNR -40 first, its calibration cell fails before any cell
+        # reads the evaluation site on the anchor: a site is checked by the
+        # first cell that reads it, not when the sweep starts.
+        with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
+            sweep_roc(scen, d, (-40.0, 0.0), (0.1,), n, 3, 1.0, **kwargs)
+        # So too across distances: cell (10 m, -40 dB) fails before any cell
+        # at distance d runs.
+        with pytest.raises(NumericalDegeneracyError, match="anchor 'a1'"):
+            sweep_distance(
+                scen, (10.0, d), (0.0, -40.0), DetectorConfig(10.0), n, 3, 1.0, bearings=bearings, schedule_mix=1.0
+            )
 
 
 def test_calibrated_config_hits_target_roughly():
