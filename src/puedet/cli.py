@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios and sweeps, write CSV tables,
 self-rendered SVG charts, and a manifest that reproduces the run exactly.
 
-Subcommands: track, sweep-distance, sweep-roc, compare-baseline.  Each one
+Commands: track, sweep-distance, sweep-roc, compare-baseline.  Each one
 returns its files by name, every table checked and every chart built, each as
 a function that formats and writes it, and only then is any file written, so a
 failing command writes none.  A file that formats at least _FORK_VALUES values,
@@ -278,17 +278,16 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # One parser: every command takes the same options, before or after it.
     parser = argparse.ArgumentParser(
         prog="puedet",
         description="Primary-user-emulation attack detection experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        p.add_argument("--out", type=str, default=None, help="output directory (overrides config)")
-        p.add_argument("--trials", type=int, default=None, help="trials per cell (overrides config)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", type=str, default=None, help="config file path")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--out", type=str, default=None, help="output directory (overrides config)")
+    parser.add_argument("--trials", type=int, default=None, help="trials per cell (overrides config)")
     return parser
 
 

@@ -11,21 +11,30 @@ form: the estimate at step k as a fixed map W of the measurements about the
 noiseless run, built in O(k) by one backward pass over the gains, so its
 law under white measurement noise is ``N(state[:2], sigma**2 W W^T)``
 (Bar-Shalom, Li & Kirubarajan 2001, sec. 5.2).  The covariance recursion
-does not depend on the data, so both consume one gain sequence, in which the
-gain is reused, not recomputed, once the covariance reaches its exact
-floating-point fixed point (it returns itself bit for bit; step 132 for the
-stock tracker).  This is not an approximation: every state equals the
-per-step route's bit for bit.  A model with no fixed point, such as one with
-zero process noise, runs the full recursion at every step.
+does not depend on the data, so both consume one list of gains from
+:func:`_gains`, in which the gain is reused, not recomputed, once the
+covariance reaches its exact floating-point fixed point (it returns itself
+bit for bit; step 132 for the stock tracker).  This is not an approximation:
+every state equals the per-step route's bit for bit.  A model with no fixed
+point, such as one with zero process noise, runs the full recursion at every
+step.
+
+The per-step covariance functions and the gain loop share one copy of each
+formula, on plain floats: :func:`_predicted_upper` for the prediction and
+:func:`_gain_and_upper` for the gain and posterior.  A per-step call enters
+``np.errstate`` around its one BLAS product; :func:`_gains` enters it once
+around all its steps, and returns a list, not a generator, so the error
+state is back as it was before any caller sees a gain or an error.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from math import isfinite
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +43,9 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 # Read-only template that MotionModel.transition_matrix copies.
 _IDENTITY4 = np.eye(4)
 _IDENTITY4.flags.writeable = False
+
+# 16 native doubles: the buffer of a C-ordered 4x4 float64 array.
+_PACK16 = struct.Struct("16d")
 
 # Innovation covariance S is declared singular when |det S| < DEGENERACY_TOL * trace(S)^2.
 DEGENERACY_TOL = 1e-12
@@ -185,47 +197,41 @@ def _estimate(state: TargetState, covariance: np.ndarray) -> FilterEstimate:
     return est
 
 
-def _symmetric(u00, u01, u02, u03, u11, u12, u13, u22, u23, u33) -> np.ndarray:
-    """The symmetric 4x4 array with the given upper triangle.
-
-    Raises InvalidInputError when an entry is not finite (the recursion
-    overflowed), so no non-finite covariance leaves this module.
-    """
+def _check_upper(u: tuple) -> None:
+    """Raise InvalidInputError when an entry of the covariance triangle `u`
+    is not finite (the recursion overflowed), so no non-finite covariance
+    leaves this module."""
+    u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = u
     if not (
         isfinite(u00) and isfinite(u01) and isfinite(u02) and isfinite(u03) and isfinite(u11)
         and isfinite(u12) and isfinite(u13) and isfinite(u22) and isfinite(u23) and isfinite(u33)
     ):
         raise InvalidInputError("covariance recursion left the finite range")
-    # Filled in place: a reshaped view would keep a second array object alive
+
+
+def _symmetric(u: tuple) -> np.ndarray:
+    """The symmetric 4x4 array with upper triangle `u` (10 row-major
+    floats), checked by :func:`_check_upper`."""
+    _check_upper(u)
+    u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = u
+    # Packed into the array's own buffer, several times cheaper than
+    # assigning .flat; a reshaped view would keep a second array object alive
     # with every stored covariance.
     out = np.empty((4, 4))
-    out.flat = (u00, u01, u02, u03, u01, u11, u12, u13, u02, u12, u22, u23, u03, u13, u23, u33)
+    _PACK16.pack_into(out, 0, u00, u01, u02, u03, u01, u11, u12, u13, u02, u12, u22, u23, u03, u13, u23, u33)
     return out
 
 
-def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
-    """Predicted covariance symmetrize(A P A^T + Q), with A and Q as given by
-    :meth:`MotionModel.transition_matrix` and :meth:`MotionModel.process_noise`.
-
-    A P A^T is left to the BLAS matrix product, as in ``a @ p @ a.T``: the
-    kernel may fuse multiply-adds, which float arithmetic in Python cannot
-    reproduce, and the product must round as the matrix definition does.
-    (``ndarray.dot`` reaches the same kernel with less call overhead than
-    ``@``.)  Q and the symmetrization are applied entry by entry.  Shared by
-    :func:`predict` and the gain sequence of :func:`track` and
-    :func:`track_weights`.  Raises InvalidInputError if the result is not
-    finite.
-    """
-    a = model.transition_matrix()
-    # An overflowing product is reported by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        apa = a.dot(p).dot(a.T).tolist()
+def _predicted_upper(apa: list, model: MotionModel) -> tuple:
+    """The upper triangle (10 row-major floats) of symmetrize(A P A^T + Q),
+    from the rows of the product A P A^T: Q and the symmetrization entry by
+    entry.  Nothing is checked for finiteness."""
     (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = apa
     dt = model.dt
     h = 0.5 * dt * dt
     sx, sy = model.sigma_wx2, model.sigma_wy2
     qx, qy = h * dt * sx, h * dt * sy
-    return _symmetric(
+    return (
         m00 + h * h * sx,
         0.5 * (m01 + m10),
         0.5 * ((m02 + qx) + (m20 + qx)),
@@ -237,6 +243,29 @@ def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
         0.5 * (m23 + m32),
         m33 + dt * dt * sy,
     )
+
+
+def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
+    """Predicted covariance symmetrize(A P A^T + Q), with A and Q as given by
+    :meth:`MotionModel.transition_matrix` and :meth:`MotionModel.process_noise`.
+
+    A P A^T is left to the BLAS matrix product, as in ``a @ p @ a.T``: the
+    kernel may fuse multiply-adds, which float arithmetic in Python cannot
+    reproduce, and the product must round as the matrix definition does.
+    (``ndarray.dot`` reaches the same kernel with less call overhead than
+    ``@``.)  Q and the symmetrization are applied entry by entry, by
+    :func:`_predicted_upper`.  This is the per-step form, used by
+    :func:`predict`, and it enters ``np.errstate`` for its one product; the
+    gain loop of :func:`track` and :func:`track_weights` (:func:`_gains`)
+    runs the same product and the same helper with ``np.errstate`` entered
+    once around all its steps.  Raises InvalidInputError if the result is not
+    finite.
+    """
+    a = model.transition_matrix()
+    # An overflowing product is reported by the finiteness check of _symmetric.
+    with np.errstate(over="ignore", invalid="ignore"):
+        apa = a.dot(p).dot(a.T).tolist()
+    return _symmetric(_predicted_upper(apa, model))
 
 
 def _finite_pair(v, what: str) -> tuple[float, float]:
@@ -291,18 +320,19 @@ def predict(est: FilterEstimate, model: MotionModel, accel=(0.0, 0.0)) -> Filter
     return _estimate(state, predict_covariance(est.covariance, model))
 
 
-def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tuple, np.ndarray]:
-    """Kalman gain G = P C^T S^-1, as 8 row-major floats, and posterior
-    covariance (I - G C) P, with S = P[:2, :2] + R for the position selector
-    C; the posterior is computed on its upper triangle and mirrored, so it is
-    exactly symmetric.  Raises NumericalDegeneracyError when S is singular and
-    InvalidInputError when the posterior is not finite.  The gain is not
-    checked: its consumers check what it is multiplied into (inf * 0 is NaN).
+def _gain_and_upper(p: Sequence, r: list) -> tuple[tuple, tuple]:
+    """Kalman gain G = P C^T S^-1, as 8 row-major floats, and the upper
+    triangle (10 row-major floats) of the posterior covariance (I - G C) P,
+    with S = P[:2, :2] + R for the position selector C, from the four rows of
+    P and the two rows of R.  Every row of P is read in full, so an
+    asymmetric P gives the same floats as the matrix formula's upper
+    triangle.  Raises NumericalDegeneracyError when S is singular and
+    InvalidInputError when its determinant is not finite; nothing else is
+    checked: the gain's consumers check what it is multiplied into (inf * 0
+    is NaN), and the posterior's check its triangle.
     """
-    (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33) = (
-        p.tolist()
-    )
-    (r00, r01), (r10, r11) = meas_model.r.tolist()
+    (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33) = p
+    (r00, r01), (r10, r11) = r
     s00, s01, s10, s11 = p00 + r00, p01 + r01, p10 + r10, p11 + r11
     det = s00 * s11 - s01 * s10
     tr = s00 + s11
@@ -319,7 +349,7 @@ def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tu
     g20, g21 = p20 * i00 + p21 * i10, p20 * i01 + p21 * i11
     g30, g31 = p30 * i00 + p31 * i10, p30 * i01 + p31 * i11
     # Upper triangle of P - G P[:2, :]: entry (i, j) = p_ij - (g_i0 p_0j + g_i1 p_1j).
-    p_new = _symmetric(
+    return (g00, g01, g10, g11, g20, g21, g30, g31), (
         p00 - (g00 * p00 + g01 * p10),
         p01 - (g00 * p01 + g01 * p11),
         p02 - (g00 * p02 + g01 * p12),
@@ -331,7 +361,14 @@ def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tu
         p23 - (g20 * p03 + g21 * p13),
         p33 - (g30 * p03 + g31 * p13),
     )
-    return (g00, g01, g10, g11, g20, g21, g30, g31), p_new
+
+
+def _gain_and_posterior(p: np.ndarray, meas_model: MeasurementModel) -> tuple[tuple, np.ndarray]:
+    """The gain of :func:`_gain_and_upper` at covariance `p`, and the
+    posterior covariance mirrored from its upper triangle, so exactly
+    symmetric.  Raises InvalidInputError when the posterior is not finite."""
+    g, upper = _gain_and_upper(p.tolist(), meas_model.r.tolist())
+    return g, _symmetric(upper)
 
 
 def update(est: FilterEstimate, meas_model: MeasurementModel, z) -> FilterEstimate:
@@ -382,11 +419,11 @@ def track(
     else:
         ux, uy = _finite_rows(accels[1:], "acceleration", first=1).T.tolist()
 
+    gains = _gains(init.covariance, model, meas_model, n - 1)
     dt = model.dt
     s = tuple(init.state)
     out = [s]
-    # The gain sequence last, so that zip never asks it for a step past the end.
-    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx, zy, _gains(init.covariance, model, meas_model)):
+    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx, zy, gains):
         s = _corrected_state(_predicted_state(s, dt, ux_k, uy_k), g, zx_k, zy_k)
         out.append(s)
     states = np.fromiter(chain.from_iterable(out), float, 4 * n).reshape(n, 4)
@@ -425,14 +462,13 @@ def track_weights(
     last = max(wanted)
     zx, zy = _finite_rows(measurements[: last + 1], "measurement").T.tolist()
     ux, uy = _finite_rows(accels[1 : last + 1], "acceleration", first=1).T.tolist()
+    gains = _gains(init_covariance, model, meas_model, last)
     dt = model.dt
     x = (zx[0], zy[0], 0.0, 0.0)
-    states, gains = [x], []
-    # The gain sequence last, so that zip never asks it for a step past the end.
-    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], _gains(init_covariance, model, meas_model)):
+    states = [x]
+    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], gains):
         x = _corrected_state(_predicted_state(x, dt, ux_k, uy_k), g, zx_k, zy_k)
         states.append(x)
-        gains.append(g)
     out = {}
     for k in sorted(wanted):
         # The rows (a, b) of R, and each row's weights from step k back to 0.
@@ -451,19 +487,37 @@ def track_weights(
     return out
 
 
-def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel) -> Iterator[tuple]:
-    """The gain (8 row-major floats) of each step after the first, without
-    end, from the covariance `p` of step 0.
+def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> list[tuple]:
+    """The gains (8 row-major floats each) of steps 1..n, from the covariance
+    `p` of step 0; none is computed when `n` is 0.
 
-    Once a step returns the covariance it was given, bit for bit, every later
-    step would too, so its gain is yielded from then on.  Only two outputs of
-    the recursion are compared, never `p`, whose layout the caller chose; as
-    bytes, since == equates -0.0 and 0.0.
+    Each step is :func:`predict_covariance` and then :func:`_gain_and_posterior`,
+    by the same helpers and with the same checks, in one loop: A and A^T are
+    built once, ``np.errstate`` is entered once around every step, and the
+    predicted covariance stays a tuple of floats.  Once a step returns the
+    covariance it was given, bit for bit, every later step would too, so its
+    gain fills the rest of the list.  Only two outputs of the recursion are
+    compared, never `p`, whose layout the caller chose; as bytes, since ==
+    equates -0.0 and 0.0.
     """
-    g, p = _gain_and_posterior(predict_covariance(p, model), meas_model)
-    while True:
-        yield g
-        g, p_new = _gain_and_posterior(predict_covariance(p, model), meas_model)
-        if p_new.tobytes() == p.tobytes():
-            yield from repeat(g)
-        p = p_new
+    gains = []
+    a = model.transition_matrix()
+    at = a.T
+    r = meas_model.r.tolist()
+    previous = None
+    # An overflowing product is reported by the finiteness checks of the
+    # triangles; the error state is restored however the loop ends.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(gains) < n:
+            u = _predicted_upper(a.dot(p).dot(at).tolist(), model)
+            _check_upper(u)
+            u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = u
+            rows = (u00, u01, u02, u03), (u01, u11, u12, u13), (u02, u12, u22, u23), (u03, u13, u23, u33)
+            g, upper = _gain_and_upper(rows, r)
+            p = _symmetric(upper)
+            gains.append(g)
+            current = p.tobytes()
+            if current == previous:
+                gains += [g] * (n - len(gains))
+            previous = current
+    return gains

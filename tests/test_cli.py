@@ -280,6 +280,41 @@ class TestManifest:
         assert cfg.scenario.meas_noise_std == 0.0
 
 
+class TestCommandLine:
+    """One parser: the command and the same four options, in any order."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("options_first", [False, True], ids=["command-first", "options-first"])
+    def test_every_option_reaches_the_run(self, tmp_path, command, options_first):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_SWEEP)
+        out = tmp_path / "given out"
+        options = ["--config", str(cfg_path), "--seed", "17", "--out", str(out), "--trials", "120"]
+        assert main(options + [command] if options_first else [command] + options) == 0
+        text = (out / "manifest.txt").read_text()
+        assert text.startswith(f"# command: {command}\n")
+        cfg = loads_config(text)
+        assert (cfg.run.seed, cfg.run.trials, cfg.run.out) == (17, 120, str(out))
+        # Read from --config: the stock config has 200 steps.
+        assert cfg.scenario.steps == 40
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--seed", "3"], ["track", "sweep-roc"]])
+    def test_missing_or_unknown_command_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: puedet ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[command, "--help"] for command in COMMANDS])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: puedet ")
+        assert all(option in text for option in ("--config", "--seed", "--out", "--trials"))
+
+
 class TestCommittedResults:
     @pytest.mark.parametrize("name", ["track", "sweep_distance", "sweep_roc", "compare_baseline"])
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path, name):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puedet.tracking as tracking_module
+from puedet.config import default_scenario
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.tracking import (
     FilterEstimate,
@@ -14,6 +16,7 @@ from puedet.tracking import (
     initial_estimate,
     is_valid_covariance,
     predict,
+    predict_covariance,
     symmetrize,
     track,
     track_weights,
@@ -375,6 +378,90 @@ class TestTrack:
         with pytest.raises(InvalidInputError, match="one entry per measurement"):
             track_weights((5,), MotionModel(1.0, 0.04, 0.04), mm, p0, zs, accels[:9])
 
+
+
+def per_step_gains(p, model, mm, n):
+    """The gains (8 row-major floats each) of steps 1..n by the per-step
+    API, every step recomputed: no fixed point is looked for."""
+    gains = []
+    for _ in range(n):
+        p = predict_covariance(p, model)
+        gains.append(tuple(gain(p, mm).ravel().tolist()))
+        p = update(est([0, 0, 0, 0], p), mm, (0.0, 0.0)).covariance
+    return gains
+
+
+class TestGainSequence:
+    """track and track_weights consume one list of gains, computed in one
+    loop that reuses the gain once the covariance is at its fixed point
+    (step 132 for the stock tracker) and enters np.errstate once."""
+
+    stock = MotionModel(1.0, 0.04, 0.04)
+
+    @pytest.mark.parametrize("n", [1, 2, 132, 133, 134])
+    def test_track_equals_per_step_loop_at_the_edges(self, n):
+        rng = np.random.default_rng(21)
+        mm = MeasurementModel.isotropic(5.0)
+        zs = 100.0 * rng.standard_normal((n, 2))
+        accels = rng.standard_normal((n, 2))
+        e = initial_estimate(zs[0], mm, 10.0)
+        expected = [e.state.as_array()]
+        for k in range(1, n):
+            e = update(predict(e, self.stock, accels[k]), mm, zs[k])
+            expected.append(e.state.as_array())
+        assert np.array_equal(track(zs, self.stock, mm, initial_estimate(zs[0], mm, 10.0), accels), expected)
+
+    def test_weights_equal_those_of_per_step_gains(self, monkeypatch):
+        # The stock gains have no signed zero, so update gives them bit for bit.
+        rng = np.random.default_rng(22)
+        mm = MeasurementModel.isotropic(5.0)
+        zs = 100.0 * rng.standard_normal((200, 2))
+        accels = rng.standard_normal((200, 2))
+        p0 = initial_estimate(zs[0], mm, 10.0).covariance
+        steps = (0, 1, 131, 132, 133)
+        got = track_weights(steps, self.stock, mm, p0, zs, accels)
+        monkeypatch.setattr(tracking_module, "_gains", per_step_gains)
+        want = track_weights(steps, self.stock, mm, p0, zs, accels)
+        assert list(got) == list(want) == list(steps)
+        for k in steps:
+            for a, b in zip(got[k], want[k]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+    def test_one_measurement_computes_no_gain(self):
+        # The first gain would be singular: no covariance and no noise.
+        model, mm = MotionModel(1.0), MeasurementModel(np.zeros((2, 2)))
+        init = est([3, 4, 1, 2], np.zeros((4, 4)))
+        out = track([(3.0, 4.0)], model, mm, init)
+        assert np.array_equal(out, [[3.0, 4.0, 1.0, 2.0]])
+        with pytest.raises(NumericalDegeneracyError, match="innovation covariance is singular"):
+            track([(3.0, 4.0)] * 2, model, mm, init)
+        maps = track_weights((0,), model, mm, np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
+        assert np.array_equal(maps[0][0], np.zeros(4))
+
+    def test_error_state_is_restored_and_no_warning_escapes(self):
+        # v_max = 1e154 puts 1e308 on the velocity variances, so at dt = 2
+        # step 1's product A P A^T overflows inside BLAS; at the scenario's
+        # dt = 1 a position variance of 1e308 does it (p00 + p22).
+        mm = MeasurementModel.isotropic(5.0)
+        model = MotionModel(2.0, 0.04, 0.04)
+        zs = np.zeros((20, 2))
+        huge = initial_estimate(zs[0], mm, 1e154)
+        scenario = default_scenario(v_max=1e154, meas_noise_std=1e154)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (
+                lambda: track(zs, model, mm, huge),
+                lambda: track_weights((19,), model, mm, huge.covariance, zs, zs),
+                lambda: scenario.estimate_law((scenario.n_steps - 1,)),
+            ):
+                with pytest.raises(InvalidInputError, match="^covariance recursion left the finite range$"):
+                    run()
+                assert np.geterr() == before
+            track(zs, model, mm, initial_estimate(zs[0], mm, 10.0))
+            assert np.geterr() == before
+            default_scenario().estimate_law((0, 199))
+            assert np.geterr() == before
 
 
 class TestTrackMoments:
