@@ -1,13 +1,14 @@
 """Command-line front end: run scenarios and sweeps, write CSV tables,
 self-rendered SVG charts, and a manifest that reproduces the run exactly.
 
-Commands: track, sweep-distance, sweep-roc, compare-baseline.  Each one
-returns its files by name, every table checked and every chart built, each as
-a function that formats and writes it, and only then is any file written, so a
-failing command writes none.  A file that formats at least _FORK_VALUES values,
-while those listed after it format as many, is written by a forked child as
-the parent writes the rest (in practice a long track's chart); without
-os.fork every file is written in this process.
+Commands: track, sweep-distance, sweep-roc, compare-baseline.  Each runs the
+scenario that `validate_config` built (a failure only some keys decide is named
+by `config_error`) and returns its files by name, every table checked and every
+chart built, each as a function that formats and writes it, and only then is
+any file written, so a failing command writes none.  A file that formats at
+least _FORK_VALUES values, while those listed after it format as many, is
+written by a forked child as the parent writes the rest (in practice a long
+track's chart); without os.fork every file is written in this process.
 """
 
 from __future__ import annotations
@@ -16,21 +17,13 @@ import argparse
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .config import (
-    ExperimentConfig,
-    build_detector,
-    build_scenario,
-    read_config,
-    serialize_config,
-    validate_config,
-)
+from .config import ExperimentConfig, build_detector, config_error, read_config, serialize_config, validate_config
 from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import cell_streams
 from .propagation import check_ranging_noise, sigma_from_snr
@@ -70,16 +63,6 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
     return write
 
 
-@contextmanager
-def _config_decides(keys: str):
-    """Report an InvalidInputError of the block as a ConfigError naming
-    `keys`, for a step that only the values of those keys can make fail."""
-    try:
-        yield
-    except InvalidInputError as exc:
-        raise ConfigError(f"{keys}: {exc}") from None
-
-
 def _chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     """The line chart of the (label, xs, ys) `series` at the points where x and
     y are both present: a rate is absent (None) in a cell without trials of
@@ -96,7 +79,7 @@ def _chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
 def _check_ranging(cfg: ExperimentConfig, scenario) -> None:
     """Refuse, naming its keys, a link whose RSS noise at some SNR of the
     sweep fails ranging whatever the draws (see check_ranging_noise)."""
-    with _config_decides("[link] alpha, snr_calibration, [sweep] snr_db"):
+    with config_error("[link] alpha, snr_calibration, [sweep] snr_db"):
         for snr in cfg.sweep.snr_db:
             check_ranging_noise(scenario.link, sigma_from_snr(snr, cfg.link.snr_calibration))
 
@@ -111,8 +94,7 @@ def _resolve_detector(cfg: ExperimentConfig, scenario):
     )
 
 
-def cmd_track(cfg: ExperimentConfig) -> dict:
-    scenario = build_scenario(cfg)
+def cmd_track(cfg: ExperimentConfig, scenario) -> dict:
     n = scenario.n_steps
     # Columns: step, time, truth (2), measurement (2), estimate (4).
     table = np.empty((n, 10))
@@ -127,7 +109,7 @@ def cmd_track(cfg: ExperimentConfig) -> dict:
     header = ["step", "time_s", "true_x", "true_y", "meas_x", "meas_y", "est_x", "est_y", "est_vx", "est_vy"]
     # `track` refuses a non-finite measurement or estimate, so the chart fails
     # only if the track lies too far out for its span to be scaled.
-    with _config_decides("[scenario] start_x, start_y"):
+    with config_error("[scenario] start_x, start_y"):
         chart = line_chart(
             [
                 ("true trajectory", table[:, 2], table[:, 3]),
@@ -154,8 +136,7 @@ def _per_snr_series(reports, snr_list, x_of, y_of):
     return series
 
 
-def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
-    scenario = build_scenario(cfg)
+def cmd_sweep_distance(cfg: ExperimentConfig, scenario) -> dict:
     _check_ranging(cfg, scenario)
     detector = _resolve_detector(cfg, scenario)
     reports = experiments.sweep_distance(
@@ -173,7 +154,7 @@ def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
     x = lambda r: r.sweep_coords.d_pu_pue
     csv_file = _csv("sweep_distance.csv", header, [_report_row(r) for r in reports], _SWEEP_SPECS)
     # A chart's rates lie in [0, 1], so only its distance axis can fail.
-    with _config_decides("[sweep] distances"):
+    with config_error("[sweep] distances"):
         return {
             "sweep_distance.csv": csv_file,
             "pd_vs_distance.svg": _chart(
@@ -187,8 +168,7 @@ def cmd_sweep_distance(cfg: ExperimentConfig) -> dict:
         }
 
 
-def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
-    scenario = build_scenario(cfg)
+def cmd_sweep_roc(cfg: ExperimentConfig, scenario) -> dict:
     _check_ranging(cfg, scenario)
     reports = experiments.sweep_roc(
         scenario,
@@ -216,9 +196,8 @@ def cmd_sweep_roc(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_compare_baseline(cfg: ExperimentConfig) -> dict:
-    scenario = build_scenario(cfg)
-    with _config_decides("[sweep] distances"):
+def cmd_compare_baseline(cfg: ExperimentConfig, scenario) -> dict:
+    with config_error("[sweep] distances"):
         experiments.baseline_eval_steps(scenario, cfg.sweep.distances)
     detector = _resolve_detector(cfg, scenario)
     rows = experiments.compare_baseline(
@@ -249,7 +228,7 @@ def cmd_compare_baseline(cfg: ExperimentConfig) -> dict:
         ["%.9g"] * 9 + ["%d"] * 2,
     )
     dist = [r.distance for r in rows]
-    with _config_decides("[sweep] distances"):
+    with config_error("[sweep] distances"):
         return {
             "compare_baseline.csv": csv_file,
             "pd_comparison.svg": _chart(
@@ -362,11 +341,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             run = replace(run, out=args.out)
         cfg = replace(cfg, run=run)
-        validate_config(cfg)
+        scenario = validate_config(cfg)
 
         out = Path(cfg.run.out)
         out.mkdir(parents=True, exist_ok=True)
-        files = _COMMANDS[args.command](cfg)
+        files = _COMMANDS[args.command](cfg, scenario)
         # The manifest is itself a loadable config file; the command is a comment.
         files["manifest.txt"] = f"# command: {args.command}\n{serialize_config(cfg)}"
         forked, pid, status = _forked_name(files), None, 0

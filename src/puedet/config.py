@@ -1,7 +1,8 @@
 """Experiment configuration: plain-text sectioned key=value files.
 
 Every key has a documented default (an empty file is a valid config); unknown
-sections or keys are rejected by name.  `serialize_config` emits text that
+sections or keys are rejected by name, and `config_error` names the keys of
+every failure that only they decide.  `serialize_config` emits text that
 parses back to an equal config, which is also what run manifests contain.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from .detection import SINGLE_ANCHOR, DetectorConfig
@@ -17,7 +19,7 @@ from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import SCHEDULE_MIX
 from .propagation import LinkModel, NoiseModel, check_path_loss, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
-from .tracking import initial_estimate, predict, update
+from .tracking import check_covariance_recursion, initial_estimate
 
 
 @dataclass(frozen=True)
@@ -186,34 +188,37 @@ def _parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**{name: groups.get(name, cls()) for name, cls in _SECTIONS.items()})
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Enforce the domain invariants, naming the offending key."""
+@contextmanager
+def config_error(keys: str):
+    """Report an InvalidInputError or NumericalDegeneracyError of the block as
+    a ConfigError naming `keys`, for a step that only the values of those keys
+    can make fail."""
     try:
-        scenario = build_scenario(cfg)
-    except InvalidInputError as exc:
-        raise ConfigError(f"[scenario/link]: {exc}") from exc
-    try:
-        check_path_loss(scenario.link)
-    except InvalidInputError as exc:
-        raise ConfigError(f"[link] alpha: {exc}") from exc
-    # Noise levels and v_max with finite squares can still overflow inside
-    # the filter; its first step, from the start, shows it.
-    motion, meas_model = scenario.filter_models()
-    start = scenario.trajectory.start
-    try:
-        update(predict(initial_estimate(start, meas_model, scenario.v_max), motion), meas_model, start)
+        yield
     except (InvalidInputError, NumericalDegeneracyError) as exc:
-        raise ConfigError(f"[scenario] meas_noise_std, [tracking] process_noise_std and v_max: {exc}") from exc
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
+def validate_config(cfg: ExperimentConfig) -> Scenario:
+    """Enforce the domain invariants, naming the offending key; return the Scenario checked."""
+    with config_error("[scenario/link]"):
+        scenario = build_scenario(cfg)
+    with config_error("[link] alpha"):
+        check_path_loss(scenario.link)
+    # Noise levels and v_max with finite squares can still overflow the filter's
+    # covariance recursion, and two (nearly) zero noise levels collapse it.
+    motion, meas_model = scenario.filter_models()
+    with config_error("[scenario] meas_noise_std, [tracking] process_noise_std and v_max"):
+        init = initial_estimate(scenario.trajectory.start, meas_model, scenario.v_max)
+        check_covariance_recursion(init.covariance, motion, meas_model, scenario.n_steps - 1)
     if cfg.scenario.eval_step < -1:
         raise ConfigError(f"[scenario] eval_step: must be -1 (the final step) or >= 0, got {cfg.scenario.eval_step}")
     if cfg.detector.target_pfa is not None and not 0.0 < cfg.detector.target_pfa < 1.0:
         raise ConfigError(
             f"[detector] target_pfa: must be in (0, 1), got {cfg.detector.target_pfa}"
         )
-    try:
-        DetectorConfig(cfg.detector.tau, cfg.detector.fusion)
-    except InvalidInputError as exc:
-        raise ConfigError(f"[detector]: {exc}") from exc
+    with config_error("[detector]"):
+        build_detector(cfg)
     if not (math.isfinite(cfg.link.snr_calibration) and cfg.link.snr_calibration > 0):
         raise ConfigError(
             f"[link] snr_calibration: must be finite and > 0, got {cfg.link.snr_calibration}"
@@ -224,11 +229,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[sweep] distances: every distance must be finite and >= 0, got {cfg.sweep.distances}")
     if not cfg.sweep.snr_db:
         raise ConfigError("[sweep] snr_db: must be non-empty")
-    for snr in cfg.sweep.snr_db:
-        try:
+    with config_error("[sweep] snr_db"):
+        for snr in cfg.sweep.snr_db:
             sigma_from_snr(snr, cfg.link.snr_calibration)
-        except InvalidInputError as exc:
-            raise ConfigError(f"[sweep] snr_db: {exc}") from exc
+    # The charts draw one series per SNR value.
+    if len(set(cfg.sweep.snr_db)) < len(cfg.sweep.snr_db):
+        raise ConfigError(f"[sweep] snr_db: values must be distinct, got {cfg.sweep.snr_db}")
     if not cfg.sweep.pfa_targets:
         raise ConfigError("[sweep] pfa_targets: must be non-empty")
     if any(not 0.0 < t < 1.0 for t in cfg.sweep.pfa_targets):
@@ -247,9 +253,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[run] trials: must be >= 1, got {cfg.run.trials}")
     if cfg.run.seed < 0:
         raise ConfigError(f"[run] seed: must be >= 0, got {cfg.run.seed}")
+    return scenario
 
 
-def _format_value(section: str, key: str, value) -> str:
+def _format_value(key: str, value) -> str:
     if value is None:
         return ""
     if key == "segments":
@@ -270,7 +277,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines.append(f"[{section}]")
         group = getattr(cfg, section)
         for f in fields(cls):
-            lines.append(f"{f.name} = {_format_value(section, f.name, getattr(group, f.name))}")
+            lines.append(f"{f.name} = {_format_value(f.name, getattr(group, f.name))}")
         lines.append("")
     return "\n".join(lines)
 

@@ -49,10 +49,6 @@ class Verdict:
     d_rss: float
     residual: float
 
-    @property
-    def is_attacker(self) -> bool:
-        return self.label == ATTACKER
-
 
 def anchor_distance(position, anchor: AnchorNode) -> float:
     """Euclidean distance from the estimated PU position (x, y) to the anchor."""
@@ -80,8 +76,8 @@ def detect_step(
 
     Every anchor is ranged and decided, whatever the fusion, so an anchor
     whose RSS cannot be inverted fails the step under either.  Single-anchor
-    fusion then keeps the first (designated) anchor's verdict; or-fusion flags
-    an attacker if any anchor does, with the largest residual among them.
+    fusion then keeps the first (designated) anchor's verdict; or-fusion keeps
+    the verdict of the largest residual, an attacker if any anchor flags one.
     """
     if not anchors or not rss_samples:
         raise InvalidInputError("need at least one (anchor, rss) pair")
@@ -96,10 +92,8 @@ def detect_step(
         verdicts.append(decide(anchor_distance(position, a), d_rss, config))
     if config.fusion == SINGLE_ANCHOR:
         return verdicts[0]
-    best = max(verdicts, key=lambda v: v.residual)
-    if any(v.is_attacker for v in verdicts):
-        return Verdict(ATTACKER, best.d_kf, best.d_rss, best.residual)
-    return best
+    # Any residual >= tau makes the largest one >= tau too.
+    return max(verdicts, key=lambda v: v.residual)
 
 
 def rss_baseline_decide(

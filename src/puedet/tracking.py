@@ -17,7 +17,7 @@ covariance reaches its exact floating-point fixed point (it returns itself
 bit for bit; step 132 for the stock tracker).  This is not an approximation:
 every state equals the per-step route's bit for bit.  A model with no fixed
 point, such as one with zero process noise, runs the full recursion at every
-step.
+step.  :func:`check_covariance_recursion` runs it alone, before any data.
 
 The per-step covariance functions and the gain loop share one copy of each
 formula, on plain floats: :func:`_predicted_upper` for the prediction and
@@ -485,6 +485,13 @@ def track_weights(
         wb += (b1, b0)
         out[k] = (np.array(states[k]), np.array([wa[::-1], wb[::-1]]))
     return out
+
+
+def check_covariance_recursion(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> None:
+    """Fail as :func:`track` and :func:`track_weights` would in the
+    covariance recursion of steps 1..n from the covariance `p` of step 0,
+    which no measurement affects (see :func:`_gains`)."""
+    _gains(p, model, meas_model, n)
 
 
 def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> list[tuple]:

@@ -1,13 +1,18 @@
 import csv
+import io
 import math
 import os
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puedet import cli, config, experiments
 from puedet.cli import main
@@ -359,6 +364,16 @@ class TestErrors:
         assert err.startswith("puedet: error:")
         assert "-8000" in err
 
+    @pytest.mark.parametrize("command", ["sweep-distance", "sweep-roc"])
+    def test_repeated_snr_value_is_refused_writing_nothing(self, tmp_path, capsys, command):
+        # The charts draw one series per SNR value; a repeated value drew two
+        # series of one label, each through every cell of both.
+        config = SMALL_SWEEP.replace("snr_db = -5 5", "snr_db = 0 0").replace("30 90", "30 60")
+        rc, out = run_cli(tmp_path, command, config)
+        assert rc == 1
+        assert capsys.readouterr().err == "puedet: error: [sweep] snr_db: values must be distinct, got (0.0, 0.0)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, config",
         [
@@ -564,6 +579,43 @@ class TestErrors:
                     assert rc == 1 and err.startswith("puedet: error: [") and err.count("\n") == 1, case
                     assert not out.exists() or list(out.iterdir()) == [], case
 
+    @given(
+        values=st.dictionaries(st.sampled_from(NUMBER_KEYS), st.sampled_from(EXTREME_NUMBERS), min_size=2, max_size=3)
+    )
+    # Loads, and track's chart cannot be scaled: "[scenario] start_x, start_y".
+    @example(values={("scenario", "start_x"): "1e150", ("sweep", "roc_distance"): "0"})
+    # Refused: with neither noise the tracker's covariance collapses, which
+    # every command once reported without naming a key.
+    @example(values={("scenario", "meas_noise_std"): "1e-300", ("tracking", "process_noise_std"): "0"})
+    @settings(max_examples=500, deadline=None)
+    def test_extreme_numbers_together_are_refused_or_run_clean(self, values):
+        # The loop above with two or three keys set at once, which also leaves
+        # no forked child behind.
+        sections = {"scenario": {"steps": "30"}}
+        for (section, key), value in values.items():
+            sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items())
+        try:
+            loads_config(text)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in COMMANDS:
+                run_dir = Path(tmp) / command
+                run_dir.mkdir()
+                stderr = io.StringIO()
+                with warnings.catch_warnings(), redirect_stderr(stderr):
+                    # Five calibration trials resolve no false-alarm rate below 1/5.
+                    warnings.filterwarnings("ignore", "calibrated tau=", RuntimeWarning)
+                    rc, out = run_cli(run_dir, command, text, "--trials", "5")
+                err = stderr.getvalue()
+                case = f"{values}, {command}: {err}"
+                if rc != 0:
+                    assert rc == 1 and err.startswith("puedet: error: [") and err.count("\n") == 1, case
+                    assert not out.exists() or list(out.iterdir()) == [], case
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 # The stock trajectory at 2500 steps, whose chart formats 6 x 2500 = 15 000
 # values and whose table 25 000: above the gate at which the chart is written
@@ -683,6 +735,22 @@ class TestValidation:
         rc, _ = run_cli(tmp_path, command, "[scenario]\nsteps = 30\n", "--trials", "100", "--seed", "3")
         assert rc == 0
         assert len(calls) == 1 and calls[0].run.trials == 100
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_scenario_is_built_once_per_run(self, tmp_path, monkeypatch, command):
+        # The command runs the scenario that validation built.
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return build(cfg)
+
+        build = config.build_scenario
+        monkeypatch.setattr(config, "build_scenario", counted)
+        monkeypatch.setattr(cli, "build_scenario", counted, raising=False)
+        rc, _ = run_cli(tmp_path, command, "[scenario]\nsteps = 30\n", "--trials", "100", "--seed", "3")
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_override_is_validated(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--trials", "0")

@@ -7,11 +7,13 @@ from puedet.config import (
     ExperimentConfig,
     build_detector,
     build_scenario,
+    config_error,
     load_config,
     loads_config,
     serialize_config,
+    validate_config,
 )
-from puedet.errors import ConfigError
+from puedet.errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 
 FULL_CONFIG = """
 [scenario]
@@ -141,6 +143,16 @@ class TestValidation:
         ):
             loads_config(f"[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("meas, process", [("0", "0"), ("1e-300", "0"), ("0", "1e-300"), ("1e-300", "1e-300")])
+    def test_collapsed_tracker_names_the_tracker_keys(self, meas, process):
+        # With neither noise (each square is 0) the covariance collapses and
+        # the innovation covariance turns singular at the second step.
+        with pytest.raises(
+            ConfigError,
+            match=r"^\[scenario\] meas_noise_std, \[tracking\] process_noise_std and v_max: innovation covariance is singular",
+        ):
+            loads_config(f"[scenario]\nsteps = 30\nmeas_noise_std = {meas}\n[tracking]\nprocess_noise_std = {process}\n")
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -182,6 +194,18 @@ class TestValidation:
         # -10 alpha log10(d), even at an alpha of 1e-300.
         assert loads_config(f"[link]\nalpha = {alpha}\n").link.alpha == float(alpha)
 
+    @pytest.mark.parametrize("snr_db", ["0 0", "0 -0", "-5 5 -5"])
+    def test_repeated_snr_value_is_refused(self, snr_db):
+        # The charts draw one series per SNR value.
+        snrs = tuple(float(v) for v in snr_db.split())
+        with pytest.raises(ConfigError) as info:
+            loads_config(f"[sweep]\nsnr_db = {snr_db}\n")
+        assert str(info.value) == f"[sweep] snr_db: values must be distinct, got {snrs}"
+
+    def test_validation_returns_the_scenario_it_checked(self):
+        cfg = loads_config(FULL_CONFIG)
+        assert validate_config(cfg) == build_scenario(cfg)
+
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             loads_config("[run]\ntrials = 0\n")
@@ -189,6 +213,22 @@ class TestValidation:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             loads_config("[run]\nseed = -1\n")
+
+
+class TestConfigError:
+    @pytest.mark.parametrize("error", [InvalidInputError, NumericalDegeneracyError])
+    def test_library_error_names_the_keys(self, error):
+        with pytest.raises(ConfigError) as info:
+            with config_error("[link] alpha, [sweep] snr_db"):
+                raise error("cannot range")
+        assert str(info.value) == "[link] alpha, [sweep] snr_db: cannot range"
+
+    @pytest.mark.parametrize("error", [ValueError("other"), OSError(2, "missing"), MemoryError()])
+    def test_other_error_passes_through(self, error):
+        with pytest.raises(type(error)) as info:
+            with config_error("[link] alpha"):
+                raise error
+        assert info.value is error
 
 
 class TestRoundTrip:
