@@ -19,7 +19,6 @@ from .errors import ConfigError, InvalidInputError, NumericalDegeneracyError
 from .experiments import SCHEDULE_MIX
 from .propagation import LinkModel, NoiseModel, check_path_loss, sigma_from_snr
 from .scenario import AnchorNode, Scenario, Trajectory
-from .tracking import check_covariance_recursion, initial_estimate
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,10 @@ def validate_config(cfg: ExperimentConfig) -> Scenario:
     with config_error("[link] alpha"):
         check_path_loss(scenario.link)
     # Noise levels and v_max with finite squares can still overflow the filter's
-    # covariance recursion, and two (nearly) zero noise levels collapse it.
-    motion, meas_model = scenario.filter_models()
+    # covariance recursion, and two (nearly) zero noise levels collapse it.  The
+    # scenario keeps the gains it reads, so the command does not run it again.
     with config_error("[scenario] meas_noise_std, [tracking] process_noise_std and v_max"):
-        init = initial_estimate(scenario.trajectory.start, meas_model, scenario.v_max)
-        check_covariance_recursion(init.covariance, motion, meas_model, scenario.n_steps - 1)
+        scenario.filter_gains
     if cfg.scenario.eval_step < -1:
         raise ConfigError(f"[scenario] eval_step: must be -1 (the final step) or >= 0, got {cfg.scenario.eval_step}")
     if cfg.detector.target_pfa is not None and not 0.0 < cfg.detector.target_pfa < 1.0:

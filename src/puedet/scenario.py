@@ -2,7 +2,8 @@
 world, and the synthetic measurements (positions and RSS) fed to the tracker
 and detector.
 
-:meth:`Scenario.track` runs the world's tracker.
+:meth:`Scenario.track` runs the world's tracker, with the gains of
+:attr:`Scenario.filter_gains`, computed once per scenario.
 :meth:`Scenario.estimate_law` states its estimate at a step as an
 :class:`EstimateLaw`: a weight map W over the measurements about the
 noiseless run, and the Cholesky factor of W W^T.  The Monte Carlo engine
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ from .tracking import (
     MeasurementModel,
     MotionModel,
     TargetState,
+    gains,
     initial_estimate,
     track,
     track_weights,
@@ -192,16 +195,30 @@ class Scenario:
         v = self.process_noise_std
         return MotionModel(self.dt, v * v, v * v), MeasurementModel.isotropic(self.meas_noise_std)
 
+    @cached_property
+    def filter_gains(self) -> list[tuple]:
+        """The gains of steps 1..n_steps - 1 of the tracker of this world:
+        :func:`~puedet.tracking.gains` of :meth:`filter_models` from the
+        covariance of :func:`~puedet.tracking.initial_estimate` (velocity
+        spread v_max), which does not depend on where the track starts.
+
+        No measurement enters the recursion, so it runs once per scenario,
+        on first read; its error, if any, is raised by every read.  The
+        list is kept in the instance ``__dict__``, not in a field, so
+        equality and hashing ignore it, and :func:`dataclasses.replace`
+        builds a scenario that computes its own.  Callers only read it."""
+        motion, meas_model = self.filter_models()
+        p0 = initial_estimate(self.trajectory.start, meas_model, self.v_max).covariance
+        return gains(p0, motion, meas_model, self.n_steps - 1)
+
     def track(self, measurements: Sequence) -> np.ndarray:
         """The tracker of this world run over the measurements of steps
-        0..len - 1: :meth:`filter_models`, a start at the first measurement
-        (velocity spread v_max) and each step's trajectory acceleration as the
+        0..len - 1: :attr:`filter_gains`, a start at the first measurement
+        at zero velocity and each step's trajectory acceleration as the
         known input.  Row k of the (len, 4) result is the state estimate
         ``[x, y, vx, vy]`` at step k."""
         accels = self.step_accels(len(measurements) - 1)
-        motion, meas_model = self.filter_models()
-        init = initial_estimate(measurements[0], meas_model, self.v_max)
-        return track(measurements, motion, meas_model, init, accels)
+        return track(measurements, self.dt, self.filter_gains, accels)
 
     def estimate_law(self, steps: Sequence[int]) -> dict[int, EstimateLaw]:
         """The :class:`EstimateLaw` of :meth:`track` at each of `steps`, from
@@ -211,9 +228,7 @@ class Scenario:
         NumericalDegeneracyError naming one whose covariance is singular but
         not zero."""
         truth = self.truth_path(self.n_steps - 1)
-        motion, meas_model = self.filter_models()
-        init = initial_estimate(truth[0], meas_model, self.v_max)
-        maps = track_weights(steps, motion, meas_model, init.covariance, truth, self.step_accels(self.n_steps - 1))
+        maps = track_weights(steps, self.dt, self.filter_gains, truth, self.step_accels(self.n_steps - 1))
         laws = {}
         for k, (state, weights) in maps.items():
             offset = state[:2]

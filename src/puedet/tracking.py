@@ -11,18 +11,18 @@ form: the estimate at step k as a fixed map W of the measurements about the
 noiseless run, built in O(k) by one backward pass over the gains, so its
 law under white measurement noise is ``N(state[:2], sigma**2 W W^T)``
 (Bar-Shalom, Li & Kirubarajan 2001, sec. 5.2).  The covariance recursion
-does not depend on the data, so both consume one list of gains from
-:func:`_gains`, in which the gain is reused, not recomputed, once the
-covariance reaches its exact floating-point fixed point (it returns itself
-bit for bit; step 132 for the stock tracker).  This is not an approximation:
-every state equals the per-step route's bit for bit.  A model with no fixed
-point, such as one with zero process noise, runs the full recursion at every
-step.  :func:`check_covariance_recursion` runs it alone, before any data.
+does not depend on the data, so both take the list of gains that
+:func:`gains` computes once, in which the gain is reused, not recomputed,
+once the covariance reaches its exact floating-point fixed point (it returns
+itself bit for bit; step 132 for the stock tracker).  This is not an
+approximation: every state equals the per-step route's bit for bit.  A model
+with no fixed point, such as one with zero process noise, runs the full
+recursion at every step.
 
 The per-step covariance functions and the gain loop share one copy of each
 formula, on plain floats: :func:`_predicted_upper` for the prediction and
 :func:`_gain_and_upper` for the gain and posterior.  A per-step call enters
-``np.errstate`` around its one BLAS product; :func:`_gains` enters it once
+``np.errstate`` around its one BLAS product; :func:`gains` enters it once
 around all its steps, and returns a list, not a generator, so the error
 state is back as it was before any caller sees a gain or an error.
 """
@@ -158,22 +158,6 @@ class FilterEstimate:
         self.covariance = p
 
 
-def symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
-
-
-def is_valid_covariance(p: np.ndarray, scale_tol: float = 1e-9) -> bool:
-    """Symmetric within tolerance and PSD up to -scale_tol * trace."""
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        return False
-    asym = np.abs(p - p.T)
-    bound = scale_tol * np.maximum(1.0, np.abs(p))
-    if (asym > bound).any():
-        return False
-    return np.linalg.eigvalsh(symmetrize(p)).min() >= -scale_tol * max(np.trace(p), 0.0)
-
-
 def _state(x: float, y: float, vx: float, vy: float) -> TargetState:
     """TargetState(x, y, vx, vy) for the filter's own float results: the same
     finiteness check, without the constructor's float conversion."""
@@ -256,10 +240,9 @@ def predict_covariance(p: np.ndarray, model: MotionModel) -> np.ndarray:
     ``@``.)  Q and the symmetrization are applied entry by entry, by
     :func:`_predicted_upper`.  This is the per-step form, used by
     :func:`predict`, and it enters ``np.errstate`` for its one product; the
-    gain loop of :func:`track` and :func:`track_weights` (:func:`_gains`)
-    runs the same product and the same helper with ``np.errstate`` entered
-    once around all its steps.  Raises InvalidInputError if the result is not
-    finite.
+    gain loop (:func:`gains`) runs the same product and the same helper with
+    ``np.errstate`` entered once around all its steps.  Raises
+    InvalidInputError if the result is not finite.
     """
     a = model.transition_matrix()
     # An overflowing product is reported by the finiteness check of _symmetric.
@@ -386,24 +369,18 @@ def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEst
     return FilterEstimate(TargetState(zx, zy, 0.0, 0.0), p0)
 
 
-def track(
-    measurements: Sequence,
-    model: MotionModel,
-    meas_model: MeasurementModel,
-    init: FilterEstimate,
-    accels: Sequence | None = None,
-) -> np.ndarray:
-    """Filter a measurement sequence sampled every ``model.dt``: the state
-    estimate ``[x, y, vx, vy]`` of every measurement's step, shape (n, 4).
+def track(measurements: Sequence, dt: float, gains: Sequence[tuple], accels: Sequence | None = None) -> np.ndarray:
+    """Filter a measurement sequence sampled every `dt`: the state estimate
+    ``[x, y, vx, vy]`` of every measurement's step, shape (n, 4).
 
-    The initial estimate is taken to be at the first measurement, so row 0 is
-    ``init.state`` (see :func:`initial_estimate`).  Every later step predicts
-    over ``model.dt`` with that step's acceleration input (``accels[k]``,
-    zero when absent; ``accels[0]`` is not used) and then updates, exactly as
+    Row 0 is the start of :func:`initial_estimate`: the first measurement,
+    at zero velocity.  Every later step k predicts over `dt` with that step's
+    acceleration input (``accels[k]``, zero when absent; ``accels[0]`` is not
+    used) and then updates with ``gains[k - 1]``.  With the :func:`gains` of
+    the start's covariance, that is bit for bit what
     ``update(predict(est, model, accels[k]), meas_model, measurements[k])``
-    would, bit for bit.
+    gives.  Raises InvalidInputError when there are fewer than n - 1 gains.
 
-    Only the gains of the covariance recursion are run (see :func:`_gains`).
     The inputs are checked up front, each as one (n, 2) array, and the states
     once at the end, naming the first step that left the finite range.
     """
@@ -412,18 +389,18 @@ def track(
         raise InvalidInputError("measurement sequence must be non-empty")
     if accels is not None and len(accels) != n:
         raise InvalidInputError("accels must have one entry per measurement")
+    if len(gains) < n - 1:
+        raise InvalidInputError(f"{n} measurements need {n - 1} gains, got {len(gains)}")
     # Column lists: the loop unpacks no row tuples.
-    zx, zy = _finite_rows(measurements, "measurement")[1:].T.tolist()
+    zx, zy = _finite_rows(measurements, "measurement").T.tolist()
     if accels is None:
         ux = uy = [0.0] * (n - 1)
     else:
         ux, uy = _finite_rows(accels[1:], "acceleration", first=1).T.tolist()
 
-    gains = _gains(init.covariance, model, meas_model, n - 1)
-    dt = model.dt
-    s = tuple(init.state)
+    s = (zx[0], zy[0], 0.0, 0.0)
     out = [s]
-    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx, zy, gains):
+    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], gains):
         s = _corrected_state(_predicted_state(s, dt, ux_k, uy_k), g, zx_k, zy_k)
         out.append(s)
     states = np.fromiter(chain.from_iterable(out), float, 4 * n).reshape(n, 4)
@@ -434,25 +411,20 @@ def track(
 
 
 def track_weights(
-    steps: Sequence[int],
-    model: MotionModel,
-    meas_model: MeasurementModel,
-    init_covariance: np.ndarray,
-    measurements: Sequence,
-    accels: Sequence,
+    steps: Sequence[int], dt: float, gains: Sequence[tuple], measurements: Sequence, accels: Sequence
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """:func:`track` in linear form, ``{k: (state, w)}`` in step order: for
     the measurements ``measurements + e`` of steps 0..k, the position
     estimate at step k is ``state[:2] + w @ e.ravel()``.
 
-    ``state`` (4,) is row k of :func:`track` over `measurements`, bit for
-    bit, as it is advanced by the same state formulas.  ``w`` (2, 2(k + 1))
-    is built in O(k) by one backward pass in plain floats from ``R = C``:
-    the weight of z_j is ``R G_j``, then ``R <- R (I - G_j C) A``; z_0, the
-    start's position (see :func:`initial_estimate`), weighs what R keeps of
-    the position.  One pass over :func:`_gains` serves every step.  Nothing
+    ``state`` (4,) is row k of :func:`track` over `measurements` with the
+    same `dt` and `gains`, bit for bit, as it is advanced by the same state
+    formulas.  ``w`` (2, 2(k + 1)) is built in O(k) by one backward pass in
+    plain floats from ``R = C``: the weight of z_j is ``R G_j``, then
+    ``R <- R (I - G_j C) A``; z_0, the start's position (see
+    :func:`initial_estimate`), weighs what R keeps of the position.  Nothing
     is checked for finiteness.  `measurements` and `accels` have one row per
-    step, and each of `steps` must index one.
+    step, each of `steps` must index one, and step k reads the first k gains.
     """
     if len(accels) != len(measurements):
         raise InvalidInputError("accels must have one entry per measurement")
@@ -460,10 +432,10 @@ def track_weights(
     if not wanted or not all(isinstance(k, (int, np.integer)) and 0 <= k < len(measurements) for k in wanted):
         raise InvalidInputError(f"steps must be integers in [0, {len(measurements)}), got {steps!r}")
     last = max(wanted)
+    if len(gains) < last:
+        raise InvalidInputError(f"step {last} needs {last} gains, got {len(gains)}")
     zx, zy = _finite_rows(measurements[: last + 1], "measurement").T.tolist()
     ux, uy = _finite_rows(accels[1 : last + 1], "acceleration", first=1).T.tolist()
-    gains = _gains(init_covariance, model, meas_model, last)
-    dt = model.dt
     x = (zx[0], zy[0], 0.0, 0.0)
     states = [x]
     for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], gains):
@@ -487,14 +459,7 @@ def track_weights(
     return out
 
 
-def check_covariance_recursion(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> None:
-    """Fail as :func:`track` and :func:`track_weights` would in the
-    covariance recursion of steps 1..n from the covariance `p` of step 0,
-    which no measurement affects (see :func:`_gains`)."""
-    _gains(p, model, meas_model, n)
-
-
-def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> list[tuple]:
+def gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: int) -> list[tuple]:
     """The gains (8 row-major floats each) of steps 1..n, from the covariance
     `p` of step 0; none is computed when `n` is 0.
 
@@ -507,7 +472,7 @@ def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: i
     compared, never `p`, whose layout the caller chose; as bytes, since ==
     equates -0.0 and 0.0.
     """
-    gains = []
+    out = []
     a = model.transition_matrix()
     at = a.T
     r = meas_model.r.tolist()
@@ -515,16 +480,16 @@ def _gains(p: np.ndarray, model: MotionModel, meas_model: MeasurementModel, n: i
     # An overflowing product is reported by the finiteness checks of the
     # triangles; the error state is restored however the loop ends.
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(gains) < n:
+        while len(out) < n:
             u = _predicted_upper(a.dot(p).dot(at).tolist(), model)
             _check_upper(u)
             u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = u
             rows = (u00, u01, u02, u03), (u01, u11, u12, u13), (u02, u12, u22, u23), (u03, u13, u23, u33)
             g, upper = _gain_and_upper(rows, r)
             p = _symmetric(upper)
-            gains.append(g)
+            out.append(g)
             current = p.tobytes()
             if current == previous:
-                gains += [g] * (n - len(gains))
+                out += [g] * (n - len(out))
             previous = current
-    return gains
+    return out

@@ -33,7 +33,6 @@ from puedet.tracking import (
     MotionModel,
     TargetState,
     predict,
-    symmetrize,
     update,
 )
 
@@ -43,6 +42,10 @@ DISTANCES = (30.0, 50.0, 70.0, 90.0, 110.0, 130.0, 150.0)
 CALIBRATION = 0.15
 TAU = 25.0
 TRIALS_PER_CELL = 20_000  # schedule mix 0.5 -> 10^4 attack + 10^4 legit trials
+
+
+def symmetrize(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.T)
 
 
 def passed(num: int, text: str) -> None:

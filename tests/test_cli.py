@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puedet import cli, config, experiments
+from puedet import scenario as scenario_module
 from puedet.cli import main
 from puedet.config import ExperimentConfig, build_scenario, loads_config
 from puedet.errors import ConfigError
@@ -751,6 +752,21 @@ class TestValidation:
         rc, _ = run_cli(tmp_path, command, "[scenario]\nsteps = 30\n", "--trials", "100", "--seed", "3")
         assert rc == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_covariance_recursion_runs_once_per_run(self, tmp_path, monkeypatch, command):
+        # Validation reads the scenario's gains, and the command reuses them.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run(*args)
+
+        run = scenario_module.gains
+        monkeypatch.setattr(scenario_module, "gains", counted)
+        rc, _ = run_cli(tmp_path, command, "[scenario]\nsteps = 30\n", "--trials", "100", "--seed", "3")
+        assert rc == 0
+        assert len(calls) == 1 and calls[0][3] == 29
 
     def test_override_is_validated(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "track", "", "--trials", "0")

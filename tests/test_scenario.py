@@ -352,14 +352,33 @@ class TestScenarioTrack:
     def test_fixed_point_reuse_is_bit_exact(self, process_noise_std):
         # The stock tracker's covariance repeats bit for bit at step 132 and
         # is reused from there; with zero process noise it never repeats.
+        # Every prefix reads the scenario's one gain list of n_steps - 1 gains.
         scen = default_scenario(process_noise_std=process_noise_std)
         n = scen.n_steps
         zs = scen.truth_path(n - 1) + 5.0 * np.random.default_rng(5).standard_normal((n, 2))
+        for m in (1, 2, 133, 134):
+            assert_tracks_equal(scen.track(zs[:m]), per_step_track(scen, zs[:m]))
         expected = per_step_track(scen, zs)
         assert_tracks_equal(scen.track(zs), expected)
         # The case reaches the covariance's fixed point, or never does.
         steady = process_noise_std > 0.0
         assert (expected[150].covariance.tobytes() == expected[-1].covariance.tobytes()) is steady
+
+    @pytest.mark.parametrize(
+        "change", [dict(process_noise_std=0.5), dict(dt=0.5), dict(meas_noise_std=2.0), dict(n_steps=150)],
+        ids=["process_noise_std", "dt", "meas_noise_std", "n_steps"],
+    )
+    def test_cached_gains_are_never_stale(self, change):
+        # replace builds a new scenario, which runs its own recursion; the
+        # cached gains are not a field, so equality and hashing ignore them.
+        scen = default_scenario()
+        read = scen.filter_gains
+        changed = replace(scen, **change)
+        assert changed.filter_gains == default_scenario(**change).filter_gains != read
+        unread = default_scenario()
+        assert "filter_gains" in vars(scen) and "filter_gains" not in vars(unread)
+        assert scen == unread and hash(scen) == hash(unread)
+        assert scen.filter_gains is read
 
     def test_rejects_empty_or_overlong_sequences(self):
         scen = default_scenario(n_steps=5)

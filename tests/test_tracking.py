@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import puedet.tracking as tracking_module
 from puedet.config import default_scenario
 from puedet.errors import InvalidInputError, NumericalDegeneracyError
 from puedet.tracking import (
@@ -13,11 +12,10 @@ from puedet.tracking import (
     MeasurementModel,
     MotionModel,
     TargetState,
+    gains,
     initial_estimate,
-    is_valid_covariance,
     predict,
     predict_covariance,
-    symmetrize,
     track,
     track_weights,
     update,
@@ -33,6 +31,26 @@ def est(state, cov):
 def random_psd(rng, scale=10.0):
     m = rng.standard_normal((4, 4)) * scale
     return m @ m.T + 1e-6 * np.eye(4)
+
+
+def symmetrize(p):
+    return 0.5 * (p + p.T)
+
+
+def is_valid_covariance(p, scale_tol=1e-9):
+    """Symmetric within tolerance and PSD up to -scale_tol * trace."""
+    if not np.isfinite(p).all():
+        return False
+    if (np.abs(p - p.T) > scale_tol * np.maximum(1.0, np.abs(p))).any():
+        return False
+    return np.linalg.eigvalsh(symmetrize(p)).min() >= -scale_tol * max(np.trace(p), 0.0)
+
+
+def start_gains(model, mm, n, v_max=10.0):
+    """The gains of steps 1..n from the covariance of initial_estimate, which
+    does not depend on the start's position: the list track and track_weights
+    take."""
+    return gains(initial_estimate((0.0, 0.0), mm, v_max).covariance, model, mm, n)
 
 
 def gain(p, mm):
@@ -219,22 +237,28 @@ class TestUpdate:
 
 class TestTrack:
     def test_single_measurement_exact_init(self):
-        init = est([4, 5, 1, 1], np.eye(4))
-        out = track([np.array([4.0, 5.0])], MotionModel(1.0), MeasurementModel.isotropic(1.0), init=init)
+        # Row 0 is initial_estimate's start: the first measurement, at rest.
+        out = track([np.array([4.0, 5.0])], 1.0, [])
         assert out.shape == (1, 4)
-        assert np.array_equal(out[0], init.state.as_array())
+        start = initial_estimate((4.0, 5.0), MeasurementModel.isotropic(1.0), 10.0)
+        assert np.array_equal(out[0], start.state.as_array())
 
     def test_noiseless_constant_velocity_is_exact(self):
-        # Exact init + exact measurement values: the innovation is zero at
-        # every step, so the estimates sit on the truth for any R.
+        # The target starts at rest, where track starts, and a known push
+        # over step 1 sets it moving at (2, -1) m/s.  With exact measurement
+        # values the innovation is zero at every step, so the estimates sit
+        # on the truth for any R.
         mm = MeasurementModel.isotropic(1.0)
-        init = est([0, 0, 2, -1], np.diag([1, 1, 1, 1]))
-        times = [float(k) for k in range(30)]
-        zs = [np.array([2.0 * t, -1.0 * t]) for t in times]
-        out = track(zs, MotionModel(1.0), mm, init=init)
-        for t, (x, y, vx, vy) in zip(times, out):
-            assert abs(x - 2.0 * t) <= 1e-9
-            assert abs(y + 1.0 * t) <= 1e-9
+        times = np.arange(30.0)
+        accels = np.zeros((30, 2))
+        accels[1] = (2.0, -1.0)
+        xs = np.maximum(2.0 * times - 1.0, 0.0)
+        zs = [np.array([x, -0.5 * x]) for x in xs]
+        out = track(zs, 1.0, start_gains(MotionModel(1.0), mm, 29), accels)
+        assert np.array_equal(out[0], [0.0, 0.0, 0.0, 0.0])
+        for t, (x, y, vx, vy) in zip(times[1:], out[1:]):
+            assert abs(x - (2.0 * t - 1.0)) <= 1e-9
+            assert abs(y + (t - 0.5)) <= 1e-9
             assert abs(vx - 2.0) <= 1e-9
             assert abs(vy + 1.0) <= 1e-9
 
@@ -243,12 +267,13 @@ class TestTrack:
         mm = MeasurementModel.isotropic(5.0)
         model = MotionModel(1.0, 0.04, 0.04)
         times = np.arange(50.0)
+        g = start_gains(model, mm, 49)
         filt_se, raw_se = 0.0, 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             truth = np.stack([3.0 * times, 100.0 - 2.0 * times], axis=1)
             zs = truth + 5.0 * rng.standard_normal(truth.shape)
-            out = track(list(zs), model, mm, init=initial_estimate(zs[0], mm, 10.0))
+            out = track(list(zs), model.dt, g)
             estpos = out[:, :2]
             filt_se += np.sum((estpos - truth) ** 2)
             raw_se += np.sum((zs - truth) ** 2)
@@ -275,7 +300,7 @@ class TestTrack:
         for k in range(1, n):
             e = update(predict(e, model, accels[k]), mm, zs[k])
             expected.append(e)
-        got = track(zs, model, mm, init, accels)
+        got = track(zs, model.dt, start_gains(model, mm, n - 1), accels)
         assert got.shape == (n, 4)
         assert np.array_equal(got, [e.state.as_array() for e in expected])
         # The case reaches the covariance's fixed point, or never does.
@@ -286,22 +311,24 @@ class TestTrack:
         # With no accelerations the predict uses zero input.
         mm = MeasurementModel.isotropic(5.0)
         zs = np.arange(2.0 * n).reshape(n, 2)
-        init = initial_estimate(zs[0], mm, 10.0)
-        model = MotionModel(1.0, 0.04, 0.04)
+        g = start_gains(MotionModel(1.0, 0.04, 0.04), mm, n - 1)
         for accels in (None, np.zeros((n, 2))):
-            out = track(zs, model, mm, init, accels)
+            out = track(zs, 1.0, g, accels)
             assert out.shape == (n, 4) and out.dtype == np.float64 and out.flags.c_contiguous
-        assert np.array_equal(track(zs, model, mm, init), out)
+        assert np.array_equal(track(zs, 1.0, g), out)
 
     def test_rejects_bad_sequences(self):
-        mm = MeasurementModel.isotropic(1.0)
-        init = initial_estimate(np.zeros(2), mm, 10.0)
+        g = start_gains(MotionModel(1.0), MeasurementModel.isotropic(1.0), 2)
         with pytest.raises(InvalidInputError):
-            track([], MotionModel(1.0), mm, init)
+            track([], 1.0, g)
         with pytest.raises(InvalidInputError):
-            track([np.zeros(2), np.zeros(2)], MotionModel(1.0), mm, init, accels=[(0, 0)])
+            track([np.zeros(2), np.zeros(2)], 1.0, g, accels=[(0, 0)])
         with pytest.raises(InvalidInputError, match="measurement 0"):
-            track(np.zeros((3, 3)), MotionModel(1.0), mm, init)
+            track(np.zeros((3, 3)), 1.0, g)
+        # Too few gains is refused before any step, not cut short by the loop.
+        for few in ([], g[:1]):
+            with pytest.raises(InvalidInputError, match=f"3 measurements need 2 gains, got {len(few)}$"):
+                track(np.zeros((3, 2)), 1.0, few)
 
     @pytest.mark.parametrize(
         "what, k, bad",
@@ -321,27 +348,25 @@ class TestTrack:
         rows = {"measurement": [(float(j), 0.0) for j in range(200)], "acceleration": [(0.0, 0.0)] * 200}
         rows[what][k] = bad
         zs, accels = rows["measurement"], rows["acceleration"]
-        init = initial_estimate(zs[0], mm, 10.0)
         with pytest.raises(InvalidInputError, match=f"{what} {k}"):
-            track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+            track(zs, 1.0, start_gains(MotionModel(1.0, 0.04, 0.04), mm, 199), accels)
 
     def test_state_overflow_names_its_step(self):
         # Finite measurements whose innovation at step 5 overflows the state.
         mm = MeasurementModel.isotropic(5.0)
         zs = np.zeros((10, 2))
         zs[4], zs[5] = (1.7e308, 0.0), (-1.7e308, 0.0)
-        init = initial_estimate(zs[0], mm, 10.0)
         with pytest.raises(InvalidInputError, match="target state at step 5 must be finite"):
-            track(zs, MotionModel(1.0, 0.04, 0.04), mm, init)
+            track(zs, 1.0, start_gains(MotionModel(1.0, 0.04, 0.04), mm, 9))
 
     def test_first_acceleration_is_unused(self):
         mm = MeasurementModel.isotropic(5.0)
         zs = np.arange(20.0).reshape(10, 2)
-        init = initial_estimate(zs[0], mm, 10.0)
+        g = start_gains(MotionModel(1.0, 0.04, 0.04), mm, 9)
         accels = np.ones((10, 2))
-        base = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+        base = track(zs, 1.0, g, accels)
         accels[0] = (np.nan, np.inf)
-        out = track(zs, MotionModel(1.0, 0.04, 0.04), mm, init, accels)
+        out = track(zs, 1.0, g, accels)
         assert np.array_equal(out, base)
 
     @pytest.mark.parametrize(
@@ -356,10 +381,10 @@ class TestTrack:
         zs = 100.0 * rng.standard_normal((n, 2))
         noise = 10.0 * rng.standard_normal((n, 2))
         accels = rng.standard_normal((n, 2))
-        init = initial_estimate(zs[0], mm, 10.0)
-        expected = track(zs, model, mm, init, accels)
-        moved = track(zs + noise, model, mm, initial_estimate(zs[0] + noise[0], mm, 10.0), accels)
-        maps = track_weights((n - 1, 140, 1, 0), model, mm, init.covariance, zs, accels)
+        g = start_gains(model, mm, n - 1)
+        expected = track(zs, model.dt, g, accels)
+        moved = track(zs + noise, model.dt, g, accels)
+        maps = track_weights((n - 1, 140, 1, 0), model.dt, g, zs, accels)
         assert list(maps) == [0, 1, 140, n - 1]
         for k, (state, w) in maps.items():
             assert np.array_equal(state, expected[k]), k
@@ -368,15 +393,14 @@ class TestTrack:
             assert np.abs(got - moved[k, :2]).max() <= 1e-9, k
 
     def test_weights_reject_bad_accelerations(self):
-        mm = MeasurementModel.isotropic(5.0)
-        p0 = initial_estimate(np.zeros(2), mm, 10.0).covariance
+        g = start_gains(MotionModel(1.0, 0.04, 0.04), MeasurementModel.isotropic(5.0), 9)
         zs = np.zeros((10, 2))
         accels = np.zeros((10, 2))
         accels[4] = (np.nan, 0.0)
         with pytest.raises(InvalidInputError, match="acceleration 4"):
-            track_weights((9,), MotionModel(1.0, 0.04, 0.04), mm, p0, zs, accels)
+            track_weights((9,), 1.0, g, zs, accels)
         with pytest.raises(InvalidInputError, match="one entry per measurement"):
-            track_weights((5,), MotionModel(1.0, 0.04, 0.04), mm, p0, zs, accels[:9])
+            track_weights((5,), 1.0, g, zs, accels[:9])
 
 
 
@@ -392,9 +416,9 @@ def per_step_gains(p, model, mm, n):
 
 
 class TestGainSequence:
-    """track and track_weights consume one list of gains, computed in one
-    loop that reuses the gain once the covariance is at its fixed point
-    (step 132 for the stock tracker) and enters np.errstate once."""
+    """track and track_weights consume one list of gains, computed by gains
+    in one loop that reuses the gain once the covariance is at its fixed
+    point (step 132 for the stock tracker) and enters np.errstate once."""
 
     stock = MotionModel(1.0, 0.04, 0.04)
 
@@ -409,9 +433,9 @@ class TestGainSequence:
         for k in range(1, n):
             e = update(predict(e, self.stock, accels[k]), mm, zs[k])
             expected.append(e.state.as_array())
-        assert np.array_equal(track(zs, self.stock, mm, initial_estimate(zs[0], mm, 10.0), accels), expected)
+        assert np.array_equal(track(zs, 1.0, start_gains(self.stock, mm, n - 1), accels), expected)
 
-    def test_weights_equal_those_of_per_step_gains(self, monkeypatch):
+    def test_weights_equal_those_of_per_step_gains(self):
         # The stock gains have no signed zero, so update gives them bit for bit.
         rng = np.random.default_rng(22)
         mm = MeasurementModel.isotropic(5.0)
@@ -419,9 +443,8 @@ class TestGainSequence:
         accels = rng.standard_normal((200, 2))
         p0 = initial_estimate(zs[0], mm, 10.0).covariance
         steps = (0, 1, 131, 132, 133)
-        got = track_weights(steps, self.stock, mm, p0, zs, accels)
-        monkeypatch.setattr(tracking_module, "_gains", per_step_gains)
-        want = track_weights(steps, self.stock, mm, p0, zs, accels)
+        got = track_weights(steps, 1.0, gains(p0, self.stock, mm, 199), zs, accels)
+        want = track_weights(steps, 1.0, per_step_gains(p0, self.stock, mm, 199), zs, accels)
         assert list(got) == list(want) == list(steps)
         for k in steps:
             for a, b in zip(got[k], want[k]):
@@ -430,13 +453,16 @@ class TestGainSequence:
     def test_one_measurement_computes_no_gain(self):
         # The first gain would be singular: no covariance and no noise.
         model, mm = MotionModel(1.0), MeasurementModel(np.zeros((2, 2)))
-        init = est([3, 4, 1, 2], np.zeros((4, 4)))
-        out = track([(3.0, 4.0)], model, mm, init)
-        assert np.array_equal(out, [[3.0, 4.0, 1.0, 2.0]])
+        assert gains(np.zeros((4, 4)), model, mm, 0) == []
         with pytest.raises(NumericalDegeneracyError, match="innovation covariance is singular"):
-            track([(3.0, 4.0)] * 2, model, mm, init)
-        maps = track_weights((0,), model, mm, np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
+            gains(np.zeros((4, 4)), model, mm, 1)
+        assert np.array_equal(track([(3.0, 4.0)], 1.0, []), [[3.0, 4.0, 0.0, 0.0]])
+        maps = track_weights((0,), 1.0, [], np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.array_equal(maps[0][0], np.zeros(4))
+        # A one-step world with no noise at all: its recursion has no step.
+        scenario = default_scenario(n_steps=1, meas_noise_std=0.0, process_noise_std=0.0)
+        assert scenario.filter_gains == []
+        assert np.array_equal(scenario.track([(3.0, 4.0)]), [[3.0, 4.0, 0.0, 0.0]])
 
     def test_error_state_is_restored_and_no_warning_escapes(self):
         # v_max = 1e154 puts 1e308 on the velocity variances, so at dt = 2
@@ -445,20 +471,19 @@ class TestGainSequence:
         mm = MeasurementModel.isotropic(5.0)
         model = MotionModel(2.0, 0.04, 0.04)
         zs = np.zeros((20, 2))
-        huge = initial_estimate(zs[0], mm, 1e154)
         scenario = default_scenario(v_max=1e154, meas_noise_std=1e154)
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in (
-                lambda: track(zs, model, mm, huge),
-                lambda: track_weights((19,), model, mm, huge.covariance, zs, zs),
+                lambda: start_gains(model, mm, 19, v_max=1e154),
                 lambda: scenario.estimate_law((scenario.n_steps - 1,)),
+                lambda: scenario.track(zs),
             ):
                 with pytest.raises(InvalidInputError, match="^covariance recursion left the finite range$"):
                     run()
                 assert np.geterr() == before
-            track(zs, model, mm, initial_estimate(zs[0], mm, 10.0))
+            track(zs, 2.0, start_gains(model, mm, 19))
             assert np.geterr() == before
             default_scenario().estimate_law((0, 199))
             assert np.geterr() == before
@@ -481,13 +506,13 @@ class TestTrackMoments:
         n = 300
         zs = 100.0 * rng.standard_normal((n, 2))
         accels = rng.standard_normal((n, 2))
-        init = initial_estimate(zs[0], mm, 10.0)
-        expected = track(zs, model, mm, init, accels)
+        g = start_gains(model, mm, n - 1)
+        expected = track(zs, model.dt, g, accels)
         steps = (n - 1, 140, 1, 0)
-        maps = track_weights(steps, model, mm, init.covariance, zs, accels)
+        maps = track_weights(steps, model.dt, g, zs, accels)
         assert list(maps) == [0, 1, 140, n - 1]
         a, c = model.transition_matrix(), np.eye(2, 4)
-        s, p = np.diag([1.0, 1.0, 0.0, 0.0]), init.covariance
+        s, p = np.diag([1.0, 1.0, 0.0, 0.0]), initial_estimate(zs[0], mm, 10.0).covariance
         want = {0: s[:2, :2]}
         for k in range(1, n):
             p = predict(est([0, 0, 0, 0], p), model).covariance
@@ -502,21 +527,23 @@ class TestTrackMoments:
             assert np.abs(ww - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
     def test_rejects_bad_input(self):
-        mm = MeasurementModel.isotropic(5.0)
-        model = MotionModel(1.0, 0.04, 0.04)
-        p0 = initial_estimate(np.zeros(2), mm, 10.0).covariance
+        g = start_gains(MotionModel(1.0, 0.04, 0.04), MeasurementModel.isotropic(5.0), 9)
         zs = np.zeros((10, 2))
         for steps in ((), (-1,), (10,), (3.0,)):
             with pytest.raises(InvalidInputError, match="steps"):
-                track_weights(steps, model, mm, p0, zs, zs)
+                track_weights(steps, 1.0, g, zs, zs)
         with pytest.raises(InvalidInputError, match="one entry per measurement"):
-            track_weights((5,), model, mm, p0, zs, zs[:9])
+            track_weights((5,), 1.0, g, zs, zs[:9])
         bad = zs.copy()
         bad[4] = (np.nan, 0.0)
         with pytest.raises(InvalidInputError, match="acceleration 4"):
-            track_weights((9,), model, mm, p0, zs, bad)
+            track_weights((9,), 1.0, g, zs, bad)
         with pytest.raises(InvalidInputError, match="measurement 4"):
-            track_weights((9,), model, mm, p0, bad, zs)
+            track_weights((9,), 1.0, g, bad, zs)
+        # A step past the gains is refused, not read from a short list.
+        with pytest.raises(InvalidInputError, match="^step 9 needs 9 gains, got 8$"):
+            track_weights((3, 9), 1.0, g[:8], zs, zs)
+        assert list(track_weights((8,), 1.0, g[:8], zs, zs)) == [8]
 
 def test_initial_estimate_covariance():
     mm = MeasurementModel.isotropic(2.0)
