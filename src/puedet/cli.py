@@ -8,12 +8,16 @@ chart built, each as a function that formats and writes it, and only then is
 any file written, so a failing command writes none.  A file that formats at
 least _FORK_VALUES values, while those listed after it format as many, is
 written by a forked child as the parent writes the rest (in practice a long
-track's chart); without os.fork every file is written in this process.
+track's chart).  The child confines itself to the CPUs this process may use
+other than the one it runs on, since a scheduler that does not balance load
+leaves a forked child on its parent's CPU.  With fewer than two CPUs allowed,
+or without os.fork, every file is written in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -32,7 +36,9 @@ from .svgplot import line_chart
 
 _BLOCK_ROWS = 4096
 # Forking and reaping a child costs about 2-3 ms in a 60-80 MB numpy process
-# on a 2-CPU x86 host, the time of some 12 000 "%.2f" values.
+# on a 2-CPU x86 host, the time of some 12 000 "%.2f" values.  The child pays
+# back only on a CPU of its own: it is pinned off its parent's CPU, and with
+# one CPU allowed no file is forked.
 _FORK_VALUES = 12_000
 _SWEEP_SPECS = ["%.9g"] * 3 + ["%d"] * 2 + ["%.9g"] * 3
 
@@ -287,14 +293,31 @@ def _forked_name(files: dict) -> str | None:
     return None
 
 
+def _running_cpu() -> int | None:
+    """The CPU this process runs on now (field 39, processor, of
+    /proc/self/stat), or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # The command name, field 2, may hold spaces and parentheses.
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def _fork_write(path: Path, body) -> int | None:
     """Fork a child that writes `body` to `path` and leaves by os._exit, never
     returning into the caller: its exit status is 0, the errno of an OSError,
-    or 255 for any other failure.  Returns the child's pid, or None where
-    os.fork does not exist or fails, and the caller writes `body` itself."""
-    fork = getattr(os, "fork", None)
-    if fork is None:
+    or 255 for any other failure.  The child first confines itself to the
+    allowed CPUs other than the one this process runs on, as far as it can;
+    this process's own CPUs are left as they are.  Returns the child's pid,
+    or None where os.fork does not exist or fails or fewer than two CPUs are
+    allowed, and the caller writes `body` itself."""
+    fork, getaffinity = getattr(os, "fork", None), getattr(os, "sched_getaffinity", None)
+    # Where the allowed CPUs cannot be read (macOS), every CPU of the host is.
+    cpus = getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
+    if fork is None or len(cpus) < 2:
         return None
+    others = cpus - {_running_cpu()}
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork in a process with more than one
         # thread, and importing numpy starts one (the BLAS pool).  The child
@@ -311,6 +334,9 @@ def _fork_write(path: Path, body) -> int | None:
         return pid
     status = 255
     try:
+        # Best effort: a child that cannot be pinned writes where it is.
+        with contextlib.suppress(AttributeError, OSError):
+            os.sched_setaffinity(0, others)
         _write(path, body)
         status = 0
     except OSError as exc:

@@ -200,8 +200,7 @@ def config_error(keys: str):
 
 def validate_config(cfg: ExperimentConfig) -> Scenario:
     """Enforce the domain invariants, naming the offending key; return the Scenario checked."""
-    with config_error("[scenario/link]"):
-        scenario = build_scenario(cfg)
+    scenario = build_scenario(cfg)
     with config_error("[link] alpha"):
         check_path_loss(scenario.link)
     # Noise levels and v_max with finite squares can still overflow the filter's
@@ -215,7 +214,7 @@ def validate_config(cfg: ExperimentConfig) -> Scenario:
         raise ConfigError(
             f"[detector] target_pfa: must be in (0, 1), got {cfg.detector.target_pfa}"
         )
-    with config_error("[detector]"):
+    with config_error("[detector] tau, fusion"):
         build_detector(cfg)
     if not (math.isfinite(cfg.link.snr_calibration) and cfg.link.snr_calibration > 0):
         raise ConfigError(
@@ -280,25 +279,47 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+# The config keys that set each Scenario field that its own checks read; the
+# trajectory is read only for its end time.
+_SCENARIO_KEYS = {
+    "dt": "[scenario] dt",
+    "meas_noise_std": "[scenario] meas_noise_std",
+    "attacker_pos": "[scenario] attacker_x, attacker_y",
+    "anchors": "[scenario] anchors",
+    "n_steps": "[scenario] steps",
+    "trajectory": "[scenario] segments",
+    "eval_step": "[scenario] eval_step",
+    "process_noise_std": "[tracking] process_noise_std",
+    "v_max": "[tracking] v_max",
+}
+
+
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Materialize the Scenario described by a config."""
+    """Materialize the Scenario described by a config.  A value that it
+    refuses is a ConfigError naming the keys that set it."""
     sc = cfg.scenario
-    traj = Trajectory.from_segments(
-        (sc.start_x, sc.start_y), (sc.vel_x, sc.vel_y), sc.segments
-    )
-    return Scenario(
-        trajectory=traj,
-        attacker_pos=(sc.attacker_x, sc.attacker_y),
-        anchors=tuple(AnchorNode(aid, x, y) for aid, x, y in sc.anchors),
-        dt=sc.dt,
-        meas_noise_std=sc.meas_noise_std,
-        link=LinkModel(cfg.link.alpha),
-        rss_noise=NoiseModel(0.0),
-        n_steps=sc.steps,
-        process_noise_std=cfg.tracking.process_noise_std,
-        v_max=cfg.tracking.v_max,
-        eval_step=None if sc.eval_step < 0 else sc.eval_step,
-    )
+    with config_error("[scenario] start_x, start_y, vel_x, vel_y, segments"):
+        traj = Trajectory.from_segments((sc.start_x, sc.start_y), (sc.vel_x, sc.vel_y), sc.segments)
+    with config_error("[scenario] anchors"):
+        anchors = tuple(AnchorNode(aid, x, y) for aid, x, y in sc.anchors)
+    with config_error("[link] alpha"):
+        link = LinkModel(cfg.link.alpha)
+    try:
+        return Scenario(
+            trajectory=traj,
+            attacker_pos=(sc.attacker_x, sc.attacker_y),
+            anchors=anchors,
+            dt=sc.dt,
+            meas_noise_std=sc.meas_noise_std,
+            link=link,
+            rss_noise=NoiseModel(0.0),
+            n_steps=sc.steps,
+            process_noise_std=cfg.tracking.process_noise_std,
+            v_max=cfg.tracking.v_max,
+            eval_step=None if sc.eval_step < 0 else sc.eval_step,
+        )
+    except InvalidInputError as exc:
+        raise ConfigError(f"{', '.join(_SCENARIO_KEYS[f] for f in exc.fields)}: {exc}") from None
 
 
 def build_detector(cfg: ExperimentConfig) -> DetectorConfig:

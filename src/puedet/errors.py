@@ -2,7 +2,14 @@
 
 
 class InvalidInputError(ValueError):
-    """An argument violates a documented precondition (non-finite, out of range, ...)."""
+    """An argument violates a documented precondition (non-finite, out of range, ...).
+
+    ``fields`` names the fields, of the object being built, whose values
+    decide the error, where the check knows them."""
+
+    def __init__(self, message: str, fields: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class NumericalDegeneracyError(ArithmeticError):

@@ -143,7 +143,9 @@ class Scenario:
     step eval_step (None = final step) either the PU, at its true position, or
     the attacker, at attacker_pos, transmits, as each trial decides.
     process_noise_std / v_max tune the tracker of this world, which
-    :meth:`track` runs over a measurement sequence.
+    :meth:`track` runs over a measurement sequence.  A value that
+    construction refuses raises InvalidInputError whose ``fields`` name the
+    fields that decide it.
     """
 
     trajectory: Trajectory
@@ -160,31 +162,37 @@ class Scenario:
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidInputError(f"dt must be > 0, got {self.dt}")
+            raise InvalidInputError(f"dt must be > 0, got {self.dt}", ("dt",))
         if not self.anchors:
-            raise InvalidInputError("scenario needs at least one anchor")
+            raise InvalidInputError("scenario needs at least one anchor", ("anchors",))
         if not (math.isfinite(self.meas_noise_std) and self.meas_noise_std >= 0.0):
-            raise InvalidInputError("meas_noise_std must be >= 0")
+            raise InvalidInputError("meas_noise_std must be >= 0", ("meas_noise_std",))
         if len(self.attacker_pos) != 2 or not all(math.isfinite(c) for c in self.attacker_pos):
-            raise InvalidInputError(f"attacker position must be a finite (x, y) pair, got {self.attacker_pos!r}")
+            raise InvalidInputError(
+                f"attacker position must be a finite (x, y) pair, got {self.attacker_pos!r}", ("attacker_pos",)
+            )
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise InvalidInputError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+            raise InvalidInputError(f"n_steps must be an integer >= 1, got {self.n_steps!r}", ("n_steps",))
         t_last, t_end = (self.n_steps - 1) * self.dt, float(self.trajectory.times[-1])
         if t_last > t_end + 1e-9:
-            raise InvalidInputError(f"{self.n_steps} steps span {t_last} s but trajectory ends at {t_end} s")
+            raise InvalidInputError(
+                f"{self.n_steps} steps span {t_last} s but trajectory ends at {t_end} s", ("n_steps", "dt", "trajectory")
+            )
         if self.eval_step is not None and not (
             isinstance(self.eval_step, (int, np.integer)) and 0 <= self.eval_step < self.n_steps
         ):
-            raise InvalidInputError(f"eval_step must be an integer in [0, {self.n_steps}), got {self.eval_step!r}")
+            raise InvalidInputError(
+                f"eval_step must be an integer in [0, {self.n_steps}), got {self.eval_step!r}", ("eval_step", "n_steps")
+            )
         if not (math.isfinite(self.process_noise_std) and self.process_noise_std >= 0.0):
-            raise InvalidInputError("process_noise_std must be >= 0")
+            raise InvalidInputError("process_noise_std must be >= 0", ("process_noise_std",))
         if not (math.isfinite(self.v_max) and self.v_max > 0.0):
-            raise InvalidInputError("v_max must be > 0")
+            raise InvalidInputError("v_max must be > 0", ("v_max",))
         # The tracker squares each of these; as floats, so numpy scalars do not warn.
         for name in ("meas_noise_std", "process_noise_std", "v_max"):
             v = float(getattr(self, name))
             if not math.isfinite(v * v):
-                raise InvalidInputError(f"{name} must have a finite square, got {v}")
+                raise InvalidInputError(f"{name} must have a finite square, got {v}", (name,))
 
     @property
     def evaluation_step(self) -> int:
@@ -252,18 +260,20 @@ class Scenario:
             raise InvalidInputError(f"step {step!r} out of range [0, {self.n_steps})")
         return step
 
-    def _states(self, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Time, position, velocity and segment acceleration at `steps`, an
-        int or an integer array (the vectors gain a last axis of 2), by the
-        closed form of the segment that each step's time falls in."""
-        traj = self.trajectory
-        t = steps * self.dt
+    def _segment(self, t):
+        """The index of the trajectory segment that each time of `t` falls in."""
         # The interior waypoints at or before t are the segments passed: a
         # waypoint's time opens the next segment, and the end time stays in the last.
-        i = traj.times[1:-1].searchsorted(t, side="right")
-        a = traj.accels[i]
-        p, v = _advance(traj.positions[i], traj.velocities[i], a, (t - traj.times[i])[..., None])
-        return t, p, v, a
+        return self.trajectory.times[1:-1].searchsorted(t, side="right")
+
+    def _states(self, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Position and velocity at `steps`, an int or an integer array (the
+        vectors gain a last axis of 2), by the closed form of the segment that
+        each step's time falls in."""
+        traj = self.trajectory
+        t = steps * self.dt
+        i = self._segment(t)
+        return _advance(traj.positions[i], traj.velocities[i], traj.accels[i], (t - traj.times[i])[..., None])
 
     def step_times(self, upto: int) -> np.ndarray:
         """Time of every step 0..upto."""
@@ -272,19 +282,19 @@ class Scenario:
     def truth_path(self, upto: int) -> np.ndarray:
         """True PU position at every step 0..upto, shape (upto + 1, 2); row k
         is ``truth_at(self, k).position``."""
-        return self._states(np.arange(self._check_step(upto) + 1))[1]
+        return self._states(np.arange(self._check_step(upto) + 1))[0]
 
     def step_accels(self, eval_step: int) -> np.ndarray:
         """Acceleration input for the predict into each step up to `eval_step`
         (row 0 unused): the acceleration of step k - 1's segment."""
         acc = np.zeros((self._check_step(eval_step) + 1, 2))
-        acc[1:] = self._states(np.arange(eval_step))[3]
+        acc[1:] = self.trajectory.accels[self._segment(np.arange(eval_step) * self.dt)]
         return acc
 
 
 def truth_at(scenario: Scenario, step: int) -> TargetState:
     """Exact ground-truth state of the primary user at a sampling step."""
-    _, p, v, _ = scenario._states(scenario._check_step(step))
+    p, v = scenario._states(scenario._check_step(step))
     return TargetState(*p.tolist(), *v.tolist())
 
 
@@ -295,7 +305,7 @@ def emit_position_measurement(
 
     Always consumes exactly two draws from the stream, even at zero noise.
     """
-    position = scenario._states(scenario._check_step(step))[1]
+    position = scenario._states(scenario._check_step(step))[0]
     return position + scenario.meas_noise_std * rng.standard_normal(2)
 
 

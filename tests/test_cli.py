@@ -1,7 +1,10 @@
 import csv
+import errno
 import io
+import json
 import math
 import os
+import re
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -588,17 +591,23 @@ class TestErrors:
     # Refused: with neither noise the tracker's covariance collapses, which
     # every command once reported without naming a key.
     @example(values={("scenario", "meas_noise_std"): "1e-300", ("tracking", "process_noise_std"): "0"})
+    # Refused under the label "[scenario/link]", which named neither key.
+    @example(values={("tracking", "process_noise_std"): "1e200", ("sweep", "roc_distance"): "0"})
+    @example(values={("tracking", "v_max"): "-1", ("run", "seed"): "0"})
     @settings(max_examples=500, deadline=None)
     def test_extreme_numbers_together_are_refused_or_run_clean(self, values):
         # The loop above with two or three keys set at once, which also leaves
-        # no forked child behind.
+        # no forked child behind.  A refusal names a key that was set.
         sections = {"scenario": {"steps": "30"}}
         for (section, key), value in values.items():
             sections.setdefault(section, {})[key] = value
         text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items())
         try:
             loads_config(text)
-        except ConfigError:
+        except ConfigError as exc:
+            label = str(exc).split(": ", 1)[0]
+            named = [key for s, kv in sections.items() for key in kv if re.search(rf"\b{key}\b", label)]
+            assert label.startswith("[") and named, f"{values}: {exc}"
             return
         with tempfile.TemporaryDirectory() as tmp:
             for command in COMMANDS:
@@ -624,9 +633,27 @@ class TestErrors:
 LONG_TRACK = "[scenario]\nsteps = 2500\ndt = 0.08\n\n[run]\nseed = 5\n"
 
 
+# The CPUs this process may run on; empty where they cannot be read.
+ALLOWED_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def long_track_files(tmp_path):
+    """The bytes, by name, of the files of a LONG_TRACK run into an emptied
+    tmp_path / "out", so that every run writes the same manifest."""
+    for p in (tmp_path / "out").glob("*"):
+        p.unlink()
+    rc, out = run_cli(tmp_path, "track", LONG_TRACK)
+    assert rc == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 @pytest.fixture
 def counted_forks(monkeypatch):
-    """os.fork, recording in the parent the pid of each child it starts."""
+    """os.fork, recording in the parent the pid of each child it starts.  On
+    a host that allows one CPU, where the CLI forks no child, this process
+    is shown two."""
+    if len(ALLOWED_CPUS) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids, fork = [], os.fork
 
     def counted():
@@ -654,16 +681,62 @@ class TestForkedWrite:
             os.waitpid(-1, os.WNOHANG)
 
     def test_fork_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch, counted_forks):
+        forked = long_track_files(tmp_path)
+        assert len(counted_forks) == 1
+        assert sorted(forked) == ["manifest.txt", "track.csv", "track.svg"]
+        monkeypatch.delattr(os, "fork")
+        assert long_track_files(tmp_path) == forked
+
+    @pytest.mark.skipif(len(ALLOWED_CPUS) < 2, reason="needs two CPUs")
+    def test_child_runs_off_the_parents_cpu(self, tmp_path, monkeypatch, counted_forks):
+        # The child writes the CPUs it may run on as its chart; the parent's
+        # CPU is the one that the CLI read before it forked.
+        line_chart, running_cpu, parent_cpus = cli.line_chart, cli._running_cpu, []
+
+        def affinity_chart(*args):
+            def write(fh):
+                fh.write(json.dumps(sorted(os.sched_getaffinity(0))))
+
+            write.values = line_chart(*args).values
+            return write
+
+        def recorded_cpu():
+            parent_cpus.append(running_cpu())
+            return parent_cpus[-1]
+
+        monkeypatch.setattr(cli, "line_chart", affinity_chart)
+        monkeypatch.setattr(cli, "_running_cpu", recorded_cpu)
         rc, out = run_cli(tmp_path, "track", LONG_TRACK)
         assert rc == 0 and len(counted_forks) == 1
-        forked = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert sorted(forked) == ["manifest.txt", "track.csv", "track.svg"]
-        for p in out.iterdir():
-            p.unlink()
-        monkeypatch.delattr(os, "fork")
-        rc, out = run_cli(tmp_path, "track", LONG_TRACK)
-        assert rc == 0
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == forked
+        assert len(parent_cpus) == 1 and parent_cpus[0] in ALLOWED_CPUS
+        assert set(json.loads((out / "track.svg").read_text())) == ALLOWED_CPUS - {parent_cpus[0]}
+        assert os.sched_getaffinity(0) == ALLOWED_CPUS
+
+    @pytest.mark.parametrize("pinning", ["refused", "missing"])
+    def test_unpinned_child_writes_the_same_bytes(self, tmp_path, monkeypatch, counted_forks, pinning):
+        # Pinning is best effort: a child that cannot pin itself writes where
+        # it is, and no exit status reports it.
+        pinned = long_track_files(tmp_path)
+
+        def refused(pid, cpus):
+            raise PermissionError(errno.EPERM, "planted")
+
+        if pinning == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert long_track_files(tmp_path) == pinned
+        assert len(counted_forks) == 2
+
+    def test_one_cpu_writes_in_process(self, tmp_path, monkeypatch, counted_forks):
+        # On one CPU a child would only share its parent's: no fork.
+        two_cpus = os.sched_getaffinity
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = long_track_files(tmp_path)
+        assert counted_forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", two_cpus)
+        assert long_track_files(tmp_path) == one_cpu
+        assert len(counted_forks) == 1
 
     def test_fork_warns_of_nothing(self, tmp_path, counted_forks):
         # Python >= 3.12 warns on fork in a process with a second thread, as

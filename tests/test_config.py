@@ -123,7 +123,7 @@ class TestValidation:
     )
     def test_tracker_square_beyond_float_range(self, section, key):
         # The tracker squares each of these; 1e200 is finite, its square is not.
-        with pytest.raises(ConfigError, match=rf"\[scenario/link\]: {key} must have a finite square"):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: {key} must have a finite square"):
             loads_config(f"[{section}]\n{key} = 1e200\n")
 
     @pytest.mark.parametrize(
@@ -174,8 +174,27 @@ class TestValidation:
             ("[sweep]\nsnr_db = -5 -8000\n", r"\[sweep\] snr_db: .*beyond the float range"),
             ("[sweep]\npfa_targets =\n", r"\[sweep\] pfa_targets: must be non-empty"),
             ("[scenario]\neval_step = -7\n", r"\[scenario\] eval_step: "),
+            # Each value that the scenario, its trajectory, anchors or link
+            # refuses is reported under the config keys that set it.
+            ("[scenario]\ndt = -1\n", r"^\[scenario\] dt: "),
+            ("[scenario]\nsteps = 0\n", r"^\[scenario\] steps: "),
+            ("[scenario]\nmeas_noise_std = -1\n", r"^\[scenario\] meas_noise_std: "),
+            ("[scenario]\nattacker_y = nan\n", r"^\[scenario\] attacker_x, attacker_y: "),
+            ("[scenario]\neval_step = 200\n", r"^\[scenario\] eval_step, \[scenario\] steps: "),
+            ("[scenario]\nsegments = 10 0 0\nsteps = 100\n", r"^\[scenario\] steps, \[scenario\] dt, \[scenario\] segments: "),
+            ("[scenario]\nanchors = a1 nan 0\n", r"^\[scenario\] anchors: "),
+            ("[scenario]\nvel_x = inf\n", r"^\[scenario\] start_x, start_y, vel_x, vel_y, segments: "),
+            ("[scenario]\nsegments = 0 0 0\n", r"^\[scenario\] start_x, start_y, vel_x, vel_y, segments: "),
+            ("[tracking]\nprocess_noise_std = -1\n", r"^\[tracking\] process_noise_std: "),
+            ("[tracking]\nv_max = -1\n", r"^\[tracking\] v_max: "),
+            ("[link]\nalpha = 0\n", r"^\[link\] alpha: "),
+            ("[detector]\ntau = -1\n", r"^\[detector\] tau, fusion: "),
         ],
-        ids=["snr_db=-8000", "empty pfa_targets", "eval_step=-7"],
+        ids=[
+            "snr_db=-8000", "empty pfa_targets", "eval_step=-7", "dt=-1", "steps=0", "meas_noise_std=-1",
+            "attacker_y=nan", "eval_step=200", "segments=10 0 0, steps=100", "anchors=a1 nan 0", "vel_x=inf",
+            "segments=0 0 0", "process_noise_std=-1", "v_max=-1", "alpha=0", "tau=-1",
+        ],
     )
     def test_rejected_value_names_its_key(self, text, match):
         with pytest.raises(ConfigError, match=match):
