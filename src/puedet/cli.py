@@ -5,19 +5,25 @@ Commands: track, sweep-distance, sweep-roc, compare-baseline.  Each runs the
 scenario that `validate_config` built (a failure only some keys decide is named
 by `config_error`) and returns its files by name, every table checked and every
 chart built, each as a function that formats and writes it, and only then is
-any file written, so a failing command writes none.  A file that formats at
-least _FORK_VALUES values, while those listed after it format as many, is
-written by a forked child as the parent writes the rest (in practice a long
-track's chart).  The child confines itself to the CPUs this process may use
-other than the one it runs on, since a scheduler that does not balance load
-leaves a forked child on its parent's CPU.  With fewer than two CPUs allowed,
-or without os.fork, every file is written in this process.
+any file written, so a failing command writes none.  Where the files format
+at least 2 x _FORK_VALUES values, their formatting work is cut in two near
+its midpoint, in file order (a chart whole, a table between rows): a forked
+child writes what lies before the cut while this process formats the rest,
+writes the files after it, and appends the rows of a cut table once the
+child has exited cleanly.  For a long track that is the chart and the
+table's first fifth against its other rows.  The child confines itself to
+the CPUs this process may use other than the one it runs on, since a
+scheduler that does not balance load leaves a forked child on its parent's
+CPU.  With fewer than two CPUs allowed, or without os.fork, every file is
+written in this process, with the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import io
 import os
 import sys
 import warnings
@@ -48,7 +54,8 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
     `rows` (lists or a 2-D array) under `header`, each column in its %-spec of
     `specs`, an absent (None) cell empty.  Every value is checked finite here,
     before any file is opened; each block of rows is formatted by one %.  The
-    function's `values` counts the values it formats."""
+    function's `values` counts the values it formats, and its `row_values`
+    those of one row."""
     table = np.array(rows, dtype=float).reshape(len(rows), len(specs))  # an absent cell reads as nan
     absent = ~np.isfinite(table)
     if any(rows[i][j] is not None for i, j in np.argwhere(absent)):
@@ -58,14 +65,21 @@ def _csv(name: str, header: list[str], rows, specs: list[str]):
         # "%.0s" prints an absent cell's nan as nothing.
         formats[i] = ",".join(np.where(absent[i], "%.0s", specs)) + "\n"
 
-    def write(fh) -> None:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
+    def write(fh, start: int | None = None, stop: int | None = None) -> None:
+        """Write rows [start, stop) to `fh`; with no `start`, the header and
+        the rows from the first, so that the whole table is write(fh) and
+        also write(fh, stop=c) followed by write(fh, start=c)."""
+        if start is None:
+            fh.write(",".join(header) + "\n")
+            start = 0
+        stop = len(table) if stop is None else stop
+        for first in range(start, stop, _BLOCK_ROWS):
+            block = slice(first, min(first + _BLOCK_ROWS, stop))
             # One % per block: each row's format takes exactly len(specs) values.
             fh.write("".join(formats[block]) % tuple(table[block].ravel().tolist()))
 
     write.values = table.size
+    write.row_values = len(specs)
     return write
 
 
@@ -124,8 +138,8 @@ def cmd_track(cfg: ExperimentConfig, scenario) -> dict:
             ],
             "Primary-user tracking", "x (m)", "y (m)",
         )
-    # The chart comes first: on a long track it goes to a forked child while
-    # this process writes the table.
+    # The chart comes first: on a long track a forked child writes it and the
+    # table's first rows while this process formats the other rows.
     return {"track.svg": chart, "track.csv": _csv("track.csv", header, table, ["%d"] + ["%.9g"] * 9)}
 
 
@@ -276,21 +290,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: Path, body) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write(path: Path, body, mode: str = "w") -> None:
+    with open(path, mode, encoding="utf-8", newline="") as fh:
         fh.write(body) if isinstance(body, str) else body(fh)
 
 
-def _forked_name(files: dict) -> str | None:
-    """The file to write in a forked child: the first that formats at least
-    _FORK_VALUES values, when the files after it, which this process writes
-    meanwhile, format as many; None if there is none."""
-    # A manifest (str) or a chart with nothing to plot (None) formats none.
+def _cut(files: dict) -> tuple[int, int] | None:
+    """Where the writing of `files` splits into two shares of formatting
+    work, in file order, as near to even as the files allow: (i, rows), the
+    files before the i-th and, where the i-th is a table, its first `rows`
+    rows, against the rest.  A chart is cut before or after, whichever is
+    nearer the midpoint, and a table between rows.  None where a share
+    would format fewer than _FORK_VALUES values."""
+    # A manifest (str) formats no values.
     sizes = [getattr(body, "values", 0) for body in files.values()]
-    for i, name in enumerate(files):
-        if sizes[i] >= _FORK_VALUES and sum(sizes[i + 1:]) >= _FORK_VALUES:
-            return name
-    return None
+    total = sum(sizes)
+    if total < 2 * _FORK_VALUES:
+        return None
+    half, before = total / 2, 0
+    for i, body in enumerate(files.values()):
+        after = before + sizes[i]
+        if after > half:
+            break
+        before = after
+    width, rows = getattr(body, "row_values", 0), 0
+    if width:
+        rows = int((half - before) // width)
+    elif after - half < half - before:
+        i, before = i + 1, after
+    child = before + rows * width
+    return (i, rows) if min(child, total - child) >= _FORK_VALUES else None
 
 
 def _running_cpu() -> int | None:
@@ -304,14 +333,16 @@ def _running_cpu() -> int | None:
         return None
 
 
-def _fork_write(path: Path, body) -> int | None:
-    """Fork a child that writes `body` to `path` and leaves by os._exit, never
-    returning into the caller: its exit status is 0, the errno of an OSError,
-    or 255 for any other failure.  The child first confines itself to the
-    allowed CPUs other than the one this process runs on, as far as it can;
-    this process's own CPUs are left as they are.  Returns the child's pid,
-    or None where os.fork does not exist or fails or fewer than two CPUs are
-    allowed, and the caller writes `body` itself."""
+def _fork_write(out: Path, parts: list, progress) -> int | None:
+    """Fork a child that writes `parts`, (name, body) pairs, under `out` in
+    order, storing each one's index in the shared byte progress[0] before it
+    opens the file, and leaves by os._exit, never returning into the caller:
+    its exit status is 0, the errno of an OSError, or 255 for any other
+    failure.  The child first confines itself to the allowed CPUs other than
+    the one this process runs on, as far as it can; this process's own CPUs
+    are left as they are.  Returns the child's pid, or None where os.fork
+    does not exist or fails or fewer than two CPUs are allowed, and the
+    caller writes `parts` itself."""
     fork, getaffinity = getattr(os, "fork", None), getattr(os, "sched_getaffinity", None)
     # Where the allowed CPUs cannot be read (macOS), every CPU of the host is.
     cpus = getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
@@ -337,7 +368,9 @@ def _fork_write(path: Path, body) -> int | None:
         # Best effort: a child that cannot be pinned writes where it is.
         with contextlib.suppress(AttributeError, OSError):
             os.sched_setaffinity(0, others)
-        _write(path, body)
+        for k, (name, body) in enumerate(parts):
+            progress[0] = k
+            _write(out / name, body)
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < 255:
@@ -352,6 +385,62 @@ def _child_error(status: int, path: Path) -> OSError:
     if 0 < code < 255:
         return OSError(code, os.strerror(code), str(path))
     return OSError(f"writing {path} failed in a child process (exit status {code})")
+
+
+def _write_in_two(out: Path, files: dict, i: int, rows: int, progress) -> bool:
+    """Write `files` cut at (i, rows) (see :func:`_cut`) in two processes:
+    a forked child writes the files before the i-th and, where `rows` is
+    not 0, the i-th table's header and first `rows` rows.  Meanwhile this
+    process formats the table's other rows into memory, writes the files
+    after it and reaps the child; it appends its rows only if the child
+    exited cleanly, and otherwise raises the child's error naming the file
+    the child was writing.  Returns False, having written nothing, where no
+    child could be forked.  Each body is dropped once it is written or
+    handed to the child, so that the chart is not held while a table is
+    formatted."""
+    names = list(files)
+    child = names[: i + bool(rows)]
+    parts = [(name, files[name]) for name in names[:i]]
+    if rows:
+        parts.append((names[i], functools.partial(files[names[i]], stop=rows)))
+    pid = _fork_write(out, parts, progress)
+    if pid is None:
+        return False
+    del parts
+    for name in names[:i]:
+        del files[name]
+    tail = io.StringIO()
+    try:
+        if rows:
+            files.pop(names[i])(tail, start=rows)
+        for name in list(files):
+            _write(out / name, files.pop(name))
+    finally:
+        # Reaped even when this process's own write fails, whose error
+        # then stands.
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise _child_error(status, out / child[progress[0]])
+    if rows:
+        _write(out / names[i], tail.getvalue(), "a")
+    return True
+
+
+def _write_files(out: Path, files: dict) -> None:
+    """Write `files` (name: body) under `out`: in two processes where
+    :func:`_cut` splits them (see :func:`_write_in_two`), else one by one
+    in this process, each body dropped once written."""
+    cut = _cut(files)
+    if cut is not None:
+        # Imported here, where a child may be forked: loading the extension
+        # would add some 0.4 ms to every command's start.
+        import mmap
+
+        with mmap.mmap(-1, 1) as progress:
+            if _write_in_two(out, files, *cut, progress):
+                return
+    for name in list(files):
+        _write(out / name, files.pop(name))
 
 
 def main(argv=None) -> int:
@@ -374,23 +463,9 @@ def main(argv=None) -> int:
         files = _COMMANDS[args.command](cfg, scenario)
         # The manifest is itself a loadable config file; the command is a comment.
         files["manifest.txt"] = f"# command: {args.command}\n{serialize_config(cfg)}"
-        forked, pid, status = _forked_name(files), None, 0
-        try:
-            # Each file is dropped once written or handed to the child, so a
-            # chart listed before a table is not held while the table streams.
-            for name in list(files):
-                body = files.pop(name)
-                if name == forked and (pid := _fork_write(out / name, body)):
-                    continue
-                if body is not None:  # None is a chart with nothing to plot
-                    _write(out / name, body)
-        finally:
-            # Reaped even when this process's own write fails, whose error
-            # then stands.
-            if pid is not None:
-                status = os.waitpid(pid, 0)[1]
-        if status:
-            raise _child_error(status, out / forked)
+        # None is a chart with nothing to plot, which is not written.
+        files = {name: body for name, body in files.items() if body is not None}
+        _write_files(out, files)
     except (ConfigError, InvalidInputError, NumericalDegeneracyError, OSError, MemoryError) as exc:
         print(f"puedet: error: {exc}", file=sys.stderr)
         return 1

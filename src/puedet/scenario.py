@@ -235,8 +235,13 @@ class Scenario:
         step whose offset or covariance is not finite, and
         NumericalDegeneracyError naming one whose covariance is singular but
         not zero."""
-        truth = self.truth_path(self.n_steps - 1)
-        maps = track_weights(steps, self.dt, self.filter_gains, truth, self.step_accels(self.n_steps - 1))
+        # Only the steps up to the latest are read.  Where some step lies
+        # outside the run, the whole run is passed, and track_weights refuses
+        # the steps naming its range.
+        inside = all(isinstance(k, (int, np.integer)) and 0 <= k < self.n_steps for k in steps)
+        last = max(steps) if inside and len(steps) else self.n_steps - 1
+        truth = self.truth_path(last)
+        maps = track_weights(steps, self.dt, self.filter_gains, truth, self.step_accels(last))
         laws = {}
         for k, (state, weights) in maps.items():
             offset = state[:2]

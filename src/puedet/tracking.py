@@ -5,7 +5,7 @@ functions over small immutable values; nothing here holds mutable state,
 so concurrent use is safe.
 
 :func:`predict` and :func:`update` take one step.  :func:`track` runs a whole
-sequence through the same state formulas and returns the states as one
+sequence through the same state arithmetic and returns the states as one
 (n, 4) array, and :func:`track_weights` states the same filter in linear
 form: the estimate at step k as a fixed map W of the measurements about the
 noiseless run, built in O(k) by one backward pass over the gains, so its
@@ -20,11 +20,17 @@ with no fixed point, such as one with zero process noise, runs the full
 recursion at every step.
 
 The per-step covariance functions and the gain loop share one copy of each
-formula, on plain floats: :func:`_predicted_upper` for the prediction and
-:func:`_gain_and_upper` for the gain and posterior.  A per-step call enters
-``np.errstate`` around its one BLAS product; :func:`gains` enters it once
-around all its steps, and returns a list, not a generator, so the error
-state is back as it was before any caller sees a gain or an error.
+covariance formula, on plain floats: :func:`_predicted_upper` for the
+prediction and :func:`_gain_and_upper` for the gain and posterior.  A
+per-step call enters ``np.errstate`` around its one BLAS product;
+:func:`gains` enters it once around all its steps, and returns a list, not a
+generator, so the error state is back as it was before any caller sees a
+gain or an error.  The state formulas have two copies: :func:`predict` and
+:func:`update` call :func:`_predicted_state` and :func:`_corrected_state`,
+while :func:`track` and :func:`track_weights` share one forward loop,
+:func:`_forward`, that writes the predict-and-correct step inline, with the
+same float operations in the same order, and collects the states in one
+flat list of floats.  Tests hold the two routes bit-equal.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import math
 import struct
 from math import isfinite
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -369,6 +374,30 @@ def initial_estimate(z, meas_model: MeasurementModel, v_max: float) -> FilterEst
     return FilterEstimate(TargetState(zx, zy, 0.0, 0.0), p0)
 
 
+def _forward(zx: list, zy: list, ux: list, uy: list, dt: float, gains: Sequence[tuple]) -> list:
+    """The states (x, y, vx, vy) of steps 0..len(zx) - 1 as one flat list of
+    floats: a start at (zx[0], zy[0]) at zero velocity, then per step the
+    prediction of :func:`_predicted_state` under (ux, uy) and the correction
+    of :func:`_corrected_state` by the step's gain, written out inline with
+    the same float operations in the same order.  `ux` and `uy` start at
+    step 1's input.  Nothing is checked for finiteness."""
+    half = 0.5 * dt * dt
+    x, y, vx, vy = zx[0], zy[0], 0.0, 0.0
+    out = [x, y, vx, vy]
+    for ux_k, uy_k, zx_k, zy_k, (g00, g01, g10, g11, g20, g21, g30, g31) in zip(ux, uy, zx[1:], zy[1:], gains):
+        # One assignment a value: no tuple is built and unpacked.
+        px = x + dt * vx + half * ux_k
+        py = y + dt * vy + half * uy_k
+        ix = zx_k - px
+        iy = zy_k - py
+        x = px + (g00 * ix + g01 * iy)
+        y = py + (g10 * ix + g11 * iy)
+        vx = vx + dt * ux_k + (g20 * ix + g21 * iy)
+        vy = vy + dt * uy_k + (g30 * ix + g31 * iy)
+        out += (x, y, vx, vy)
+    return out
+
+
 def track(measurements: Sequence, dt: float, gains: Sequence[tuple], accels: Sequence | None = None) -> np.ndarray:
     """Filter a measurement sequence sampled every `dt`: the state estimate
     ``[x, y, vx, vy]`` of every measurement's step, shape (n, 4).
@@ -398,15 +427,11 @@ def track(measurements: Sequence, dt: float, gains: Sequence[tuple], accels: Seq
     else:
         ux, uy = _finite_rows(accels[1:], "acceleration", first=1).T.tolist()
 
-    s = (zx[0], zy[0], 0.0, 0.0)
-    out = [s]
-    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], gains):
-        s = _corrected_state(_predicted_state(s, dt, ux_k, uy_k), g, zx_k, zy_k)
-        out.append(s)
-    states = np.fromiter(chain.from_iterable(out), float, 4 * n).reshape(n, 4)
+    flat = _forward(zx, zy, ux, uy, dt, gains)
+    states = np.fromiter(flat, float, 4 * n).reshape(n, 4)
     if not np.isfinite(states).all():
         k = int(np.isfinite(states).all(axis=1).argmin())
-        raise InvalidInputError(f"target state at step {k} must be finite, got {out[k]}")
+        raise InvalidInputError(f"target state at step {k} must be finite, got {tuple(flat[4 * k : 4 * k + 4])}")
     return states
 
 
@@ -418,9 +443,9 @@ def track_weights(
     estimate at step k is ``state[:2] + w @ e.ravel()``.
 
     ``state`` (4,) is row k of :func:`track` over `measurements` with the
-    same `dt` and `gains`, bit for bit, as it is advanced by the same state
-    formulas.  ``w`` (2, 2(k + 1)) is built in O(k) by one backward pass in
-    plain floats from ``R = C``: the weight of z_j is ``R G_j``, then
+    same `dt` and `gains`, bit for bit, as both run the forward loop
+    :func:`_forward`.  ``w`` (2, 2(k + 1)) is built in O(k) by one backward
+    pass in plain floats from ``R = C``: the weight of z_j is ``R G_j``, then
     ``R <- R (I - G_j C) A``; z_0, the start's position (see
     :func:`initial_estimate`), weighs what R keeps of the position.  Nothing
     is checked for finiteness.  `measurements` and `accels` have one row per
@@ -436,11 +461,7 @@ def track_weights(
         raise InvalidInputError(f"step {last} needs {last} gains, got {len(gains)}")
     zx, zy = _finite_rows(measurements[: last + 1], "measurement").T.tolist()
     ux, uy = _finite_rows(accels[1 : last + 1], "acceleration", first=1).T.tolist()
-    x = (zx[0], zy[0], 0.0, 0.0)
-    states = [x]
-    for ux_k, uy_k, zx_k, zy_k, g in zip(ux, uy, zx[1:], zy[1:], gains):
-        x = _corrected_state(_predicted_state(x, dt, ux_k, uy_k), g, zx_k, zy_k)
-        states.append(x)
+    states = _forward(zx, zy, ux, uy, dt, gains)
     out = {}
     for k in sorted(wanted):
         # The rows (a, b) of R, and each row's weights from step k back to 0.
@@ -455,7 +476,7 @@ def track_weights(
             a2, a3, b2, b3 = a2 + dt * a0, a3 + dt * a1, b2 + dt * b0, b3 + dt * b1
         wa += (a1, a0)
         wb += (b1, b0)
-        out[k] = (np.array(states[k]), np.array([wa[::-1], wb[::-1]]))
+        out[k] = (np.array(states[4 * k : 4 * k + 4]), np.array([wa[::-1], wb[::-1]]))
     return out
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from puedet import cli, config, experiments
 from puedet import scenario as scenario_module
 from puedet.cli import main
-from puedet.config import ExperimentConfig, build_scenario, loads_config
+from puedet.config import ExperimentConfig, build_scenario, loads_config, validate_config
 from puedet.errors import ConfigError
 from puedet.experiments import MetricsReport, SweepCoords, cell_streams
 from puedet.scenario import Scenario, emit_position_measurement, truth_at
@@ -208,6 +208,32 @@ class TestSweepDistance:
         )
         assert (out / "sweep_distance.csv").read_text() == expected
         assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "sweep_distance.csv"]
+
+
+# Rows at which TestTableRows cuts a 5000-row table.
+TABLE_CUTS = [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 5000]
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("cut", TABLE_CUTS)
+    def test_two_row_ranges_write_the_whole_table(self, cut):
+        # Rows [0, cut) and then [cut, n) are the bytes of the whole table
+        # and of the per-row oracle, with absent cells in the rows on both
+        # sides of every cut.
+        specs = ["%d", "%.9g", "%.9g"]
+        near = {c + d for c in TABLE_CUTS for d in (-2, -1, 0, 1)}
+        rows = [[(i * 7919) % 10**6, None if i in near else i / 7, None if i % 5 == 0 else -1e300 * (i % 2)]
+                for i in range(5000)]
+        write = cli._csv("t.csv", ["n", "a", "b"], rows, specs)
+        whole, head, tail = io.StringIO(), io.StringIO(), io.StringIO()
+        write(whole)
+        write(head, stop=cut)
+        write(tail, start=cut)
+        formats = [",".join("%.0s" if v is None else f for v, f in zip(row, specs)) + "\n" for row in rows]
+        values = np.array(rows, dtype=float).tolist()
+        expected = "n,a,b\n" + "".join(map(str.__mod__, formats, map(tuple, values)))
+        assert head.getvalue() + tail.getvalue() == whole.getvalue() == expected
+        assert head.getvalue().count("\n") == 1 + cut
 
 
 class TestSweepRoc:
@@ -628,8 +654,8 @@ class TestErrors:
 
 
 # The stock trajectory at 2500 steps, whose chart formats 6 x 2500 = 15 000
-# values and whose table 25 000: above the gate at which the chart is written
-# by a forked child.
+# values and whose table 25 000: above the 2 x 12 000 at which the writing is
+# shared with a forked child, which takes the chart and the table's first rows.
 LONG_TRACK = "[scenario]\nsteps = 2500\ndt = 0.08\n\n[run]\nseed = 5\n"
 
 
@@ -645,6 +671,13 @@ def long_track_files(tmp_path):
     rc, out = run_cli(tmp_path, "track", LONG_TRACK)
     assert rc == 0
     return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def long_track_cut():
+    """The files of a LONG_TRACK run by name, and the cut (i, rows) of cli._cut."""
+    cfg = loads_config(LONG_TRACK)
+    files = cli.cmd_track(cfg, validate_config(cfg))
+    return files, cli._cut(files)
 
 
 @pytest.fixture
@@ -758,8 +791,9 @@ class TestForkedWrite:
 
     @pytest.mark.parametrize("blocked", ["track.svg", "track.csv"])
     def test_unwritable_file_is_one_error_line_on_either_route(self, tmp_path, capsys, monkeypatch, counted_forks, blocked):
-        # The child writes track.svg and this process track.csv; either one
-        # failing reports that file's OSError, as an in-process write does.
+        # The child writes track.svg and the head of track.csv, which this
+        # process finishes; either one failing reports that file's OSError,
+        # as an in-process write does.
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         rc, _ = run_cli(tmp_path, "track", LONG_TRACK)
@@ -786,6 +820,42 @@ class TestForkedWrite:
         assert rc == 1 and len(counted_forks) == 1
         err = capsys.readouterr().err
         assert err == f"puedet: error: writing {out / 'track.svg'} failed in a child process (exit status 255)\n"
+
+    def test_child_failure_in_its_table_rows(self, tmp_path, capsys, monkeypatch, counted_forks):
+        # The child fails after writing the header and its rows of track.csv:
+        # one error line names the table, and this process appends nothing.
+        write, parent = cli._write, os.getpid()
+
+        def failing(path, body, mode="w"):
+            if os.getpid() != parent and path.name == "track.csv":
+
+                def rows_then_full(fh):
+                    body(fh)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+                return write(path, rows_then_full, mode)
+            return write(path, body, mode)
+
+        monkeypatch.setattr(cli, "_write", failing)
+        rc, out = run_cli(tmp_path, "track", LONG_TRACK)
+        assert rc == 1 and len(counted_forks) == 1
+        err = capsys.readouterr().err
+        assert err == f"puedet: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / 'track.csv'}'\n"
+        _, (_, rows) = long_track_cut()
+        head = (out / "track.csv").read_text()
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        whole = long_track_files(tmp_path)["track.csv"].decode()
+        assert head == "".join(whole.splitlines(keepends=True)[: 1 + rows])
+
+    def test_long_track_is_cut_evenly_inside_its_table(self):
+        files, (i, rows) = long_track_cut()
+        assert list(files)[i] == "track.csv" and 0 < rows < 2500
+        table = files["track.csv"]
+        child = files["track.svg"].values + rows * table.row_values
+        total = files["track.svg"].values + table.values
+        assert min(child, total - child) >= cli._FORK_VALUES
+        assert abs(2 * child - total) < 2 * table.row_values
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_stock_outputs_are_written_in_process(self, tmp_path, monkeypatch, command):
